@@ -26,6 +26,7 @@ from .errors import (
 )
 from .model import (
     SUM_TOLERANCE,
+    Attack,
     Case,
     CaseStatus,
     Evidence,
@@ -147,10 +148,11 @@ def retrieve(new_case: Case, repository, k: int | None) -> RetrievalRanking:
     results = [similarity(new_case, p) for p in precedents]
     results.sort(key=lambda r: (-r.score, r.precedent_case_id))
     top = results if k is None else results[:k]
+    stored = {p.case_id: p.intention for p in precedents}
     intentions = {
-        p.case_id: p.intention
-        for p in precedents
-        if p.intention is not None and any(r.precedent_case_id == p.case_id for r in top)
+        r.precedent_case_id: stored[r.precedent_case_id]
+        for r in top
+        if stored[r.precedent_case_id] is not None
     }
     return RetrievalRanking(
         new_case_id=new_case.case_id,
@@ -180,29 +182,30 @@ def reuse(new_case: Case, ranking: RetrievalRanking) -> Case:
     )
 
 
+def confidence_weights(attack: Attack) -> dict[str, float]:
+    """Evidence confidences normalized to sum 1; uniform when all are zero."""
+    total = math.fsum(ev.confidence for ev in attack.evidence)
+    if total > 0.0:
+        return {ev.id: ev.confidence / total for ev in attack.evidence}
+    return {ev.id: 1.0 / len(attack.evidence) for ev in attack.evidence}
+
+
 def initialize_incipient(proposed: Case) -> Case:
     """Prepare the proposal for the investigator.
 
-    Weights are evidence confidences normalized to sum 1 (uniform when
-    every confidence is zero), and a readable summary of the proposal is
-    appended to the provenance.
+    Weights are the attack's :func:`confidence_weights`, and a readable
+    summary of the proposal is appended to the provenance.
     """
     if proposed.status != CaseStatus.PROPOSED:
         raise IllegalTransition(
             f"case '{proposed.case_id}': initialize requires status proposed, "
             f"got {proposed.status.value}"
         )
-    evidence = proposed.attack.evidence
-    total = math.fsum(ev.confidence for ev in evidence)
-    if total > 0.0:
-        weights = {ev.id: ev.confidence / total for ev in evidence}
-    else:
-        weights = {ev.id: 1.0 / len(evidence) for ev in evidence}
     summary = _incipient_summary(proposed)
     case = transition(proposed, CaseStatus.INCIPIENT)
     return replace(
         case,
-        evidence_weights=weights,
+        evidence_weights=confidence_weights(proposed.attack),
         provenance=_extend(case.provenance, summary),
     )
 

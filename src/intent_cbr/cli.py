@@ -240,7 +240,7 @@ def cmd_seed_aia(args) -> int:
         case_id=f"aia-{attack.id}",
         attack=attack,
         intention=network.find_intention(report.selected),
-        evidence_weights=_confidence_weights(attack),
+        evidence_weights=cbr.confidence_weights(attack),
         status=CaseStatus.PRECEDENT,
         provenance="seeded-by-AIA",
         created_at=now_utc(),
@@ -309,13 +309,6 @@ def _fresh_case(repo: Repository, attack: Attack) -> Case:
         provenance="analyst",
         created_at=now_utc(),
     )
-
-
-def _confidence_weights(attack: Attack) -> dict[str, float]:
-    total = math.fsum(ev.confidence for ev in attack.evidence)
-    if total > 0.0:
-        return {ev.id: ev.confidence / total for ev in attack.evidence}
-    return {ev.id: 1.0 / len(attack.evidence) for ev in attack.evidence}
 
 
 def _load_network(path: str):

@@ -52,16 +52,11 @@ def evidence_marginal(network: CausalNetwork, evidence_id: str) -> float:
 
 
 def posterior(network: CausalNetwork, intention_id: str, evidence_id: str) -> float:
-    """P(intention | evidence) by Bayes' rule."""
-    marginal = evidence_marginal(network, evidence_id)
-    if marginal <= 0.0:
-        raise ZeroMarginal(
-            f"evidence '{evidence_id}' impossible under every intention"
-        )
-    if intention_id not in network.priors:
+    """P(intention | evidence): one entry of :func:`posteriors_for_evidence`."""
+    posteriors = posteriors_for_evidence(network, evidence_id)
+    if intention_id not in posteriors:
         raise ValidationFailure(f"intention '{intention_id}' not in network")
-    row = network.likelihoods[evidence_id]
-    return _likelihood(row, intention_id, evidence_id) * network.priors[intention_id] / marginal
+    return posteriors[intention_id]
 
 
 def posteriors_for_evidence(

@@ -120,26 +120,15 @@ def _parse_csv(text: str) -> tuple[Evidence, ...]:
             continue
         if len(row) < 2:
             raise MalformedRecord(line, "expected at least id and kind columns")
-        ev_id = row[0].strip()
-        if not ev_id:
-            raise MalformedRecord(line, "evidence id must be non-empty")
-        if ev_id in seen:
-            raise DuplicateEvidenceId(line, f"duplicate evidence id '{ev_id}'")
-        seen.add(ev_id)
-        raw_kind = row[1].strip()
-        kind = map_kind(raw_kind)
-        if kind is EvidenceKind.OTHER and raw_kind.lower() not in KIND_ALIASES:
-            logger.warning("line %d: unknown kind %r mapped to 'other'", line, raw_kind)
-        description = row[2].strip() if len(row) > 2 else ""
-        confidence = _parse_confidence(row[3] if len(row) > 3 else "", line)
-        attributes = _parse_attribute_cells(row[4:], line)
         evidence.append(
-            Evidence(
-                id=ev_id,
-                kind=kind,
-                attributes=attributes,
-                description=description,
-                confidence=confidence,
+            _checked_evidence(
+                line,
+                seen,
+                ev_id=row[0].strip(),
+                raw_kind=row[1].strip(),
+                description=row[2].strip() if len(row) > 2 else "",
+                confidence=_parse_confidence(row[3] if len(row) > 3 else "", line),
+                attributes=_parse_attribute_cells(row[4:], line),
             )
         )
     if not evidence:
@@ -177,35 +166,21 @@ def _parse_json(
     for index, item in enumerate(items, start=1):
         if not isinstance(item, dict):
             raise MalformedRecord(index, "evidence record must be an object")
-        ev_id = str(item.get("id", "")).strip()
-        if not ev_id:
-            raise MalformedRecord(index, "evidence id must be non-empty")
-        if ev_id in seen:
-            raise DuplicateEvidenceId(index, f"duplicate evidence id '{ev_id}'")
-        seen.add(ev_id)
-        raw_kind = str(item.get("kind", "other"))
-        kind = map_kind(raw_kind)
-        if kind is EvidenceKind.OTHER and raw_kind.strip().lower() not in KIND_ALIASES:
-            logger.warning(
-                "record %d: unknown kind %r mapped to 'other'", index, raw_kind
-            )
         raw_conf = item.get("confidence", 1.0)
         if isinstance(raw_conf, bool) or not isinstance(raw_conf, (int, float)):
             raise MalformedRecord(index, f"confidence must be a number, got {raw_conf!r}")
-        if not 0.0 <= float(raw_conf) <= 1.0:
-            raise ConfidenceOutOfRange(
-                index, f"confidence {raw_conf!r} outside [0,1]"
-            )
         attributes = item.get("attributes", {})
         if not isinstance(attributes, dict):
             raise MalformedRecord(index, "attributes must be an object")
         evidence.append(
-            Evidence(
-                id=ev_id,
-                kind=kind,
-                attributes={str(k): str(v) for k, v in attributes.items()},
+            _checked_evidence(
+                index,
+                seen,
+                ev_id=str(item.get("id", "")).strip(),
+                raw_kind=str(item.get("kind", "other")),
                 description=str(item.get("description", "")),
                 confidence=float(raw_conf),
+                attributes={str(k): str(v) for k, v in attributes.items()},
             )
         )
     if not evidence:
@@ -225,17 +200,47 @@ def _parse_json(
     )
 
 
+def _checked_evidence(
+    line: int,
+    seen: set[str],
+    ev_id: str,
+    raw_kind: str,
+    description: str,
+    confidence: float,
+    attributes: dict[str, str],
+) -> Evidence:
+    """One decoded record after the checks both formats share.
+
+    ``line`` is the record's position (CSV line, 1-based JSON index) and
+    becomes the ``.line`` of any error; ``seen`` collects the ids so far.
+    """
+    if not ev_id:
+        raise MalformedRecord(line, "evidence id must be non-empty")
+    if ev_id in seen:
+        raise DuplicateEvidenceId(line, f"duplicate evidence id '{ev_id}'")
+    seen.add(ev_id)
+    kind = map_kind(raw_kind)
+    if kind is EvidenceKind.OTHER and raw_kind.strip().lower() not in KIND_ALIASES:
+        logger.warning("line %d: unknown kind %r mapped to 'other'", line, raw_kind)
+    if not 0.0 <= confidence <= 1.0:
+        raise ConfidenceOutOfRange(line, f"confidence {confidence!r} outside [0,1]")
+    return Evidence(
+        id=ev_id,
+        kind=kind,
+        attributes=attributes,
+        description=description,
+        confidence=confidence,
+    )
+
+
 def _parse_confidence(cell: str, line: int) -> float:
     cell = cell.strip()
     if not cell:
         return 1.0
     try:
-        value = float(cell)
+        return float(cell)
     except ValueError:
         raise MalformedRecord(line, f"confidence {cell!r} is not a number") from None
-    if not 0.0 <= value <= 1.0:
-        raise ConfidenceOutOfRange(line, f"confidence {value!r} outside [0,1]")
-    return value
 
 
 def _parse_attribute_cells(cells: list[str], line: int) -> dict[str, str]:

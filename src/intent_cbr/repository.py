@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import fcntl
 import json
-import math
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -194,10 +193,9 @@ class Repository:
             _atomic_write(path, canonical_dumps(attack_to_dict(attack)))
 
     def load_attack(self, attack_id: str) -> Attack:
-        path = self.root / "attacks" / f"{attack_id}.json"
-        if not path.exists():
-            raise UnknownCaseId(f"attack '{attack_id}' not stored")
-        return attack_from_dict(json.loads(path.read_text(encoding="utf-8")))
+        return self._read_record(
+            "attacks", attack_id, attack_from_dict, f"attack '{attack_id}' not stored"
+        )
 
     def has_attack(self, attack_id: str) -> bool:
         return (self.root / "attacks" / f"{attack_id}.json").exists()
@@ -216,12 +214,24 @@ class Repository:
             _atomic_write(path, canonical_dumps(network_to_dict(network)))
 
     def load_network(self, attack_id: str) -> CausalNetwork:
-        path = self.root / "networks" / f"{attack_id}.json"
-        if not path.exists():
-            raise UnknownCaseId(f"network for '{attack_id}' not stored")
-        return network_from_dict(json.loads(path.read_text(encoding="utf-8")))
+        return self._read_record(
+            "networks",
+            attack_id,
+            network_from_dict,
+            f"network for '{attack_id}' not stored",
+        )
 
     # -- internals ------------------------------------------------------------
+
+    def _read_record(self, sub: str, record_id: str, from_dict, missing: str):
+        """Decode ``<sub>/<record_id>.json``; a bad document is a CorruptRecord."""
+        path = self.root / sub / f"{record_id}.json"
+        if not path.exists():
+            raise UnknownCaseId(missing)
+        try:
+            return from_dict(json.loads(path.read_text(encoding="utf-8")))
+        except (ValueError, TypeError, AttributeError, KeyError) as exc:
+            raise CorruptRecord({f"{sub}/{record_id}": f"unparseable: {exc}"}) from exc
 
     def _check_case(self, case: Case) -> None:
         _check_id(case.case_id, "case")
@@ -251,11 +261,6 @@ class Repository:
                     fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
         except OSError as exc:
             raise IoFailure(f"cannot lock {meta_path}: {exc}") from exc
-
-
-def weight_sum(case: Case) -> float:
-    """Sum of the case's evidence weights (diagnostic helper)."""
-    return math.fsum(case.evidence_weights.values())
 
 
 def _status_set(status) -> frozenset[CaseStatus] | None:

@@ -15,16 +15,13 @@ from typing import Any
 from .errors import ValidationFailure
 from .model import (
     Attack,
-    BeliefReport,
     Case,
     CaseStatus,
     CausalNetwork,
     Evidence,
     EvidenceKind,
-    Hypothesis,
     Intention,
     MassFunction,
-    SimilarityResult,
 )
 
 
@@ -113,18 +110,6 @@ def intention_from_dict(doc: dict) -> Intention:
     )
 
 
-def hypothesis_to_dict(h: Hypothesis) -> dict:
-    return {"id": h.id, "accuracy": h.accuracy, "applies_to": h.applies_to}
-
-
-def hypothesis_from_dict(doc: dict) -> Hypothesis:
-    return Hypothesis(
-        id=_req(doc, "id", str),
-        accuracy=_num(_req(doc, "accuracy", (int, float)), "accuracy"),
-        applies_to=str(doc.get("applies_to", "*")),
-    )
-
-
 def network_to_dict(net: CausalNetwork) -> dict:
     return {
         "attack_id": net.attack_id,
@@ -203,29 +188,6 @@ def mass_from_dict(doc: dict) -> MassFunction:
             for key, v in _req(doc, "masses", dict).items()
         },
     )
-
-
-def belief_report_to_dict(report: BeliefReport) -> dict:
-    return {
-        "per_intention": {
-            iid: {"belief": bel, "plausibility": pl}
-            for iid, (bel, pl) in report.per_intention.items()
-        },
-        "selected": report.selected,
-        "mass": mass_to_dict(report.mass),
-    }
-
-
-def similarity_to_dict(result: SimilarityResult) -> dict:
-    return {
-        "new_case_id": result.new_case_id,
-        "precedent_case_id": result.precedent_case_id,
-        "alignment": [
-            {"new_evidence_id": n, "precedent_evidence_id": p, "local_sim": s}
-            for n, p, s in result.alignment
-        ],
-        "score": result.score,
-    }
 
 
 # --- helpers ---------------------------------------------------------------

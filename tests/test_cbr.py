@@ -247,6 +247,16 @@ class TestRetrieve:
         with pytest.raises(ValidationFailure):
             retrieve(keylogging_case, demo_repo, k=0)
 
+    @pytest.mark.parametrize("k", [3, None])
+    def test_precedent_intentions_are_those_of_the_ranked_ids(
+        self, demo_repo, keylogging_case, k
+    ):
+        ranking = retrieve(keylogging_case, demo_repo, k=k)
+        ranked = {e.precedent_case_id for e in ranking.entries}
+        assert set(ranking.precedent_intentions) == ranked
+        for case_id, intention in ranking.precedent_intentions.items():
+            assert intention == demo_repo.get_case(case_id).intention
+
     def test_truncation_and_order(self, demo_repo, keylogging_case):
         full = retrieve(keylogging_case, demo_repo, k=None)
         assert len(full.entries) == 11

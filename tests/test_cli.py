@@ -1,6 +1,7 @@
 """CLI surface: flags, exit codes, stream discipline, idempotence."""
 
 import json
+import math
 from dataclasses import replace
 
 import pytest
@@ -9,7 +10,7 @@ from intent_cbr import fixtures as demo
 from intent_cbr.cli import main
 from intent_cbr.model import CaseStatus
 from intent_cbr.repository import Repository
-from intent_cbr.serialize import canonical_dumps, network_to_dict
+from intent_cbr.serialize import attack_to_dict, canonical_dumps, network_to_dict
 
 
 @pytest.fixture
@@ -208,6 +209,28 @@ class TestSeedAia:
         assert case.intention.id == "int-exfil"
         assert repo.load_network("demo-attack").attack_id == "demo-attack"
 
+    def test_all_zero_confidences_store_uniform_weights(self, tmp_path):
+        demo.write_demo_network(tmp_path / "network.json")
+        attack = demo.demo_attack()
+        zeroed = replace(
+            attack,
+            evidence=tuple(replace(ev, confidence=0.0) for ev in attack.evidence),
+        )
+        (tmp_path / "attack.json").write_text(
+            canonical_dumps(attack_to_dict(zeroed)), encoding="utf-8"
+        )
+        rc = main([
+            "seed-aia", "--repo", str(tmp_path / "repo"),
+            "--network", str(tmp_path / "network.json"),
+            "--attack", str(tmp_path / "attack.json"),
+        ])
+        assert rc == 0
+        repo = Repository.open(tmp_path / "repo")
+        weights = repo.get_case("aia-demo-attack").evidence_weights
+        n = len(zeroed.evidence)
+        assert weights == {ev.id: 1.0 / n for ev in zeroed.evidence}
+        assert math.fsum(weights.values()) == pytest.approx(1.0, abs=1e-12)
+
     def test_network_missing_evidence_row_exit_2(self, tmp_path):
         network = demo.demo_network()
         incomplete = replace(
@@ -382,6 +405,21 @@ def test_corrupt_repository_exit_2(workdir):
         "analyze", "--repo", str(workdir / "repo"), "--attack-id", "keylogging",
     ])
     assert rc == 2
+
+
+@pytest.mark.parametrize("command", ["analyze", "report"])
+def test_truncated_attack_exit_2(workdir, capsys, command):
+    ingest_keylogging(workdir)
+    target = workdir / "repo" / "attacks" / "keylogging.json"
+    target.write_text(target.read_text(encoding="utf-8")[:40], encoding="utf-8")
+    capsys.readouterr()
+    argv = [command, "--repo", workdir / "repo", "--attack-id", "keylogging"]
+    if command == "report":
+        argv += ["--out", workdir / "r.csv"]
+    assert run(workdir, *argv) == 2
+    err = capsys.readouterr().err
+    assert "attacks/keylogging" in err
+    assert "Traceback" not in err
 
 
 def test_usage_error_exit_2():

@@ -210,6 +210,21 @@ def test_network_round_trip(repo):
         repo.load_network("ghost")
 
 
+@pytest.mark.parametrize(
+    "damage",
+    [lambda text: text[:40], lambda text: "[]"],
+    ids=["truncated", "json-array"],
+)
+def test_corrupt_network_reported(repo, damage):
+    network = demo.demo_network()
+    repo.save_network(network)
+    target = repo.root / "networks" / f"{network.attack_id}.json"
+    target.write_text(damage(target.read_text(encoding="utf-8")), encoding="utf-8")
+    with pytest.raises(CorruptRecord) as excinfo:
+        repo.load_network(network.attack_id)
+    assert f"networks/{network.attack_id}" in excinfo.value.details
+
+
 def test_invalid_network_rejected(repo):
     network = demo.demo_network()
     bad = replace(network, priors={"int-exfil": 0.9, "int-recon": 0.9})
