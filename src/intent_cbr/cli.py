@@ -156,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_ingest(args) -> int:
-    repo = Repository.open(_repo_path(args))
+    repo = Repository.attach(_repo_path(args))
     attack = parse_evidence_file(
         args.input,
         args.format,
@@ -170,7 +170,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    repo = Repository.open(_repo_path(args))
+    repo = Repository.attach(_repo_path(args))
     attack = repo.load_attack(args.attack_id)
     new_case = _fresh_case(repo, attack)
     ranking = cbr.retrieve(new_case, repo, k=args.top)
@@ -194,7 +194,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_revise(args) -> int:
-    repo = Repository.open(_repo_path(args))
+    repo = Repository.attach(_repo_path(args))
     case = repo.get_case(args.case_id)
     verdict = cbr.ReviseVerdict(
         verdict=args.verdict,
@@ -209,7 +209,7 @@ def cmd_revise(args) -> int:
 
 
 def cmd_retain(args) -> int:
-    repo = Repository.open(_repo_path(args))
+    repo = Repository.attach(_repo_path(args))
     case = repo.get_case(args.case_id)
     retained = cbr.retain(case, repo)
     print(f"case {retained.case_id} retained")
@@ -217,7 +217,7 @@ def cmd_retain(args) -> int:
 
 
 def cmd_seed_aia(args) -> int:
-    repo = Repository.open(_repo_path(args))
+    repo = Repository.attach(_repo_path(args))
     network = _load_network(args.network)
     attack = parse_evidence_file(args.attack, "json")
     if args.priors == "uniform":
@@ -254,7 +254,7 @@ def cmd_seed_aia(args) -> int:
 
 
 def cmd_report(args) -> int:
-    repo = Repository.open(_repo_path(args))
+    repo = Repository.attach(_repo_path(args))
     attack = repo.load_attack(args.attack_id)
     new_case = _fresh_case(repo, attack)
     ranking = cbr.retrieve(new_case, repo, k=None)

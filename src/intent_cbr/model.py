@@ -20,7 +20,7 @@ from .errors import IllegalTransition, ValidationFailure
 # Tolerance for "sums to 1" checks on weights, priors and masses.
 SUM_TOLERANCE = 1e-9
 
-_ID_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
+_ID_PATTERN = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
 
 class EvidenceKind(str, Enum):
@@ -360,7 +360,7 @@ def transition(case: Case, target: CaseStatus) -> Case:
 
 def is_safe_id(record_id: str) -> bool:
     """True when the id is usable as a file name (no separators, no dots-only)."""
-    return bool(_ID_PATTERN.match(record_id))
+    return bool(_ID_PATTERN.fullmatch(record_id))
 
 
 def _is_finite_unit(x: float) -> bool:

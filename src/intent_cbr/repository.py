@@ -6,8 +6,20 @@ networks under ``networks/``, ingested attacks under ``attacks/``, and a
 forensic artifacts; writes are temp-file-then-rename so an interrupted
 write never leaves a partial record visible.
 
+Loading is on demand. :meth:`Repository.attach` checks ``meta.json`` and
+reads nothing else; per-record calls (``get_case``, ``has_case``, the
+writes, attacks and networks) touch only their own file. The methods that
+need every case (``list_cases``, ``case_count``,
+``intention_frequencies``) scan ``cases/`` once per handle and keep the
+result; the handle's own writes keep it current. :meth:`Repository.open`
+is ``attach`` plus that scan.
+
+An id that is not a safe file name (see ``model.is_safe_id``) is never
+stored, so reads treat it as not stored without touching the disk.
+
 Concurrency: single writer, many readers. Mutating operations take an
-exclusive advisory flock on ``meta.json``.
+exclusive advisory flock on ``meta.json`` and decide under it whether a
+case already exists, so two handles never overwrite each other's case.
 """
 
 from __future__ import annotations
@@ -53,23 +65,27 @@ SCHEMA_VERSION = 1
 
 
 class Repository:
-    """Handle over a repository directory. Use :meth:`open` to construct."""
+    """Handle over a repository directory.
+
+    Construct with :meth:`attach` (reads records on demand) or
+    :meth:`open` (also loads and validates every case up front).
+    """
 
     def __init__(self, root: Path):
         self.root = Path(root)
-        self._cases: dict[str, Case] = {}
+        # Every stored case by id, filled by the first full scan.
+        self._cases: dict[str, Case] | None = None
 
     # -- lifecycle ---------------------------------------------------------
 
     @classmethod
-    def open(cls, root) -> "Repository":
-        """Open (creating if needed) and load + validate every stored case.
+    def attach(cls, root) -> "Repository":
+        """Handle on the repository at `root`, creating it if needed.
 
-        Corrupt records are reported together via CorruptRecord, never
-        silently dropped.
+        Checks ``meta.json`` and reads no case: records are read when a
+        method needs them.
         """
         root = Path(root)
-        repo = cls(root)
         try:
             for sub in ("cases", "networks", "attacks"):
                 (root / sub).mkdir(parents=True, exist_ok=True)
@@ -91,87 +107,92 @@ class Repository:
                 _atomic_write(meta_path, canonical_dumps({"schema_version": SCHEMA_VERSION}))
         except OSError as exc:
             raise IoFailure(f"cannot open repository at {root}: {exc}") from exc
+        return cls(root)
 
-        corrupt: dict[str, str] = {}
-        for path in sorted((root / "cases").glob("*.json")):
-            record_id = path.stem
-            try:
-                case = case_from_dict(json.loads(path.read_text(encoding="utf-8")))
-            except OSError as exc:
-                raise IoFailure(f"cannot read {path}: {exc}") from exc
-            except Exception as exc:
-                corrupt[record_id] = f"unparseable: {exc}"
-                continue
-            violations = validate_case(case)
-            if violations:
-                corrupt[record_id] = "; ".join(violations)
-            elif case.case_id != record_id:
-                corrupt[record_id] = f"file name does not match case_id '{case.case_id}'"
-            else:
-                repo._cases[case.case_id] = case
-        if corrupt:
-            raise CorruptRecord(corrupt)
+    @classmethod
+    def open(cls, root) -> "Repository":
+        """Attach (creating if needed), then load + validate every stored case.
+
+        Corrupt records are reported together via CorruptRecord, never
+        silently dropped.
+        """
+        repo = cls.attach(root)
+        repo._all_cases()
         return repo
 
     # -- cases ---------------------------------------------------------------
 
     def add_case(self, case: Case) -> None:
-        """Store a new case; atomic, validated, id must be unused."""
+        """Store a new case; atomic, validated, id must be unused on disk."""
         self._check_case(case)
-        if case.case_id in self._cases:
-            raise DuplicateCaseId(f"case '{case.case_id}' already stored")
-        self._write_case(case)
+        path = self._case_path(case.case_id)
+        with self._writer_lock():
+            if path.exists():
+                raise DuplicateCaseId(f"case '{case.case_id}' already stored")
+            self._write_case(path, case)
 
     def update_case(self, case: Case) -> None:
         """Replace an existing case record; atomic, validated."""
         self._check_case(case)
-        if case.case_id not in self._cases:
-            raise UnknownCaseId(f"case '{case.case_id}' not stored")
-        self._write_case(case)
+        path = self._case_path(case.case_id)
+        with self._writer_lock():
+            if not path.exists():
+                raise UnknownCaseId(f"case '{case.case_id}' not stored")
+            self._write_case(path, case)
 
     def store_confirmed(self, case: Case) -> None:
         """Store a retained case, replacing only its own in-flight record."""
-        existing = self._cases.get(case.case_id)
-        if existing is None:
-            self.add_case(case)
-        elif existing.status in IN_FLIGHT_STATUSES:
-            self.update_case(case)
-        else:
-            raise DuplicateCaseId(
-                f"case '{case.case_id}' already stored with status "
-                f"'{existing.status.value}'"
-            )
+        self._check_case(case)
+        path = self._case_path(case.case_id)
+        with self._writer_lock():
+            if path.exists():
+                existing = self._read_case(path, case.case_id)
+                if existing.status not in IN_FLIGHT_STATUSES:
+                    raise DuplicateCaseId(
+                        f"case '{case.case_id}' already stored with status "
+                        f"'{existing.status.value}'"
+                    )
+            self._write_case(path, case)
 
     def get_case(self, case_id: str) -> Case:
-        """Exact stored value (as parsed back from disk)."""
-        try:
-            return self._cases[case_id]
-        except KeyError:
-            raise UnknownCaseId(f"case '{case_id}' not stored") from None
+        """Exact stored value, read and validated from ``cases/<id>.json``.
+
+        A record that fails to parse or validate raises CorruptRecord.
+        """
+        path = self._stored("cases", case_id)
+        if path is None:
+            raise UnknownCaseId(f"case '{case_id}' not stored")
+        return self._read_case(path, case_id)
 
     def has_case(self, case_id: str) -> bool:
-        return case_id in self._cases
+        """True when ``cases/<id>.json`` exists; the record is not read."""
+        return self._stored("cases", case_id) is not None
 
     def list_cases(self, status=None) -> list[Case]:
         """All cases ordered by case_id, optionally filtered by status.
 
         ``status`` may be a single status or an iterable of statuses,
-        given as CaseStatus members or their string values.
+        given as CaseStatus members or their string values. Runs the full
+        scan on first use.
         """
         wanted = _status_set(status)
         return [
             case
-            for case_id, case in sorted(self._cases.items())
+            for case_id, case in sorted(self._all_cases().items())
             if wanted is None or case.status in wanted
         ]
 
     def case_count(self) -> int:
-        return len(self._cases)
+        """Number of stored cases; runs the full scan on first use."""
+        return len(self._all_cases())
 
     def intention_frequencies(self) -> dict[str, float]:
-        """Normalized intention frequencies over confirmed cases."""
+        """Normalized intention frequencies over confirmed cases.
+
+        Runs the full scan on first use.
+        """
         counts: dict[str, int] = {}
-        for case in self._cases.values():
+        for case in self._all_cases().values():
             if case.status in CONFIRMED_STATUSES and case.intention is not None:
                 counts[case.intention.id] = counts.get(case.intention.id, 0) + 1
         if not counts:
@@ -198,7 +219,7 @@ class Repository:
         )
 
     def has_attack(self, attack_id: str) -> bool:
-        return (self.root / "attacks" / f"{attack_id}.json").exists()
+        return self._stored("attacks", attack_id) is not None
 
     # -- networks ----------------------------------------------------------------
 
@@ -223,10 +244,68 @@ class Repository:
 
     # -- internals ------------------------------------------------------------
 
+    def _all_cases(self) -> dict[str, Case]:
+        """Every stored case, from one scan of ``cases/`` per handle.
+
+        All corrupt records are reported together via CorruptRecord.
+        """
+        if self._cases is not None:
+            return self._cases
+        cases_dir = self.root / "cases"
+        try:
+            names = sorted(n for n in os.listdir(cases_dir) if n.endswith(".json"))
+        except OSError as exc:
+            raise IoFailure(f"cannot list {cases_dir}: {exc}") from exc
+        cases: dict[str, Case] = {}
+        corrupt: dict[str, str] = {}
+        for name in names:
+            record_id = name[: -len(".json")]
+            try:
+                case = self._read_case(cases_dir / name, record_id)
+            except CorruptRecord as exc:
+                corrupt.update(exc.details)
+                continue
+            cases[case.case_id] = case
+        if corrupt:
+            raise CorruptRecord(corrupt)
+        self._cases = cases
+        return cases
+
+    def _read_case(self, path: Path, record_id: str) -> Case:
+        """Decode and validate one case file; a bad record is a CorruptRecord."""
+        try:
+            case = case_from_dict(json.loads(path.read_text(encoding="utf-8")))
+        except OSError as exc:
+            raise IoFailure(f"cannot read {path}: {exc}") from exc
+        except Exception as exc:
+            raise CorruptRecord({record_id: f"unparseable: {exc}"}) from exc
+        violations = validate_case(case)
+        if violations:
+            raise CorruptRecord({record_id: "; ".join(violations)})
+        if case.case_id != record_id:
+            raise CorruptRecord(
+                {record_id: f"file name does not match case_id '{case.case_id}'"}
+            )
+        return case
+
+    def _stored(self, sub: str, record_id: str) -> Path | None:
+        """Path of the stored ``<sub>/<record_id>.json``, or None.
+
+        An id unusable as a file name is never stored, so it is None
+        before anything on disk is touched.
+        """
+        if not is_safe_id(record_id):
+            return None
+        path = self.root / sub / f"{record_id}.json"
+        return path if path.exists() else None
+
+    def _case_path(self, case_id: str) -> Path:
+        return self.root / "cases" / f"{case_id}.json"
+
     def _read_record(self, sub: str, record_id: str, from_dict, missing: str):
         """Decode ``<sub>/<record_id>.json``; a bad document is a CorruptRecord."""
-        path = self.root / sub / f"{record_id}.json"
-        if not path.exists():
+        path = self._stored(sub, record_id)
+        if path is None:
             raise UnknownCaseId(missing)
         try:
             return from_dict(json.loads(path.read_text(encoding="utf-8")))
@@ -241,13 +320,13 @@ class Repository:
                 f"case '{case.case_id}': " + "; ".join(violations)
             )
 
-    def _write_case(self, case: Case) -> None:
+    def _write_case(self, path: Path, case: Case) -> None:
+        """Write under the caller's writer lock; keep a loaded scan current."""
         doc = canonical_dumps(case_to_dict(case))
-        path = self.root / "cases" / f"{case.case_id}.json"
-        with self._writer_lock():
-            _atomic_write(path, doc)
-        # Cache what the disk now holds, not the pre-rounding value.
-        self._cases[case.case_id] = case_from_dict(json.loads(doc))
+        _atomic_write(path, doc)
+        if self._cases is not None:
+            # Cache what the disk now holds, not the pre-rounding value.
+            self._cases[case.case_id] = case_from_dict(json.loads(doc))
 
     @contextmanager
     def _writer_lock(self):

@@ -437,3 +437,80 @@ def test_diagnostics_on_stderr_data_on_stdout(workdir, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "wrote" in captured.err
+
+
+def test_attack_id_outside_repository_exit_2(workdir, capsys):
+    attack = replace(demo.keylogging_attack(), id="x")
+    (workdir / "outside.json").write_text(
+        canonical_dumps(attack_to_dict(attack)), encoding="utf-8"
+    )
+    cases = workdir / "repo" / "cases"
+    before = sorted(p.name for p in cases.iterdir())
+    rc = run(workdir, "analyze", "--repo", workdir / "repo", "--attack-id", "../../outside")
+    assert rc == 2
+    assert "not stored" in capsys.readouterr().err
+    assert sorted(p.name for p in cases.iterdir()) == before
+
+
+def _prepare(workdir, command):
+    """Ingest the keylogging attack and take it as far as `command` needs."""
+    ingest_keylogging(workdir)
+    repo = workdir / "repo"
+    if command in ("revise", "retain"):
+        assert run(workdir, "analyze", "--repo", repo, "--attack-id", "keylogging") == 0
+    if command == "retain":
+        argv = ["revise", "--repo", repo, "--case-id", "keylogging-c1", "--verdict", "accept"]
+        assert run(workdir, *argv) == 0
+
+
+def _argv(workdir, command):
+    repo = workdir / "repo"
+    seed = ["seed-aia", "--repo", repo, "--network", workdir / "network.json",
+            "--attack", workdir / "attack.json"]
+    return {
+        "ingest": ["ingest", "--input", workdir / "keylog.csv", "--format", "csv",
+                   "--repo", repo, "--attack-id", "keylogging-2"],
+        "revise": ["revise", "--repo", repo, "--case-id", "keylogging-c1", "--verdict", "accept"],
+        "retain": ["retain", "--repo", repo, "--case-id", "keylogging-c1"],
+        "seed-aia": seed,
+        "seed-aia-frequency": seed + ["--priors", "frequency"],
+        "report": ["report", "--repo", repo, "--attack-id", "keylogging",
+                   "--out", workdir / "r.csv"],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["revise", "retain"])
+def test_corrupt_target_case_exit_2(workdir, capsys, command):
+    _prepare(workdir, command)
+    target = workdir / "repo" / "cases" / "keylogging-c1.json"
+    target.write_text(target.read_text(encoding="utf-8")[:40], encoding="utf-8")
+    capsys.readouterr()
+    assert run(workdir, *_argv(workdir, command)) == 2
+    err = capsys.readouterr().err
+    assert "corrupt records: keylogging-c1" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command,expected",
+    [
+        ("ingest", 0),
+        ("revise", 0),
+        ("retain", 0),
+        ("seed-aia", 0),
+        ("seed-aia-frequency", 2),
+        ("report", 2),
+    ],
+)
+def test_commands_beside_unrelated_corrupt_case(workdir, capsys, command, expected):
+    """Per-record commands read only their own records; the others scan all cases."""
+    _prepare(workdir, command)
+    target = workdir / "repo" / "cases" / "botnet-01.json"
+    doc = json.loads(target.read_text(encoding="utf-8"))
+    first = next(iter(doc["evidence_weights"]))
+    doc["evidence_weights"][first] += 0.4
+    target.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert run(workdir, *_argv(workdir, command)) == expected
+    if expected == 2:
+        assert "corrupt records: botnet-01" in capsys.readouterr().err

@@ -206,3 +206,8 @@ def test_now_utc_shape():
 )
 def test_is_safe_id(record_id, ok):
     assert is_safe_id(record_id) is ok
+
+
+@pytest.mark.parametrize("record_id", ["case-1\n", "case-1\nx", "\ncase-1"])
+def test_is_safe_id_rejects_line_breaks(record_id):
+    assert not is_safe_id(record_id)

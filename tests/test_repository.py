@@ -15,6 +15,7 @@ from intent_cbr.errors import (
     UnknownCaseId,
     ValidationFailure,
 )
+from intent_cbr import repository as repository_module
 from intent_cbr.model import CaseStatus, Intention
 from intent_cbr.repository import Repository
 from intent_cbr.serialize import canonical_dumps, case_to_dict
@@ -239,3 +240,102 @@ def test_store_confirmed_updates_own_in_flight_record(repo):
     repo.store_confirmed(retained)
     assert repo.get_case(case.case_id).status == CaseStatus.RETAINED
     assert repo.case_count() == 1
+
+
+def test_second_handle_cannot_overwrite_a_case(tmp_path):
+    first = Repository.open(tmp_path / "repo")
+    second = Repository.open(tmp_path / "repo")
+    case = demo.precedent_cases()[0]
+    first.add_case(case)
+    path = tmp_path / "repo" / "cases" / f"{case.case_id}.json"
+    written = path.read_bytes()
+    with pytest.raises(DuplicateCaseId):
+        second.add_case(replace(case, provenance="second handle"))
+    assert path.read_bytes() == written
+
+
+def test_existence_is_decided_from_disk_across_handles(tmp_path):
+    first = Repository.attach(tmp_path / "repo")
+    second = Repository.attach(tmp_path / "repo")
+    case = replace(demo.precedent_cases()[0], status=CaseStatus.INCIPIENT)
+    first.add_case(case)
+    assert second.has_case(case.case_id)
+    accepted = replace(case, status=CaseStatus.REVISED_ACCEPTED)
+    second.update_case(accepted)
+    assert first.get_case(case.case_id) == accepted
+    first.store_confirmed(replace(case, status=CaseStatus.RETAINED))
+    with pytest.raises(DuplicateCaseId):
+        second.store_confirmed(replace(case, status=CaseStatus.RETAINED))
+
+
+def _corrupt(root, case_id):
+    (root / "cases" / f"{case_id}.json").write_text("{ not json", encoding="utf-8")
+
+
+def test_attach_reads_only_the_records_asked_for(tmp_path):
+    demo.install_demo_repository(tmp_path / "repo")
+    _corrupt(tmp_path / "repo", "botnet-02")
+    repo = Repository.attach(tmp_path / "repo")
+    assert repo.get_case("botnet-01").case_id == "botnet-01"
+    assert repo.has_case("botnet-02")
+    with pytest.raises(CorruptRecord) as excinfo:
+        repo.get_case("botnet-02")
+    assert list(excinfo.value.details) == ["botnet-02"]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda repo: repo.list_cases(),
+        lambda repo: repo.case_count(),
+        lambda repo: repo.intention_frequencies(),
+    ],
+    ids=["list_cases", "case_count", "intention_frequencies"],
+)
+def test_full_scan_reports_every_corrupt_record(tmp_path, call):
+    demo.install_demo_repository(tmp_path / "repo")
+    _corrupt(tmp_path / "repo", "botnet-02")
+    _corrupt(tmp_path / "repo", "botnet-07")
+    repo = Repository.attach(tmp_path / "repo")
+    with pytest.raises(CorruptRecord) as excinfo:
+        call(repo)
+    assert sorted(excinfo.value.details) == ["botnet-02", "botnet-07"]
+
+
+def test_full_scan_runs_once_and_writes_keep_it_current(tmp_path, monkeypatch):
+    demo.install_demo_repository(tmp_path / "repo")
+    repo = Repository.attach(tmp_path / "repo")
+    decoded = []
+    original = repository_module.case_from_dict
+
+    def counting(doc):
+        decoded.append(doc["case_id"])
+        return original(doc)
+
+    monkeypatch.setattr(repository_module, "case_from_dict", counting)
+    assert repo.case_count() == 11
+    assert len(repo.list_cases(status="precedent")) == 11
+    assert len(decoded) == 11
+    case = replace(repo.get_case("botnet-01"), case_id="retained-one", status=CaseStatus.RETAINED)
+    repo.add_case(case)
+    assert [c.case_id for c in repo.list_cases(status="retained")] == ["retained-one"]
+    assert repo.case_count() == 12
+
+
+@pytest.mark.parametrize("record_id", ["../cases/botnet-01", "../../outside", "botnet-01\n"])
+def test_unsafe_ids_are_not_stored(tmp_path, record_id):
+    repo = demo.install_demo_repository(tmp_path / "repo")
+    repo.save_attack(demo.keylogging_attack())
+    repo.save_network(demo.demo_network())
+    (tmp_path / "outside.json").write_text(
+        (repo.root / "attacks" / "keylogging.json").read_text(encoding="utf-8"),
+        encoding="utf-8",
+    )
+    assert not repo.has_case(record_id)
+    assert not repo.has_attack(record_id)
+    with pytest.raises(UnknownCaseId):
+        repo.get_case(record_id)
+    with pytest.raises(UnknownCaseId):
+        repo.load_attack(record_id)
+    with pytest.raises(UnknownCaseId):
+        repo.load_network(record_id)
