@@ -13,7 +13,9 @@ contributes nothing, which penalizes missing evidence.
 from __future__ import annotations
 
 import csv
+import heapq
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import IO
 
@@ -30,6 +32,7 @@ from .model import (
     Case,
     CaseStatus,
     Evidence,
+    EvidenceKind,
     Intention,
     SimilarityResult,
     transition,
@@ -118,15 +121,9 @@ def similarity(new_case: Case, precedent: Case) -> SimilarityResult:
     Weights are the precedent's stored evidence weights and must be
     normalized; unmatched precedent evidence contributes 0.
     """
-    weight_sum = math.fsum(precedent.evidence_weights.values())
-    if abs(weight_sum - 1.0) > SUM_TOLERANCE:
-        raise UnnormalizedWeights(
-            f"precedent '{precedent.case_id}' weights sum to {weight_sum!r}"
-        )
+    weights = _checked_weights(precedent)
     alignment = align_evidence(new_case, precedent)
-    score = math.fsum(
-        sim * precedent.evidence_weights.get(p_id, 0.0) for _, p_id, sim in alignment
-    )
+    score = math.fsum(sim * weights.get(p_id, 0.0) for _, p_id, sim in alignment)
     return SimilarityResult(
         new_case_id=new_case.case_id,
         precedent_case_id=precedent.case_id,
@@ -136,29 +133,94 @@ def similarity(new_case: Case, precedent: Case) -> SimilarityResult:
 
 
 def retrieve(new_case: Case, repository, k: int | None) -> RetrievalRanking:
-    """Score `new_case` against every confirmed precedent, keep the top k.
+    """Rank confirmed precedents by similarity to `new_case`, keep the top k.
 
-    ``k=None`` keeps every precedent (used by full reports).
+    ``k=None`` scores every precedent (used by full reports). A finite k
+    visits precedents in descending order of an upper bound on their
+    score and stops once k scores are held and the next bound is below
+    the k-th of them (the threshold algorithm of Fagin, Lotem & Naor).
+    The ranking is exactly the one of scoring every precedent.
     """
     if k is not None and k < 1:
         raise ValidationFailure(f"k must be positive, got {k}")
     precedents = repository.list_cases(status=("precedent", "retained"))
     if not precedents:
         raise EmptyRepository("no precedent or retained cases stored")
-    results = [similarity(new_case, p) for p in precedents]
-    results.sort(key=lambda r: (-r.score, r.precedent_case_id))
-    top = results if k is None else results[:k]
-    stored = {p.case_id: p.intention for p in precedents}
-    intentions = {
-        r.precedent_case_id: stored[r.precedent_case_id]
-        for r in top
-        if stored[r.precedent_case_id] is not None
-    }
+    if k is None:
+        scored = [(similarity(new_case, p), p) for p in precedents]
+    else:
+        scored = _bounded_scores(new_case, precedents, k)
+    scored.sort(key=lambda item: (-item[0].score, item[0].precedent_case_id))
+    top = scored[:k]
     return RetrievalRanking(
         new_case_id=new_case.case_id,
-        entries=tuple(top),
-        precedent_intentions=intentions,
+        entries=tuple(result for result, _ in top),
+        precedent_intentions={
+            p.case_id: p.intention for _, p in top if p.intention is not None
+        },
     )
+
+
+def _bounded_scores(
+    new_case: Case, precedents: list[Case], k: int
+) -> list[tuple[SimilarityResult, Case]]:
+    """Scores of the precedents that can still reach the top k.
+
+    Visits precedents by descending bound, ties by ascending case id. A
+    precedent whose bound equals the k-th score is still scored, since it
+    can win that tie on its case id.
+    """
+    query_kinds = Counter(ev.kind for ev in new_case.attack.evidence)
+    pending = [(-_score_bound(query_kinds, p), p.case_id, p) for p in precedents]
+    heapq.heapify(pending)
+    best: list[float] = []  # min-heap of the k highest scores so far
+    scored: list[tuple[SimilarityResult, Case]] = []
+    while pending:
+        neg_bound, _, precedent = heapq.heappop(pending)
+        if len(best) == k and -neg_bound < best[0]:
+            break
+        result = similarity(new_case, precedent)
+        scored.append((result, precedent))
+        if len(best) < k:
+            heapq.heappush(best, result.score)
+        else:
+            heapq.heappushpop(best, result.score)
+    return scored
+
+
+def _score_bound(query_kinds: Counter, precedent: Case) -> float:
+    """Upper bound on ``similarity(query, precedent).score``.
+
+    `query_kinds` counts the query's evidence per kind. Only evidence of
+    a query kind can align, a local similarity is at most 1, and each
+    item aligns at most once, so the bound adds, per query kind with
+    count c, the c largest weights of the precedent's evidence of that
+    kind. Summed with ``fsum`` like the score, it is never below it.
+    Checks the precedent's weights as :func:`similarity` does.
+    """
+    weights = _checked_weights(precedent)
+    by_kind: dict[EvidenceKind, list[float]] = {}
+    for ev in precedent.attack.evidence:
+        if ev.kind in query_kinds:
+            by_kind.setdefault(ev.kind, []).append(weights.get(ev.id, 0.0))
+    terms: list[float] = []
+    for kind, kind_weights in by_kind.items():
+        count = query_kinds[kind]
+        if len(kind_weights) > count:
+            kind_weights = sorted(kind_weights, reverse=True)[:count]
+        terms += kind_weights
+    return math.fsum(terms)
+
+
+def _checked_weights(precedent: Case) -> dict[str, float]:
+    """The precedent's evidence weights; UnnormalizedWeights unless they sum to 1."""
+    weights = precedent.evidence_weights
+    weight_sum = math.fsum(weights.values())
+    if abs(weight_sum - 1.0) > SUM_TOLERANCE:
+        raise UnnormalizedWeights(
+            f"precedent '{precedent.case_id}' weights sum to {weight_sum!r}"
+        )
+    return weights
 
 
 def reuse(new_case: Case, ranking: RetrievalRanking) -> Case:

@@ -18,7 +18,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import cbr
-from .errors import IntentCbrError, ValidationFailure
+from .errors import DuplicateCaseId, IntentCbrError, ValidationFailure
 from .inference import analyze_attack
 from .ingest import parse_evidence_file
 from .model import Attack, Case, CaseStatus, now_utc, validate_network
@@ -26,6 +26,8 @@ from .repository import Repository
 from .serialize import canonical_dumps, network_from_dict
 
 _REPO_ENV = "INTENT_CBR_REPO"
+# How many ids `analyze` tries for its new case before DuplicateCaseId stands.
+_ADD_ATTEMPTS = 10
 
 
 def entrypoint() -> None:
@@ -184,10 +186,10 @@ def cmd_analyze(args) -> int:
             retained = cbr.retain(revised, repo)
             print(f"case {retained.case_id} retained")
         else:
-            repo.add_case(revised)
+            revised = _add_new_case(repo, revised)
             print(f"case {revised.case_id} rejected; stored for audit")
     else:
-        repo.add_case(incipient)
+        incipient = _add_new_case(repo, incipient)
         print(f"incipient case {incipient.case_id} written; revise it with:")
         print(f"  intent-cbr revise --case-id {incipient.case_id} --verdict accept")
     return 0
@@ -295,13 +297,8 @@ def _repo_path(args) -> Path:
 
 def _fresh_case(repo: Repository, attack: Attack) -> Case:
     """New in-flight case for an attack, with an unused case id."""
-    n = 1
-    case_id = f"{attack.id}-c{n}"
-    while repo.has_case(case_id):
-        n += 1
-        case_id = f"{attack.id}-c{n}"
     return Case(
-        case_id=case_id,
+        case_id=_free_case_id(repo, attack.id),
         attack=attack,
         intention=None,
         evidence_weights={},
@@ -309,6 +306,32 @@ def _fresh_case(repo: Repository, attack: Attack) -> Case:
         provenance="analyst",
         created_at=now_utc(),
     )
+
+
+def _free_case_id(repo: Repository, attack_id: str) -> str:
+    """First ``<attack>-cN`` id with no stored case."""
+    n = 1
+    while repo.has_case(f"{attack_id}-c{n}"):
+        n += 1
+    return f"{attack_id}-c{n}"
+
+
+def _add_new_case(repo: Repository, case: Case) -> Case:
+    """Store a case of `_fresh_case`; returns it under the id it got.
+
+    A concurrent writer may take the chosen id after `_fresh_case` saw it
+    free. ``add_case`` decides that under the writer lock, and the case
+    then moves to the next free ``<attack>-cN`` id, a bounded number of
+    times.
+    """
+    for _ in range(_ADD_ATTEMPTS - 1):
+        try:
+            repo.add_case(case)
+            return case
+        except DuplicateCaseId:
+            case = replace(case, case_id=_free_case_id(repo, case.attack.id))
+    repo.add_case(case)
+    return case
 
 
 def _load_network(path: str):

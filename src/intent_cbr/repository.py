@@ -19,7 +19,8 @@ stored, so reads treat it as not stored without touching the disk.
 
 Concurrency: single writer, many readers. Mutating operations take an
 exclusive advisory flock on ``meta.json`` and decide under it whether a
-case already exists, so two handles never overwrite each other's case.
+record already exists, so two handles never overwrite each other's case,
+attack or network.
 """
 
 from __future__ import annotations
@@ -178,7 +179,7 @@ class Repository:
         wanted = _status_set(status)
         return [
             case
-            for case_id, case in sorted(self._all_cases().items())
+            for case in self._all_cases().values()
             if wanted is None or case.status in wanted
         ]
 
@@ -208,9 +209,9 @@ class Repository:
         if violations:
             raise ValidationFailure("; ".join(violations))
         path = self.root / "attacks" / f"{attack.id}.json"
-        if path.exists() and not overwrite:
-            raise DuplicateCaseId(f"attack '{attack.id}' already stored")
         with self._writer_lock():
+            if path.exists() and not overwrite:
+                raise DuplicateCaseId(f"attack '{attack.id}' already stored")
             _atomic_write(path, canonical_dumps(attack_to_dict(attack)))
 
     def load_attack(self, attack_id: str) -> Attack:
@@ -229,9 +230,9 @@ class Repository:
         if violations:
             raise ValidationFailure("; ".join(violations))
         path = self.root / "networks" / f"{network.attack_id}.json"
-        if path.exists() and not overwrite:
-            raise DuplicateCaseId(f"network for '{network.attack_id}' already stored")
         with self._writer_lock():
+            if path.exists() and not overwrite:
+                raise DuplicateCaseId(f"network for '{network.attack_id}' already stored")
             _atomic_write(path, canonical_dumps(network_to_dict(network)))
 
     def load_network(self, attack_id: str) -> CausalNetwork:
@@ -245,7 +246,8 @@ class Repository:
     # -- internals ------------------------------------------------------------
 
     def _all_cases(self) -> dict[str, Case]:
-        """Every stored case, from one scan of ``cases/`` per handle.
+        """Every stored case by id, in case-id order, from one scan of
+        ``cases/`` per handle.
 
         All corrupt records are reported together via CorruptRecord.
         """
@@ -253,15 +255,19 @@ class Repository:
             return self._cases
         cases_dir = self.root / "cases"
         try:
-            names = sorted(n for n in os.listdir(cases_dir) if n.endswith(".json"))
+            # Sort ids, not file names: "a-b.json" sorts before "a.json".
+            record_ids = sorted(
+                name[: -len(".json")]
+                for name in os.listdir(cases_dir)
+                if name.endswith(".json")
+            )
         except OSError as exc:
             raise IoFailure(f"cannot list {cases_dir}: {exc}") from exc
         cases: dict[str, Case] = {}
         corrupt: dict[str, str] = {}
-        for name in names:
-            record_id = name[: -len(".json")]
+        for record_id in record_ids:
             try:
-                case = self._read_case(cases_dir / name, record_id)
+                case = self._read_case(cases_dir / f"{record_id}.json", record_id)
             except CorruptRecord as exc:
                 corrupt.update(exc.details)
                 continue
@@ -324,9 +330,16 @@ class Repository:
         """Write under the caller's writer lock; keep a loaded scan current."""
         doc = canonical_dumps(case_to_dict(case))
         _atomic_write(path, doc)
-        if self._cases is not None:
+        cases = self._cases
+        if cases is not None:
+            # A new id that sorts before the last one breaks case-id order.
+            out_of_order = case.case_id not in cases and case.case_id < next(
+                reversed(cases), ""
+            )
             # Cache what the disk now holds, not the pre-rounding value.
-            self._cases[case.case_id] = case_from_dict(json.loads(doc))
+            cases[case.case_id] = case_from_dict(json.loads(doc))
+            if out_of_order:
+                self._cases = dict(sorted(cases.items()))
 
     @contextmanager
     def _writer_lock(self):

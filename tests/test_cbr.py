@@ -1,12 +1,16 @@
 """Similarity, retrieval, and the retrieve/reuse/revise/retain cycle."""
 
 import math
+import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import case_pair_st, case_st
+from conftest import case_pair_st, case_st, random_case
+from intent_cbr import cbr
 from intent_cbr import fixtures as demo
 from intent_cbr.cbr import (
     ReviseVerdict,
@@ -28,6 +32,7 @@ from intent_cbr.errors import (
     ValidationFailure,
 )
 from intent_cbr.model import (
+    CONFIRMED_STATUSES,
     Attack,
     Case,
     CaseStatus,
@@ -281,6 +286,134 @@ class TestRetrieve:
         for case_id, score in before.items():
             assert after[case_id] == score
         assert after["zzz-clone"] == before["botnet-05"]
+
+
+class ListRepository:
+    """In-memory stand-in for the repository: the confirmed cases by case id."""
+
+    def __init__(self, cases):
+        self.cases = sorted(cases, key=lambda c: c.case_id)
+
+    def list_cases(self, status=None):
+        return [c for c in self.cases if c.status in CONFIRMED_STATUSES]
+
+
+@st.composite
+def retrieval_st(draw):
+    """A query and precedents with clones (ties), no-shared-kind cases and
+    a precedent without an intention."""
+    query = draw(case_st("new", status=CaseStatus.PROPOSED))
+    precedents = [draw(case_st(f"p{i}")) for i in range(draw(st.integers(1, 8)))]
+    for n, j in enumerate(draw(st.lists(st.integers(0, len(precedents) - 1), max_size=3))):
+        precedents.append(replace(precedents[j], case_id=f"p{j}-clone{n}"))
+    query_kinds = {e.kind for e in query.attack.evidence}
+    unshared = [kind for kind in EvidenceKind if kind not in query_kinds][0]
+    stranger = draw(case_st("stranger"))
+    precedents.append(
+        replace(
+            stranger,
+            attack=replace(
+                stranger.attack,
+                evidence=tuple(replace(e, kind=unshared) for e in stranger.attack.evidence),
+            ),
+        )
+    )
+    if draw(st.booleans()):
+        precedents[0] = replace(precedents[0], intention=None)
+    return query, ListRepository(precedents)
+
+
+class TestBoundedRetrieve:
+    @settings(max_examples=100, deadline=None)
+    @given(retrieval_st())
+    def test_top_k_is_the_head_of_the_full_ranking(self, drawn):
+        query, repository = drawn
+        full = retrieve(query, repository, k=None)
+        for k in range(1, len(repository.cases) + 2):
+            top = retrieve(query, repository, k=k)
+            assert top.entries == full.entries[:k]
+            head = {e.precedent_case_id for e in full.entries[:k]}
+            assert top.precedent_intentions == {
+                case_id: intention
+                for case_id, intention in full.precedent_intentions.items()
+                if case_id in head
+            }
+
+    @settings(max_examples=200, deadline=None)
+    @given(case_pair_st())
+    def test_bound_is_never_below_the_score(self, pair):
+        new, old = pair
+        query_kinds = Counter(e.kind for e in new.attack.evidence)
+        assert cbr._score_bound(query_kinds, old) >= similarity(new, old).score
+
+    @pytest.mark.parametrize(
+        "query_kinds, weights, expected",
+        [
+            ([EvidenceKind.TOOL_USAGE] * 2, [0.5, 0.5], 1.0),
+            ([EvidenceKind.TOOL_USAGE], [0.3, 0.7], 0.7),
+            ([EvidenceKind.TOOL_USAGE] * 2, [0.25, 0.5, 0.25], 0.75),
+            ([EvidenceKind.OTHER], [0.3, 0.7], 0.0),
+        ],
+    )
+    def test_bound_takes_as_many_weights_per_kind_as_the_query_has(
+        self, query_kinds, weights, expected
+    ):
+        precedent = case_of(
+            "p",
+            [ev(f"p{i}") for i in range(len(weights))],
+            {f"p{i}": w for i, w in enumerate(weights)},
+        )
+        assert cbr._score_bound(Counter(query_kinds), precedent) == expected
+
+    def test_two_query_items_of_one_kind_can_lift_a_precedent_to_the_top(self):
+        query = case_of("new", [ev("q1"), ev("q2")], status=CaseStatus.PROPOSED)
+        b = case_of("b", [ev("b1"), ev("b2")], {"b1": 0.5, "b2": 0.5})
+        a = case_of(
+            "a", [ev("a1"), ev("a2", kind=EvidenceKind.OTHER)], {"a1": 0.6, "a2": 0.4}
+        )
+        ranking = retrieve(query, ListRepository([a, b]), k=1)
+        assert [(e.precedent_case_id, e.score) for e in ranking.entries] == [("b", 1.0)]
+
+    def test_bound_equal_to_the_kth_score_is_scored(self):
+        # "b" has the higher bound (1.0) but scores 0.5; "a" is bounded by
+        # 0.5, scores 0.5, and takes the top place on its case id.
+        query = case_of("new", [ev("q1")], status=CaseStatus.PROPOSED)
+        b = case_of("b", [ev("b1", attrs={"tool": "x"})], {"b1": 1.0})
+        a = case_of(
+            "a", [ev("a1"), ev("a2", kind=EvidenceKind.OTHER)], {"a1": 0.5, "a2": 0.5}
+        )
+        ranking = retrieve(query, ListRepository([a, b]), k=1)
+        assert [(e.precedent_case_id, e.score) for e in ranking.entries] == [("a", 0.5)]
+
+    def test_unnormalized_precedent_raises_even_when_its_bound_is_zero(self):
+        query = case_of("new", [ev("q1")], status=CaseStatus.PROPOSED)
+        copy = case_of("a", [ev("a1")], {"a1": 1.0})
+        unshared = ev("z1", kind=EvidenceKind.OTHER)
+        skewed = case_of("z", [unshared], {"z1": 0.5})
+        with pytest.raises(UnnormalizedWeights, match="'z'"):
+            retrieve(query, ListRepository([copy, skewed]), k=1)
+
+    def test_top_k_scores_fewer_precedents_than_a_full_ranking(self, monkeypatch):
+        rng = random.Random(20031)
+        n = 300
+        repository = ListRepository([random_case(rng, f"p{i:03d}") for i in range(n)])
+        queries = [
+            replace(random_case(rng, f"q{i}"), status=CaseStatus.PROPOSED) for i in range(5)
+        ]
+        scored = []
+
+        def counting(new_case, precedent):
+            scored.append(precedent.case_id)
+            return similarity(new_case, precedent)
+
+        monkeypatch.setattr(cbr, "similarity", counting)
+        for query in queries:
+            del scored[:]
+            retrieve(query, repository, k=5)
+            assert len(scored) < n
+            del scored[:]
+            retrieve(query, repository, k=None)
+            assert len(scored) == n
 
 
 class TestReuse:

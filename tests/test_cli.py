@@ -6,8 +6,10 @@ from dataclasses import replace
 
 import pytest
 
+from intent_cbr import cli
 from intent_cbr import fixtures as demo
 from intent_cbr.cli import main
+from intent_cbr.errors import DuplicateCaseId
 from intent_cbr.model import CaseStatus
 from intent_cbr.repository import Repository
 from intent_cbr.serialize import attack_to_dict, canonical_dumps, network_to_dict
@@ -151,6 +153,51 @@ class TestAnalyze:
         case = repo.get_case("keylogging-c1")
         assert case.status == CaseStatus.REVISED_REJECTED
         assert "does not fit" in case.provenance
+
+
+    def test_id_taken_after_it_was_chosen_moves_to_the_next(
+        self, workdir, capsys, monkeypatch
+    ):
+        """A concurrent analyze of the same attack gets -c2, not exit 2."""
+        ingest_keylogging(workdir)
+        other = Repository.attach(workdir / "repo")
+        taken_path = workdir / "repo" / "cases" / "keylogging-c1.json"
+        written = []
+        fresh_case = cli._fresh_case
+
+        def fresh_case_then_collide(repo, attack):
+            case = fresh_case(repo, attack)
+            taken = replace(
+                demo.precedent_cases()[0],
+                case_id=case.case_id,
+                status=CaseStatus.INCIPIENT,
+            )
+            other.add_case(taken)
+            written.append(taken_path.read_bytes())
+            return case
+
+        monkeypatch.setattr(cli, "_fresh_case", fresh_case_then_collide)
+        rc = run(workdir, "analyze", "--repo", workdir / "repo", "--attack-id", "keylogging")
+        assert rc == 0
+        assert "incipient case keylogging-c2 written" in capsys.readouterr().out
+        assert [taken_path.read_bytes()] == written
+        stored = Repository.attach(workdir / "repo").get_case("keylogging-c2")
+        assert stored.status == CaseStatus.INCIPIENT
+        assert stored.attack.id == "keylogging"
+
+    def test_id_retries_are_bounded(self, workdir, capsys, monkeypatch):
+        ingest_keylogging(workdir)
+        calls = []
+
+        def always_taken(self, case):
+            calls.append(case.case_id)
+            raise DuplicateCaseId(f"case '{case.case_id}' already stored")
+
+        monkeypatch.setattr(Repository, "add_case", always_taken)
+        rc = run(workdir, "analyze", "--repo", workdir / "repo", "--attack-id", "keylogging")
+        assert rc == 2
+        assert "already stored" in capsys.readouterr().err
+        assert len(calls) == cli._ADD_ATTEMPTS
 
 
 class TestReviseRetain:

@@ -1,5 +1,6 @@
 """Durable storage: round trips, atomicity, corruption reporting."""
 
+import fcntl
 import os
 from dataclasses import replace
 
@@ -18,7 +19,12 @@ from intent_cbr.errors import (
 from intent_cbr import repository as repository_module
 from intent_cbr.model import CaseStatus, Intention
 from intent_cbr.repository import Repository
-from intent_cbr.serialize import canonical_dumps, case_to_dict
+from intent_cbr.serialize import (
+    attack_to_dict,
+    canonical_dumps,
+    case_to_dict,
+    network_to_dict,
+)
 
 
 def test_open_empty_directory(tmp_path):
@@ -109,6 +115,25 @@ def test_list_filtered_by_status(demo_repo):
 def test_list_order_is_by_case_id(demo_repo):
     ids = [c.case_id for c in demo_repo.list_cases()]
     assert ids == sorted(ids)
+
+
+def test_list_stays_ordered_after_adding_an_id_that_sorts_first(demo_repo):
+    demo_repo.list_cases()  # load the scan before the write
+    first = replace(demo_repo.get_case("botnet-01"), case_id="aaa-first")
+    demo_repo.add_case(first)
+    ids = [c.case_id for c in demo_repo.list_cases()]
+    assert ids[0] == "aaa-first"
+    assert ids == sorted(ids)
+
+
+def test_scan_orders_by_case_id_not_file_name(tmp_path):
+    # "x-1.json" sorts before "x.json", but "x" sorts before "x-1".
+    repo = Repository.attach(tmp_path / "repo")
+    case = demo.precedent_cases()[0]
+    for case_id in ("x-1", "x", "x.b"):
+        repo.add_case(replace(case, case_id=case_id))
+    scanned = Repository.open(tmp_path / "repo")
+    assert [c.case_id for c in scanned.list_cases()] == ["x", "x-1", "x.b"]
 
 
 class TestIntentionFrequencies:
@@ -252,6 +277,49 @@ def test_second_handle_cannot_overwrite_a_case(tmp_path):
     with pytest.raises(DuplicateCaseId):
         second.add_case(replace(case, provenance="second handle"))
     assert path.read_bytes() == written
+
+
+def _second_attack(attack):
+    return replace(attack, name="second handle")
+
+
+def _second_network(network):
+    return replace(network, priors={"int-exfil": 0.25, "int-recon": 0.75})
+
+
+@pytest.mark.parametrize(
+    "first, second, to_dict, record, save",
+    [
+        (demo.keylogging_attack(), _second_attack(demo.keylogging_attack()),
+         attack_to_dict, "attacks/keylogging.json", "save_attack"),
+        (demo.demo_network(), _second_network(demo.demo_network()),
+         network_to_dict, "networks/demo-attack.json", "save_network"),
+    ],
+    ids=["attack", "network"],
+)
+def test_save_decides_existence_under_the_writer_lock(
+    tmp_path, monkeypatch, first, second, to_dict, record, save
+):
+    """A save that waited for the lock must not overwrite what the holder wrote."""
+    repo = Repository.attach(tmp_path / "repo")
+    path = tmp_path / "repo" / record
+    first_doc = canonical_dumps(to_dict(first))
+    real_flock = fcntl.flock
+    with open(tmp_path / "repo" / "meta.json", "r+", encoding="utf-8") as holder:
+        real_flock(holder.fileno(), fcntl.LOCK_EX)
+
+        def flock(fd, operation):
+            if operation == fcntl.LOCK_EX and fd != holder.fileno():
+                # The save now waits for the lock: the holder stores the
+                # first record and lets go.
+                path.write_text(first_doc, encoding="utf-8")
+                real_flock(holder.fileno(), fcntl.LOCK_UN)
+            real_flock(fd, operation)
+
+        monkeypatch.setattr(repository_module.fcntl, "flock", flock)
+        with pytest.raises(DuplicateCaseId):
+            getattr(repo, save)(second)
+    assert path.read_text(encoding="utf-8") == first_doc
 
 
 def test_existence_is_decided_from_disk_across_handles(tmp_path):
