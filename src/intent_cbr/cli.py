@@ -21,7 +21,7 @@ from . import cbr
 from .errors import DuplicateCaseId, IntentCbrError, ValidationFailure
 from .inference import analyze_attack
 from .ingest import parse_evidence_file
-from .model import Attack, Case, CaseStatus, now_utc, validate_network
+from .model import Attack, Case, CaseStatus, now_utc, transition, validate_network
 from .repository import Repository
 from .serialize import canonical_dumps, network_from_dict
 
@@ -183,7 +183,7 @@ def cmd_analyze(args) -> int:
         verdict = _prompt_verdict()
         revised = cbr.revise(incipient, verdict)
         if verdict.verdict == "accept":
-            retained = cbr.retain(revised, repo)
+            retained = _add_new_case(repo, transition(revised, CaseStatus.RETAINED))
             print(f"case {retained.case_id} retained")
         else:
             revised = _add_new_case(repo, revised)
@@ -317,7 +317,8 @@ def _free_case_id(repo: Repository, attack_id: str) -> str:
 
 
 def _add_new_case(repo: Repository, case: Case) -> Case:
-    """Store a case of `_fresh_case`; returns it under the id it got.
+    """Store a case of `_fresh_case`, at any status; returns it under the
+    id it got.
 
     A concurrent writer may take the chosen id after `_fresh_case` saw it
     free. ``add_case`` decides that under the writer lock, and the case
@@ -340,9 +341,16 @@ def _load_network(path: str):
         raise ValidationFailure(f"no such network file: {p}")
     try:
         doc = json.loads(p.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValidationFailure(f"network file is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationFailure(f"invalid network JSON: {exc.msg} (line {exc.lineno})")
-    network = network_from_dict(doc)
+    try:
+        network = network_from_dict(doc)
+    except (TypeError, AttributeError) as exc:
+        # A document of the wrong shape, such as a bare number or a
+        # non-object intention entry.
+        raise ValidationFailure(f"invalid network document: {exc}") from exc
     violations = validate_network(network)
     if violations:
         raise ValidationFailure("network invalid: " + "; ".join(violations))

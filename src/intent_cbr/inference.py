@@ -7,8 +7,15 @@ per-evidence mass functions are fused with Dempster's rule; the
 intention with the highest resulting belief wins, ties going to the
 lexicographically smallest id.
 
+The per-evidence masses sit on singletons and the full frame Θ only,
+a shape Dempster's rule keeps, so :func:`analyze_attack` fuses them in
+closed form in O(n·|Θ|) and renormalizes by the mass actually kept at
+every step (Barnett 1981); it agrees with exact rational fusion to
+rounding. :func:`combine` stays the general rule over any focal sets.
+
 All sums use ``math.fsum`` so results are independent of iteration
-order and agree bit-for-bit with dense enumeration oracles.
+order; :func:`combine`, :func:`belief` and :func:`plausibility` agree
+bit-for-bit with dense enumeration oracles.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from .errors import (
     ZeroMarginal,
 )
 from .model import (
+    SUM_TOLERANCE,
     Attack,
     BeliefReport,
     CausalNetwork,
@@ -84,7 +92,7 @@ def build_mass_function(
     1 - accuracy expresses ignorance and sits on the full frame.
     """
     accuracies = dict.fromkeys(posteriors, hypothesis.accuracy)
-    return _discounted_mass(posteriors, accuracies)
+    return _mass_function(*_discounted(posteriors, accuracies))
 
 
 def vacuous(frame: Iterable[str]) -> MassFunction:
@@ -148,12 +156,28 @@ def analyze_attack(
         raise NoHypothesis("at least one hypothesis required")
     accuracies = _resolve_accuracies(network.intention_ids(), hypotheses)
 
-    combined: MassFunction | None = None
+    # Running fusion, starting from the vacuous mass function: m(i) for
+    # each singleton {i} plus m(theta). A new source s keeps
+    # m(i)·(s(i) + s(theta)) + m(theta)·s(i) on {i} and m(theta)·s(theta)
+    # on theta; every other product is conflict.
+    fused = dict.fromkeys(network.intention_ids(), 0.0)
+    fused_theta = 1.0
     for ev in attack.evidence:
-        posts = posteriors_for_evidence(network, ev.id)
-        mass = _discounted_mass(posts, accuracies)
-        combined = mass if combined is None else combine(combined, mass)
-    assert combined is not None
+        source, source_theta = _discounted(
+            posteriors_for_evidence(network, ev.id), accuracies
+        )
+        fused = {
+            iid: m * (source[iid] + source_theta) + fused_theta * source[iid]
+            for iid, m in fused.items()
+        }
+        fused_theta *= source_theta
+        # Divide by the mass kept, not by 1 - K: rounding then cannot compound.
+        kept = math.fsum([*fused.values(), fused_theta])
+        if kept <= CONFLICT_TOLERANCE:
+            raise TotalConflict(1.0 - kept)
+        fused = {iid: m / kept for iid, m in fused.items()}
+        fused_theta /= kept
+    combined = _mass_function(fused, fused_theta)
 
     per_intention = {
         iid: (belief(combined, {iid}), plausibility(combined, {iid}))
@@ -189,9 +213,15 @@ def _resolve_accuracies(
     return accuracies
 
 
-def _discounted_mass(
+def _discounted(
     posteriors: dict[str, float], accuracies: dict[str, float]
-) -> MassFunction:
+) -> tuple[dict[str, float], float]:
+    """One source's singleton masses and its mass on the full frame.
+
+    m({i}) = accuracy(i) * posterior(i) / sum(posteriors); the rest is
+    ignorance on the full frame. Raises what a MassFunction of these
+    masses would raise.
+    """
     if not posteriors:
         raise EmptyPosteriors("posterior map is empty")
     for iid, p in posteriors.items():
@@ -200,15 +230,25 @@ def _discounted_mass(
     total = math.fsum(posteriors.values())
     if total <= 0.0:
         raise AllZeroPosteriors("every posterior is zero")
-    frame = tuple(sorted(posteriors))
-    theta = frozenset(frame)
-    masses: dict[frozenset[str], float] = defaultdict(float)
-    for iid, p in posteriors.items():
-        masses[frozenset({iid})] += accuracies[iid] * (p / total)
+    singletons = {iid: accuracies[iid] * (p / total) for iid, p in posteriors.items()}
+    for iid, m in singletons.items():
+        if m < 0:
+            raise ValidationFailure(f"negative mass {m!r} on {[iid]}")
+    committed = math.fsum(singletons.values())
+    if committed - 1.0 > SUM_TOLERANCE:
+        raise ValidationFailure(f"masses sum to {committed!r}, expected 1")
     # Residual ignorance; clamp the odd -1e-17 float residue to zero.
-    residual = 1.0 - math.fsum(masses.values())
-    masses[theta] += max(residual, 0.0)
-    return MassFunction(frame=frame, masses=dict(masses))
+    return singletons, max(1.0 - committed, 0.0)
+
+
+def _mass_function(singletons: dict[str, float], theta: float) -> MassFunction:
+    """Singleton masses plus mass on the full frame as a MassFunction."""
+    frame = tuple(sorted(singletons))
+    full = frozenset(frame)
+    masses = {frozenset({iid}): m for iid, m in singletons.items()}
+    # On a one-intention frame the singleton is the full frame.
+    masses[full] = masses.get(full, 0.0) + theta
+    return MassFunction(frame=frame, masses=masses)
 
 
 def _check_subset(m: MassFunction, subset: Iterable[str]) -> frozenset[str]:

@@ -82,6 +82,9 @@ def parse_evidence_file(
         raise IoFailure(f"no such file: {path}")
     try:
         text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        line = exc.object[: exc.start].count(b"\n") + 1
+        raise MalformedRecord(line, f"not UTF-8 text: {exc.reason}") from exc
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
 

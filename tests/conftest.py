@@ -179,9 +179,13 @@ def random_case(rng: random.Random, case_id: str) -> Case:
     )
 
 
-def random_network(rng: random.Random) -> CausalNetwork:
-    n_int = rng.randint(2, 5)
-    n_ev = rng.randint(1, 6)
+def random_network(
+    rng: random.Random, intentions=(2, 5), evidence=(1, 6)
+) -> CausalNetwork:
+    """Random network whose intention and evidence counts lie in the
+    inclusive ranges given."""
+    n_int = rng.randint(*intentions)
+    n_ev = rng.randint(*evidence)
     intention_ids = [f"i{k}" for k in range(1, n_int + 1)]
     evidence_ids = tuple(f"ev{k}" for k in range(1, n_ev + 1))
     raw_priors = [rng.uniform(0.05, 1.0) for _ in intention_ids]

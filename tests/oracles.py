@@ -1,15 +1,17 @@
 """Independent brute-force oracles.
 
 These deliberately re-derive results from definitions (dense enumeration
-over all 2^|frame| subsets, plain re-summation) rather than calling back
-into the engine's code paths. Sums use math.fsum so comparisons against
-the engine are exact and order-independent.
+over all 2^|frame| subsets, plain re-summation, exact rational fusion)
+rather than calling back into the engine's code paths. Float sums use
+math.fsum so comparisons against the engine are exact and
+order-independent.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 from intent_cbr.model import Case, Evidence, MassFunction
 
@@ -89,3 +91,45 @@ def resum_similarity(new_case: Case, precedent: Case, alignment) -> float:
             sim = 0.5 + 0.5 * _attribute_overlap(n_ev, p_ev)
         total += sim * precedent.evidence_weights.get(prec_id, 0.0)
     return total
+
+
+def exact_fusion(network, evidence_ids, accuracy) -> dict[str, tuple[Fraction, Fraction]]:
+    """(belief, plausibility) of each intention by exact rational arithmetic.
+
+    Every float input is converted exactly to a Fraction. Each evidence
+    item's posteriors come from Bayes' rule and are discounted by
+    `accuracy`, the rest going to the full frame; the sources are fused
+    with Dempster's rule in its general form, every pair of focal sets
+    intersected. Dempster's rule is the conjunctive rule plus one
+    normalization, and neither step minds a positive factor on a source,
+    so each source is kept as integers proportional to its masses (its
+    masses times P(evidence) times a common denominator) and the fused
+    masses are normalized once, at the end.
+    """
+    frame = frozenset(it.id for it in network.intentions)
+    acc = Fraction(accuracy)
+    fused: dict[frozenset[str], int] = {frame: 1}
+    for ev_id in evidence_ids:
+        row = network.likelihoods[ev_id]
+        joint = {
+            iid: Fraction(row[iid]) * Fraction(network.priors[iid]) for iid in frame
+        }
+        source = {frozenset({iid}): acc * p for iid, p in joint.items()}
+        source[frame] = source.get(frame, 0) + (1 - acc) * sum(joint.values())
+        scale = math.lcm(*(v.denominator for v in source.values()))
+        weights = {subset: int(v * scale) for subset, v in source.items()}
+        products: dict[frozenset[str], int] = {}
+        for left, x in fused.items():
+            for right, y in weights.items():
+                meet = left & right
+                products[meet] = products.get(meet, 0) + x * y
+        products.pop(frozenset(), None)
+        fused = products
+    total = sum(fused.values())
+    return {
+        iid: (
+            Fraction(sum(v for s, v in fused.items() if s <= {iid}), total),
+            Fraction(sum(v for s, v in fused.items() if iid in s), total),
+        )
+        for iid in frame
+    }

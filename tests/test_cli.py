@@ -2,15 +2,21 @@
 
 import json
 import math
+import os
+import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from conftest import random_network
 from intent_cbr import cli
 from intent_cbr import fixtures as demo
 from intent_cbr.cli import main
 from intent_cbr.errors import DuplicateCaseId
-from intent_cbr.model import CaseStatus
+from intent_cbr.model import Attack, CaseStatus, Evidence, EvidenceKind
 from intent_cbr.repository import Repository
 from intent_cbr.serialize import attack_to_dict, canonical_dumps, network_to_dict
 
@@ -39,6 +45,29 @@ def ingest_keylogging(workdir):
         "--detection-state", "0.9",
     )
 
+
+def collide_after_fresh_case(workdir, monkeypatch):
+    """Make another handle store an incipient case under the id that
+    `_fresh_case` has just chosen. Returns the path of that record and a
+    list that receives its bytes once written."""
+    other = Repository.attach(workdir / "repo")
+    taken_path = workdir / "repo" / "cases" / "keylogging-c1.json"
+    written = []
+    fresh_case = cli._fresh_case
+
+    def fresh_case_then_collide(repo, attack):
+        case = fresh_case(repo, attack)
+        taken = replace(
+            demo.precedent_cases()[0],
+            case_id=case.case_id,
+            status=CaseStatus.INCIPIENT,
+        )
+        other.add_case(taken)
+        written.append(taken_path.read_bytes())
+        return case
+
+    monkeypatch.setattr(cli, "_fresh_case", fresh_case_then_collide)
+    return taken_path, written
 
 class TestIngest:
     def test_success(self, workdir, capsys):
@@ -160,29 +189,33 @@ class TestAnalyze:
     ):
         """A concurrent analyze of the same attack gets -c2, not exit 2."""
         ingest_keylogging(workdir)
-        other = Repository.attach(workdir / "repo")
-        taken_path = workdir / "repo" / "cases" / "keylogging-c1.json"
-        written = []
-        fresh_case = cli._fresh_case
-
-        def fresh_case_then_collide(repo, attack):
-            case = fresh_case(repo, attack)
-            taken = replace(
-                demo.precedent_cases()[0],
-                case_id=case.case_id,
-                status=CaseStatus.INCIPIENT,
-            )
-            other.add_case(taken)
-            written.append(taken_path.read_bytes())
-            return case
-
-        monkeypatch.setattr(cli, "_fresh_case", fresh_case_then_collide)
+        taken_path, written = collide_after_fresh_case(workdir, monkeypatch)
         rc = run(workdir, "analyze", "--repo", workdir / "repo", "--attack-id", "keylogging")
         assert rc == 0
         assert "incipient case keylogging-c2 written" in capsys.readouterr().out
         assert [taken_path.read_bytes()] == written
         stored = Repository.attach(workdir / "repo").get_case("keylogging-c2")
         assert stored.status == CaseStatus.INCIPIENT
+        assert stored.attack.id == "keylogging"
+
+    def test_interactive_accept_keeps_a_case_stored_after_the_id_was_chosen(
+        self, workdir, capsys, monkeypatch
+    ):
+        """The retained case moves to -c2; the other handle's -c1 stays."""
+        ingest_keylogging(workdir)
+        taken_path, written = collide_after_fresh_case(workdir, monkeypatch)
+        answers = iter(["accept"])
+        monkeypatch.setattr("builtins.input", lambda: next(answers))
+        rc = run(
+            workdir,
+            "analyze", "--repo", workdir / "repo",
+            "--attack-id", "keylogging", "--interactive",
+        )
+        assert rc == 0
+        assert "case keylogging-c2 retained" in capsys.readouterr().out
+        assert [taken_path.read_bytes()] == written
+        stored = Repository.attach(workdir / "repo").get_case("keylogging-c2")
+        assert stored.status == CaseStatus.RETAINED
         assert stored.attack.id == "keylogging"
 
     def test_id_retries_are_bounded(self, workdir, capsys, monkeypatch):
@@ -320,6 +353,33 @@ class TestSeedAia:
         ])
         assert rc == 4
         assert "conflict" in capsys.readouterr().err.lower()
+
+    def test_thirty_evidence_items_do_not_drift(self, tmp_path, capsys):
+        """A valid network that fusion by 1 - K failed with 'masses sum to'."""
+        network = random_network(random.Random(0), intentions=(3, 6), evidence=(30, 30))
+        attack = Attack(
+            id=network.attack_id,
+            name=network.attack_id,
+            detection_state=0.8,
+            evidence=tuple(
+                Evidence(id=ev, kind=EvidenceKind.TOOL_USAGE)
+                for ev in network.evidence_ids
+            ),
+        )
+        (tmp_path / "network.json").write_text(
+            canonical_dumps(network_to_dict(network)), encoding="utf-8"
+        )
+        (tmp_path / "attack.json").write_text(
+            canonical_dumps(attack_to_dict(attack)), encoding="utf-8"
+        )
+        rc = main([
+            "seed-aia", "--repo", str(tmp_path / "repo"),
+            "--network", str(tmp_path / "network.json"),
+            "--attack", str(tmp_path / "attack.json"),
+        ])
+        assert rc == 0, capsys.readouterr().err
+        case = Repository.attach(tmp_path / "repo").get_case(f"aia-{attack.id}")
+        assert case.provenance == "seeded-by-AIA"
 
     def test_zero_marginal_exit_4(self, tmp_path):
         network = replace(
@@ -561,3 +621,85 @@ def test_commands_beside_unrelated_corrupt_case(workdir, capsys, command, expect
     assert run(workdir, *_argv(workdir, command)) == expected
     if expected == 2:
         assert "corrupt records: botnet-01" in capsys.readouterr().err
+
+
+NOT_UTF8 = b"id,kind\n\xff\xfe,tool\n"
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize(
+    "argv, file_name, content",
+    [
+        (
+            ["ingest", "--input", "{dir}/evidence.csv", "--format", "csv", "--attack-id", "x"],
+            "evidence.csv",
+            NOT_UTF8,
+        ),
+        (
+            ["ingest", "--input", "{dir}/evidence.json", "--format", "json", "--attack-id", "x"],
+            "evidence.json",
+            NOT_UTF8,
+        ),
+        (
+            ["seed-aia", "--network", "{dir}/network.json", "--attack", "{dir}/bad-attack.json"],
+            "bad-attack.json",
+            NOT_UTF8,
+        ),
+        (
+            ["seed-aia", "--network", "{dir}/bad-network.json", "--attack", "{dir}/attack.json"],
+            "bad-network.json",
+            NOT_UTF8,
+        ),
+        (
+            ["seed-aia", "--network", "{dir}/bad-network.json", "--attack", "{dir}/attack.json"],
+            "bad-network.json",
+            b"5",
+        ),
+        (
+            ["seed-aia", "--network", "{dir}/bad-network.json", "--attack", "{dir}/attack.json"],
+            "bad-network.json",
+            json.dumps({
+                "attack_id": "demo-attack",
+                "intentions": [5],
+                "evidence_ids": [],
+                "likelihoods": {},
+            }).encode(),
+        ),
+    ],
+    ids=[
+        "ingest-csv-not-utf8",
+        "ingest-json-not-utf8",
+        "seed-aia-attack-not-utf8",
+        "seed-aia-network-not-utf8",
+        "seed-aia-network-not-an-object",
+        "seed-aia-intention-not-an-object",
+    ],
+)
+def test_undecodable_or_misshaped_input_exit_2(workdir, capsys, argv, file_name, content):
+    (workdir / file_name).write_bytes(content)
+    rc = main([*(a.format(dir=workdir) for a in argv), "--repo", str(workdir / "repo")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_two_processes_analyze_one_attack(workdir):
+    """Whichever way the two runs interleave, each stores its own case."""
+    ingest_keylogging(workdir)
+    command = [
+        sys.executable,
+        "-c",
+        "import sys; from intent_cbr.cli import main; sys.exit(main(sys.argv[1:]))",
+        "analyze", "--repo", str(workdir / "repo"), "--attack-id", "keylogging",
+    ]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    procs = [
+        subprocess.Popen(
+            command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+        )
+        for _ in range(2)
+    ]
+    outputs = [proc.communicate(timeout=120) for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0], outputs
+    incipient = Repository.open(workdir / "repo").list_cases(status=CaseStatus.INCIPIENT)
+    assert sorted(case.case_id for case in incipient) == ["keylogging-c1", "keylogging-c2"]

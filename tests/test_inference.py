@@ -1,13 +1,14 @@
 """Posteriors, mass building, Dempster combination, and the full estimator."""
 
 import math
+import random
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mass_function_st, network_st
+from conftest import mass_function_st, network_st, random_network
 from intent_cbr.errors import (
     AllZeroPosteriors,
     EmptyPosteriors,
@@ -16,6 +17,7 @@ from intent_cbr.errors import (
     SubsetOutsideFrame,
     TotalConflict,
     UnknownEvidence,
+    ValidationFailure,
     ZeroMarginal,
 )
 from intent_cbr.inference import (
@@ -38,7 +40,7 @@ from intent_cbr.model import (
     Intention,
     MassFunction,
 )
-from oracles import dense_belief, dense_combine, dense_plausibility
+from oracles import dense_belief, dense_combine, dense_plausibility, exact_fusion
 
 
 def two_intention_network(lik_i1=0.8, lik_i2=0.4) -> CausalNetwork:
@@ -336,6 +338,28 @@ class TestAnalyzeAttack:
         assert report.per_intention["i1"][0] == pytest.approx(0.6)
         assert report.per_intention["i2"][0] == pytest.approx(0.7 / 3)
 
+    @pytest.mark.parametrize("accuracy", [1.5, -0.5])
+    def test_accuracy_outside_unit_interval_rejected_at_its_item(self, accuracy):
+        # ev1's masses are invalid; the unknown item after it is never reached.
+        with pytest.raises(ValidationFailure):
+            analyze_attack(
+                make_attack(["ev1", "ghost"]),
+                two_intention_network(),
+                [Hypothesis("h", accuracy)],
+            )
+
+    def test_single_intention_frame_has_full_belief(self):
+        net = CausalNetwork(
+            attack_id="a1",
+            intentions=(Intention("i1", "only goal"),),
+            evidence_ids=("ev1", "ev2"),
+            priors={"i1": 1.0},
+            likelihoods={"ev1": {"i1": 0.7}, "ev2": {"i1": 0.2}},
+        )
+        report = analyze_attack(make_attack(["ev1", "ev2"], detection_state=0.8), net)
+        assert report.per_intention == {"i1": (1.0, 1.0)}
+        assert report.mass.masses == {frozenset({"i1"}): 1.0}
+
     def test_network_must_cover_all_evidence(self):
         with pytest.raises(UnknownEvidence):
             analyze_attack(make_attack(["ev1", "ghost"]), two_intention_network())
@@ -383,6 +407,32 @@ class TestAnalyzeAttack:
             assert got_pl == pytest.approx(pl, abs=1e-9)
         base_best = base.per_intention[base.selected][0]
         assert got.per_intention[got.selected][0] == pytest.approx(base_best, abs=1e-9)
+
+
+def assert_matches_exact_fusion(net: CausalNetwork) -> None:
+    """analyze_attack at accuracy 0.8 within 1e-12 of exact rational fusion."""
+    report = analyze_attack(make_attack(net.evidence_ids, detection_state=0.8), net)
+    for iid, (bel, pl) in exact_fusion(net, net.evidence_ids, 0.8).items():
+        got_bel, got_pl = report.per_intention[iid]
+        assert abs(got_bel - bel) <= 1e-12, (iid, got_bel, float(bel))
+        assert abs(got_pl - pl) <= 1e-12, (iid, got_pl, float(pl))
+
+
+class TestFusionMatchesExactOracle:
+    """Many evidence items: dividing by 1 - K instead of the mass kept let
+    rounding error compound until a valid network failed validation."""
+
+    def test_seeded_networks(self):
+        rng = random.Random(20240505)
+        for _ in range(300):
+            assert_matches_exact_fusion(
+                random_network(rng, intentions=(3, 6), evidence=(10, 30))
+            )
+
+    def test_two_hundred_evidence_items(self):
+        net = random_network(random.Random(0), intentions=(4, 4), evidence=(200, 200))
+        assert len(net.evidence_ids) == 200
+        assert_matches_exact_fusion(net)
 
 
 def replace_frame(m: MassFunction, frame) -> MassFunction:
