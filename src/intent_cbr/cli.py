@@ -9,6 +9,7 @@ stdout or the requested output files.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import logging
 import math
@@ -22,7 +23,7 @@ from .errors import DuplicateCaseId, IntentCbrError, ValidationFailure
 from .inference import analyze_attack
 from .ingest import parse_evidence_file
 from .model import Attack, Case, CaseStatus, now_utc, transition, validate_network
-from .repository import Repository
+from .repository import Repository, _atomic_write
 from .serialize import canonical_dumps, network_from_dict
 
 _REPO_ENV = "INTENT_CBR_REPO"
@@ -260,9 +261,12 @@ def cmd_report(args) -> int:
     attack = repo.load_attack(args.attack_id)
     new_case = _fresh_case(repo, attack)
     ranking = cbr.retrieve(new_case, repo, k=None)
+    # Each file is written whole or not at all: a failed run leaves no
+    # truncated output.
     out = Path(args.out)
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        cbr.write_ranking_csv(ranking, fh)
+    csv_text = io.StringIO()
+    cbr.write_ranking_csv(ranking, csv_text)
+    _atomic_write(out, csv_text.getvalue())
     print(f"wrote {out}", file=sys.stderr)
     if args.chart_data:
         rows = [
@@ -272,7 +276,7 @@ def cmd_report(args) -> int:
             }
             for e in ranking.entries
         ]
-        Path(args.chart_data).write_text(canonical_dumps(rows), encoding="utf-8")
+        _atomic_write(Path(args.chart_data), canonical_dumps(rows))
         print(f"wrote {args.chart_data}", file=sys.stderr)
     return 0
 
@@ -392,3 +396,7 @@ def _prompt_verdict() -> cbr.ReviseVerdict:
         except EOFError:
             rationale = ""
     return cbr.ReviseVerdict(verdict=answer, rationale=rationale)
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -50,13 +50,7 @@ CONFLICT_TOLERANCE = 1e-12
 
 def evidence_marginal(network: CausalNetwork, evidence_id: str) -> float:
     """P(evidence) by total probability over the intention partition."""
-    row = network.likelihoods.get(evidence_id)
-    if row is None or evidence_id not in network.evidence_ids:
-        raise UnknownEvidence(f"evidence '{evidence_id}' not in network")
-    return math.fsum(
-        _likelihood(row, iid, evidence_id) * network.priors[iid]
-        for iid in network.intention_ids()
-    )
+    return math.fsum(_joint(network, evidence_id)[1])
 
 
 def posterior(network: CausalNetwork, intention_id: str, evidence_id: str) -> float:
@@ -71,16 +65,13 @@ def posteriors_for_evidence(
     network: CausalNetwork, evidence_id: str
 ) -> dict[str, float]:
     """Posterior for every intention given one evidence item."""
-    marginal = evidence_marginal(network, evidence_id)
+    intention_ids, joint = _joint(network, evidence_id)
+    marginal = math.fsum(joint)
     if marginal <= 0.0:
         raise ZeroMarginal(
             f"evidence '{evidence_id}' impossible under every intention"
         )
-    row = network.likelihoods[evidence_id]
-    return {
-        iid: _likelihood(row, iid, evidence_id) * network.priors[iid] / marginal
-        for iid in network.intention_ids()
-    }
+    return {iid: p / marginal for iid, p in zip(intention_ids, joint)}
 
 
 def build_mass_function(
@@ -190,13 +181,23 @@ def analyze_attack(
 # --- internals --------------------------------------------------------------
 
 
-def _likelihood(row: dict[str, float], intention_id: str, evidence_id: str) -> float:
-    p = row.get(intention_id)
-    if p is None:
-        raise ValidationFailure(
-            f"likelihoods['{evidence_id}'] has no entry for intention '{intention_id}'"
-        )
-    return p
+def _joint(
+    network: CausalNetwork, evidence_id: str
+) -> tuple[list[str], list[float]]:
+    """The intention ids and P(evidence | i) * P(i) for each, in frame order."""
+    row = network.likelihoods.get(evidence_id)
+    if row is None or evidence_id not in network.evidence_ids:
+        raise UnknownEvidence(f"evidence '{evidence_id}' not in network")
+    intention_ids = network.intention_ids()
+    joint = []
+    for iid in intention_ids:
+        p = row.get(iid)
+        if p is None:
+            raise ValidationFailure(
+                f"likelihoods['{evidence_id}'] has no entry for intention '{iid}'"
+            )
+        joint.append(p * network.priors[iid])
+    return intention_ids, joint
 
 
 def _resolve_accuracies(

@@ -3,8 +3,10 @@
 One canonical-JSON document per record: cases under ``cases/``, causal
 networks under ``networks/``, ingested attacks under ``attacks/``, and a
 ``meta.json`` carrying the schema version. Documents are human-readable
-forensic artifacts; writes are temp-file-then-rename so an interrupted
-write never leaves a partial record visible.
+forensic artifacts; writes are temp-file-then-rename, each through its
+own uniquely named temp file, so a write interrupted by a crash of the
+process never leaves a partial record visible. Nothing is fsynced, so
+that does not hold across a power loss.
 
 Loading is on demand. :meth:`Repository.attach` checks ``meta.json`` and
 reads nothing else; per-record calls (``get_case``, ``has_case``, the
@@ -28,7 +30,7 @@ from __future__ import annotations
 import fcntl
 import json
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 from .errors import (
@@ -91,21 +93,25 @@ class Repository:
             for sub in ("cases", "networks", "attacks"):
                 (root / sub).mkdir(parents=True, exist_ok=True)
             meta_path = root / "meta.json"
-            if meta_path.exists():
-                try:
-                    meta = json.loads(meta_path.read_text(encoding="utf-8"))
-                except ValueError as exc:
-                    raise CorruptRecord({"meta.json": f"unparseable: {exc}"}) from exc
-                if not isinstance(meta, dict):
-                    raise CorruptRecord({"meta.json": "not a JSON object"})
-                version = meta.get("schema_version")
-                if version != SCHEMA_VERSION:
-                    raise SchemaVersionMismatch(
-                        f"repository at {root} has schema_version {version!r}, "
-                        f"supported: {SCHEMA_VERSION}"
-                    )
-            else:
-                _atomic_write(meta_path, canonical_dumps({"schema_version": SCHEMA_VERSION}))
+            if not meta_path.exists():
+                # The writer lock lives in meta.json, so it cannot guard the
+                # file's own creation: create it exclusively instead. When
+                # another process got there first, its file is checked below.
+                _create_exclusive(
+                    meta_path, canonical_dumps({"schema_version": SCHEMA_VERSION})
+                )
+            try:
+                meta = json.loads(meta_path.read_text(encoding="utf-8"))
+            except ValueError as exc:
+                raise CorruptRecord({"meta.json": f"unparseable: {exc}"}) from exc
+            if not isinstance(meta, dict):
+                raise CorruptRecord({"meta.json": "not a JSON object"})
+            version = meta.get("schema_version")
+            if version != SCHEMA_VERSION:
+                raise SchemaVersionMismatch(
+                    f"repository at {root} has schema_version {version!r}, "
+                    f"supported: {SCHEMA_VERSION}"
+                )
         except OSError as exc:
             raise IoFailure(f"cannot open repository at {root}: {exc}") from exc
         return cls(root)
@@ -253,7 +259,9 @@ class Repository:
         """
         if self._cases is not None:
             return self._cases
-        cases_dir = self.root / "cases"
+        # A plain str path per record: building a Path for each costs about
+        # as much as reading the file.
+        cases_dir = str(self.root / "cases")
         try:
             # Sort ids, not file names: "a-b.json" sorts before "a.json".
             record_ids = sorted(
@@ -267,7 +275,9 @@ class Repository:
         corrupt: dict[str, str] = {}
         for record_id in record_ids:
             try:
-                case = self._read_case(cases_dir / f"{record_id}.json", record_id)
+                case = self._read_case(
+                    os.path.join(cases_dir, f"{record_id}.json"), record_id
+                )
             except CorruptRecord as exc:
                 corrupt.update(exc.details)
                 continue
@@ -277,10 +287,15 @@ class Repository:
         self._cases = cases
         return cases
 
-    def _read_case(self, path: Path, record_id: str) -> Case:
+    def _read_case(self, path: str | Path, record_id: str) -> Case:
         """Decode and validate one case file; a bad record is a CorruptRecord."""
         try:
-            case = case_from_dict(json.loads(path.read_text(encoding="utf-8")))
+            # Unbuffered binary read of the whole file, then decode: no
+            # buffer layer and no newline translation, which JSON does not
+            # need.
+            with open(path, "rb", buffering=0) as fh:
+                data = fh.read()
+            case = case_from_dict(json.loads(data.decode("utf-8")))
         except OSError as exc:
             raise IoFailure(f"cannot read {path}: {exc}") from exc
         except Exception as exc:
@@ -372,9 +387,44 @@ def _check_id(record_id: str, label: str) -> None:
 
 def _atomic_write(path: Path, text: str) -> None:
     """Write-temp-then-rename so readers never see a partial document."""
-    tmp = path.with_name(f".{path.name}.tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
+        tmp = _write_temp(path, text)
+        try:
+            os.replace(tmp, path)
+        except OSError:
+            with suppress(OSError):
+                os.unlink(tmp)
+            raise
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
+
+
+def _create_exclusive(path: Path, text: str) -> None:
+    """Create `path` holding `text`, complete, unless it already exists."""
+    tmp = _write_temp(path, text)
+    try:
+        os.link(tmp, path)
+    except FileExistsError:
+        pass
+    finally:
+        os.unlink(tmp)
+
+
+def _write_temp(path: Path, text: str) -> str:
+    """A new file beside `path` holding `text`; returns its name.
+
+    The name is unique, so concurrent writers never share a temp file,
+    and ends in ``.tmp``, which the scan skips. The mode is 0666 less the
+    umask, as for a plain open(). A failed write leaves no file.
+    """
+    data = text.encode("utf-8")
+    tmp = os.path.join(path.parent, f".{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "wb") as fh:
+            fh.write(data)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(tmp)
+        raise
+    return tmp

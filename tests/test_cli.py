@@ -481,6 +481,44 @@ class TestReport:
         scores = [row["score"] for row in rows]
         assert scores == sorted(scores, reverse=True)
 
+    def test_failed_csv_write_leaves_the_old_file(self, workdir, monkeypatch):
+        ingest_keylogging(workdir)
+        out = workdir / "report.csv"
+        out.write_bytes(b"earlier report\n")
+
+        def write_then_fail(ranking, fh):
+            fh.write("rank,precedent_case_id,intention_label,score\n")
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(cli.cbr, "write_ranking_csv", write_then_fail)
+        rc = run(
+            workdir,
+            "report", "--repo", workdir / "repo", "--attack-id", "keylogging", "--out", out,
+        )
+        assert rc == 1
+        assert out.read_bytes() == b"earlier report\n"
+
+    def test_failed_chart_write_leaves_the_old_file(self, workdir, monkeypatch):
+        ingest_keylogging(workdir)
+        chart = workdir / "chart.json"
+        chart.write_bytes(b"[]\n")
+        real_replace = os.replace
+
+        def replace_all_but_chart(src, dst):
+            if os.path.basename(dst) == "chart.json":
+                raise OSError("no space left on device")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_all_but_chart)
+        rc = run(
+            workdir,
+            "report", "--repo", workdir / "repo", "--attack-id", "keylogging",
+            "--out", workdir / "report.csv", "--chart-data", chart,
+        )
+        assert rc == 1
+        assert chart.read_bytes() == b"[]\n"
+        assert not [name for name in os.listdir(workdir) if name.endswith(".tmp")]
+
     def test_empty_repository_exit_3(self, tmp_path):
         Repository.open(tmp_path / "repo")
         demo.write_keylogging_csv(tmp_path / "keylog.csv")
@@ -703,3 +741,22 @@ def test_two_processes_analyze_one_attack(workdir):
     assert [proc.returncode for proc in procs] == [0, 0], outputs
     incipient = Repository.open(workdir / "repo").list_cases(status=CaseStatus.INCIPIENT)
     assert sorted(case.case_id for case in incipient) == ["keylogging-c1", "keylogging-c2"]
+
+
+@pytest.mark.parametrize("module", ["intent_cbr", "intent_cbr.cli"])
+def test_python_dash_m_runs_the_command(workdir, module):
+    result = subprocess.run(
+        [
+            sys.executable, "-m", module, "ingest",
+            "--input", str(workdir / "keylog.csv"), "--format", "csv",
+            "--repo", str(workdir / "repo"), "--attack-id", "keylogging",
+        ],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (
+        0, "5 evidence items ingested\n", ""
+    )
+    assert Repository.attach(workdir / "repo").has_attack("keylogging")

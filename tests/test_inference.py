@@ -99,6 +99,34 @@ class TestMarginalAndPosterior:
         with pytest.raises(ZeroMarginal):
             posterior(two_intention_network(0.0, 0.0), "i1", "ev1")
 
+    def test_bayes_rule_bit_for_bit_on_seeded_networks(self):
+        for seed in range(300):
+            net = random_network(random.Random(seed), intentions=(2, 6), evidence=(1, 8))
+            ids = net.intention_ids()
+            for ev_id in net.evidence_ids:
+                row = net.likelihoods[ev_id]
+                marginal = math.fsum(row[i] * net.priors[i] for i in ids)
+                assert evidence_marginal(net, ev_id) == marginal
+                assert posteriors_for_evidence(net, ev_id) == {
+                    i: row[i] * net.priors[i] / marginal for i in ids
+                }
+
+    @pytest.mark.parametrize(
+        "no_likelihood, no_prior, error",
+        [("i1", "i1", ValidationFailure), ("i2", "i1", KeyError), ("i1", "i2", ValidationFailure)],
+    )
+    def test_missing_entries_raise_in_frame_order(self, no_likelihood, no_prior, error):
+        """Per intention in frame order, its likelihood is checked before its prior."""
+        net = two_intention_network()
+        row = dict(net.likelihoods["ev1"])
+        del row[no_likelihood]
+        priors = dict(net.priors)
+        del priors[no_prior]
+        net = replace(net, likelihoods={"ev1": row}, priors=priors)
+        for call in (evidence_marginal, posteriors_for_evidence):
+            with pytest.raises(error):
+                call(net, "ev1")
+
     @given(network_st())
     @settings(max_examples=100)
     def test_posteriors_sum_to_one(self, net):

@@ -1,8 +1,13 @@
 """Durable storage: round trips, atomicity, corruption reporting."""
 
 import fcntl
+import json
 import os
+import subprocess
+import sys
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +27,7 @@ from intent_cbr.repository import Repository
 from intent_cbr.serialize import (
     attack_to_dict,
     canonical_dumps,
+    case_from_dict,
     case_to_dict,
     network_to_dict,
 )
@@ -193,6 +199,108 @@ def test_interrupted_write_leaves_no_partial_record(repo, monkeypatch):
     reopened = Repository.open(repo.root)
     assert reopened.case_count() == 0
     assert not (repo.root / "cases" / f"{case.case_id}.json").exists()
+
+
+def test_failed_replace_keeps_the_old_bytes_and_no_temp_file(repo, monkeypatch):
+    case = replace(demo.precedent_cases()[0], status=CaseStatus.INCIPIENT)
+    repo.add_case(case)
+    path = repo.root / "cases" / f"{case.case_id}.json"
+    written = path.read_bytes()
+
+    def boom(src, dst):
+        raise OSError("simulated failure of the rename")
+
+    monkeypatch.setattr(os, "replace", boom)
+    with pytest.raises(IoFailure):
+        repo.update_case(replace(case, status=CaseStatus.REVISED_ACCEPTED))
+    assert path.read_bytes() == written
+    assert os.listdir(repo.root / "cases") == [path.name]
+
+
+def test_writes_keep_the_mode_a_plain_open_gives(tmp_path):
+    old_umask = os.umask(0o027)
+    try:
+        repo = Repository.attach(tmp_path / "repo")
+        repo.add_case(demo.precedent_cases()[0])
+    finally:
+        os.umask(old_umask)
+    for path in (repo.root / "meta.json", repo.root / "cases" / "botnet-01.json"):
+        assert path.stat().st_mode & 0o777 == 0o640
+
+
+def test_scan_ignores_stale_temp_files(tmp_path):
+    root = tmp_path / "repo"
+    demo.install_demo_repository(root)
+    (root / "cases" / ".botnet-01.json.tmp").write_text("{ partial", encoding="utf-8")
+    (root / "cases" / ".botnet-02.json.5f3a9c1e.tmp").write_text("", encoding="utf-8")
+    assert Repository.open(root).case_count() == 11
+
+
+def test_attach_when_another_process_creates_meta_first(tmp_path, monkeypatch):
+    """The other process creates meta.json just before this one publishes its own."""
+    root = tmp_path / "repo"
+    interleaved = []
+
+    def publish_after_the_other_process(real):
+        def publish(src, dst, *args, **kwargs):
+            if os.path.basename(dst) == "meta.json" and not interleaved:
+                interleaved.append(dst)
+                Repository.attach(root)
+            return real(src, dst, *args, **kwargs)
+
+        return publish
+
+    for name in ("replace", "link"):
+        monkeypatch.setattr(os, name, publish_after_the_other_process(getattr(os, name)))
+    Repository.attach(root)
+    assert interleaved
+    assert sorted(os.listdir(root)) == ["attacks", "cases", "meta.json", "networks"]
+    assert json.loads((root / "meta.json").read_text(encoding="utf-8")) == {
+        "schema_version": 1
+    }
+
+
+def test_attach_beside_another_writers_temp_file(tmp_path):
+    """A temp name another writer holds (here one that cannot be written
+    over) is left alone."""
+    root = tmp_path / "repo"
+    root.mkdir()
+    (root / ".meta.json.tmp").mkdir()
+    Repository.attach(root).add_case(demo.precedent_cases()[0])
+    assert sorted(os.listdir(root)) == [
+        ".meta.json.tmp", "attacks", "cases", "meta.json", "networks",
+    ]
+
+
+_ATTACH_AT = """
+import sys, time
+from intent_cbr.repository import Repository
+base, start, rounds = sys.argv[1], float(sys.argv[2]), int(sys.argv[3])
+for i in range(rounds):
+    while time.time() < start + i * 0.02:
+        pass
+    Repository.attach(f"{base}/r{i}")
+"""
+
+
+def test_two_processes_attach_new_repositories_at_once(tmp_path):
+    """Two processes attach the same new repositories at the same instants."""
+    rounds = 30
+    env = dict(os.environ, PYTHONPATH=str(Path(repository_module.__file__).parents[1]))
+    start = time.time() + 1.0
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _ATTACH_AT, str(tmp_path), str(start), str(rounds)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for _ in range(2)
+    ]
+    outputs = [proc.communicate(timeout=120) for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0], outputs
+    for i in range(rounds):
+        root = tmp_path / f"r{i}"
+        assert sorted(os.listdir(root)) == ["attacks", "cases", "meta.json", "networks"]
+        assert Repository.open(root).case_count() == 0
 
 
 def test_schema_version_mismatch(tmp_path):
@@ -407,3 +515,203 @@ def test_unsafe_ids_are_not_stored(tmp_path, record_id):
         repo.load_attack(record_id)
     with pytest.raises(UnknownCaseId):
         repo.load_network(record_id)
+
+
+# --- the decoder contract of the scan -----------------------------------------
+
+
+def _case_doc():
+    return {
+        "case_id": "c1",
+        "attack": {
+            "id": "a1",
+            "name": "A1",
+            "detection_state": 0.9,
+            "evidence": [
+                {
+                    "id": "e1",
+                    "kind": "tool-usage",
+                    "attributes": {"tool": "agobot"},
+                    "description": "bot binary",
+                    "confidence": 0.8,
+                },
+                {
+                    "id": "e2",
+                    "kind": "port-exploit",
+                    "attributes": {"port": "6667"},
+                    "description": "irc port",
+                    "confidence": 0.5,
+                },
+            ],
+        },
+        "intention": {"id": "i1", "label": "botnet", "category": None},
+        "evidence_weights": {"e1": 0.75, "e2": 0.25},
+        "status": "precedent",
+        "provenance": "analyst",
+        "created_at": "2024-01-01T00:00:00Z",
+    }
+
+
+def _at(doc, path):
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc, path[-1]
+
+
+def _set(*path, value):
+    def mutate(doc):
+        parent, key = _at(doc, path)
+        parent[key] = value
+        return doc
+
+    return mutate
+
+
+def _drop(*path):
+    def mutate(doc):
+        parent, key = _at(doc, path)
+        del parent[key]
+        return doc
+
+    return mutate
+
+
+def _scan_one(tmp_path, doc):
+    root = tmp_path / "repo"
+    Repository.attach(root)
+    text = doc if isinstance(doc, str) else json.dumps(doc)
+    (root / "cases" / "c1.json").write_text(text, encoding="utf-8")
+    return Repository.open(root)
+
+
+_EV = ("attack", "evidence", 0)
+
+
+@pytest.mark.parametrize(
+    "mutate, cause, reason",
+    [
+        (_drop("case_id"), ValidationFailure, "unparseable: missing required field 'case_id'"),
+        (_drop("attack"), ValidationFailure, "unparseable: missing required field 'attack'"),
+        (_drop("status"), ValidationFailure, "unparseable: missing required field 'status'"),
+        (_drop("evidence_weights"), ValidationFailure,
+         "unparseable: missing required field 'evidence_weights'"),
+        (_drop("attack", "id"), ValidationFailure, "unparseable: missing required field 'id'"),
+        (_drop("attack", "evidence"), ValidationFailure,
+         "unparseable: missing required field 'evidence'"),
+        (_drop(*_EV, "id"), ValidationFailure, "unparseable: missing required field 'id'"),
+        (_drop(*_EV, "kind"), ValidationFailure, "unparseable: missing required field 'kind'"),
+        (_set("case_id", value=7), ValidationFailure,
+         "unparseable: field 'case_id' has wrong type int"),
+        (_set("attack", value=[]), ValidationFailure,
+         "unparseable: field 'attack' has wrong type list"),
+        (_set("attack", "id", value=None), ValidationFailure,
+         "unparseable: field 'id' has wrong type NoneType"),
+        (_set("attack", "evidence", value={}), ValidationFailure,
+         "unparseable: field 'evidence' has wrong type dict"),
+        (_set(*_EV, "id", value=3), ValidationFailure,
+         "unparseable: field 'id' has wrong type int"),
+        (_set("evidence_weights", value=[0.75, 0.25]), ValidationFailure,
+         "unparseable: field 'evidence_weights' has wrong type list"),
+        (_set("status", value=None), ValidationFailure,
+         "unparseable: field 'status' has wrong type NoneType"),
+        (_set(*_EV, "confidence", value=True), ValidationFailure,
+         "unparseable: field 'confidence' must be a number"),
+        (_set("attack", "detection_state", value=False), ValidationFailure,
+         "unparseable: field 'detection_state' must be a number"),
+        (_set("evidence_weights", "e2", value=True), ValidationFailure,
+         "unparseable: field 'evidence_weights[e2]' must be a number"),
+        (_set(*_EV, "confidence", value="0.8"), ValidationFailure,
+         "unparseable: field 'confidence' must be a number"),
+        (_set("evidence_weights", "e1", value=None), ValidationFailure,
+         "unparseable: field 'evidence_weights[e1]' must be a number"),
+        (_set(*_EV, "kind", value="keylogger"), ValueError,
+         "unparseable: 'keylogger' is not a valid EvidenceKind"),
+        (_set("status", value="archived"), ValueError,
+         "unparseable: 'archived' is not a valid CaseStatus"),
+        (_set(*_EV, "kind", value=["tool-usage"]), ValidationFailure,
+         "unparseable: field 'kind' has wrong type list"),
+        (_set(*_EV, "kind", value={"tool-usage": 1}), ValidationFailure,
+         "unparseable: field 'kind' has wrong type dict"),
+        (_set("status", value=["precedent"]), ValidationFailure,
+         "unparseable: field 'status' has wrong type list"),
+        (_set("status", value={"precedent": 1}), ValidationFailure,
+         "unparseable: field 'status' has wrong type dict"),
+        (_set(*_EV, "attributes", value=["tool", "agobot"]), AttributeError,
+         "unparseable: 'list' object has no attribute 'items'"),
+        (_set(*_EV, "attributes", value="tool=agobot"), AttributeError,
+         "unparseable: 'str' object has no attribute 'items'"),
+        (_set("attack", "evidence", 0, value=1), TypeError,
+         "unparseable: argument of type 'int' is not iterable"),
+        (_set("attack", "evidence", 0, value=[]), ValidationFailure,
+         "unparseable: missing required field 'id'"),
+        (_set("intention", value="botnet"), AttributeError,
+         "unparseable: 'str' object has no attribute 'get'"),
+        (lambda doc: [doc], AttributeError,
+         "unparseable: 'list' object has no attribute 'get'"),
+        (_set(*_EV, "confidence", value=float("nan")), None,
+         "evidence 'e1': confidence nan outside [0,1]"),
+        (_set("evidence_weights", "e1", value=1.5), None,
+         "evidence_weights: sum 1.75 != 1 for status 'precedent'"),
+        (_set("case_id", value="c2"), None, "file name does not match case_id 'c2'"),
+    ],
+)
+def test_scan_reports_a_malformed_case(tmp_path, mutate, cause, reason):
+    with pytest.raises(CorruptRecord) as excinfo:
+        _scan_one(tmp_path, mutate(_case_doc()))
+    assert excinfo.value.details == {"c1": reason}
+    assert str(excinfo.value) == "corrupt records: c1"
+    # A single read raises the same record, chained to what the decoder raised.
+    with pytest.raises(CorruptRecord) as excinfo:
+        Repository.attach(tmp_path / "repo").get_case("c1")
+    assert excinfo.value.details == {"c1": reason}
+    assert type(excinfo.value.__cause__) is (type(None) if cause is None else cause)
+
+
+@pytest.mark.parametrize(
+    "mutate, read, expected",
+    [
+        (_set(*_EV, "confidence", value=1), lambda c: c.attack.evidence[0].confidence, 1.0),
+        (_set("attack", "detection_state", value=0), lambda c: c.attack.detection_state, 0.0),
+        (_set("evidence_weights", value={"e1": 1, "e2": 0}),
+         lambda c: c.evidence_weights, {"e1": 1.0, "e2": 0.0}),
+        (_set(*_EV, "description", value=5), lambda c: c.attack.evidence[0].description, "5"),
+        (_set(*_EV, "description", value=None),
+         lambda c: c.attack.evidence[0].description, "None"),
+        (_set(*_EV, "attributes", value={"port": 6667}),
+         lambda c: c.attack.evidence[0].attributes, {"port": "6667"}),
+        (_drop(*_EV, "confidence"), lambda c: c.attack.evidence[0].confidence, 1.0),
+        (_drop("attack", "name"), lambda c: c.attack.name, "a1"),
+        (_set("provenance", value=3), lambda c: c.provenance, "3"),
+    ],
+)
+def test_scan_converts_loose_values_as_before(tmp_path, mutate, read, expected):
+    repo = _scan_one(tmp_path, mutate(_case_doc()))
+    value = read(repo.get_case("c1"))
+    assert value == expected
+    scanned = read(repo.list_cases()[0])
+    assert scanned == expected
+    if isinstance(expected, dict):
+        assert all(type(v) is type(expected[k]) for k, v in scanned.items())
+    else:
+        assert type(scanned) is type(expected)
+
+
+def test_scan_loads_a_case_file_with_crlf_line_endings(tmp_path):
+    text = canonical_dumps(_case_doc())
+    repo = _scan_one(tmp_path, text.replace("\n", "\r\n"))
+    assert repo.list_cases() == [case_from_dict(json.loads(text))]
+
+
+def test_scan_names_a_case_file_that_is_not_utf8(tmp_path):
+    root = tmp_path / "repo"
+    Repository.attach(root)
+    (root / "cases" / "c1.json").write_bytes(
+        canonical_dumps(_case_doc()).encode("utf-8").replace(b"bot binary", b"bot \xff")
+    )
+    with pytest.raises(CorruptRecord) as excinfo:
+        Repository.open(root)
+    offset = canonical_dumps(_case_doc()).encode("utf-8").index(b"bot binary") + 4
+    assert excinfo.value.details == {
+        "c1": f"unparseable: 'utf-8' codec can't decode byte 0xff in position {offset}:"
+        " invalid start byte"
+    }
