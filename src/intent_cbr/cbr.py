@@ -27,6 +27,7 @@ from .errors import (
     ValidationFailure,
 )
 from .model import (
+    CONFIRMED_STATUSES,
     SUM_TOLERANCE,
     Attack,
     Case,
@@ -143,7 +144,7 @@ def retrieve(new_case: Case, repository, k: int | None) -> RetrievalRanking:
     """
     if k is not None and k < 1:
         raise ValidationFailure(f"k must be positive, got {k}")
-    precedents = repository.list_cases(status=("precedent", "retained"))
+    precedents = repository.list_cases(status=CONFIRMED_STATUSES)
     if not precedents:
         raise EmptyRepository("no precedent or retained cases stored")
     if k is None:

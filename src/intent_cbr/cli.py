@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import logging
 import math
 import os
@@ -21,10 +20,10 @@ from pathlib import Path
 from . import cbr
 from .errors import DuplicateCaseId, IntentCbrError, ValidationFailure
 from .inference import analyze_attack
-from .ingest import parse_evidence_file
-from .model import Attack, Case, CaseStatus, now_utc, transition, validate_network
+from .ingest import parse_evidence_file, parse_network_file
+from .model import Attack, Case, CaseStatus, now_utc, transition
 from .repository import Repository, _atomic_write
-from .serialize import canonical_dumps, network_from_dict
+from .serialize import canonical_dumps
 
 _REPO_ENV = "INTENT_CBR_REPO"
 # How many ids `analyze` tries for its new case before DuplicateCaseId stands.
@@ -221,7 +220,7 @@ def cmd_retain(args) -> int:
 
 def cmd_seed_aia(args) -> int:
     repo = Repository.attach(_repo_path(args))
-    network = _load_network(args.network)
+    network = parse_network_file(args.network)
     attack = parse_evidence_file(args.attack, "json")
     if args.priors == "uniform":
         ids = network.intention_ids()
@@ -337,28 +336,6 @@ def _add_new_case(repo: Repository, case: Case) -> Case:
             case = replace(case, case_id=_free_case_id(repo, case.attack.id))
     repo.add_case(case)
     return case
-
-
-def _load_network(path: str):
-    p = Path(path)
-    if not p.exists():
-        raise ValidationFailure(f"no such network file: {p}")
-    try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise ValidationFailure(f"network file is not UTF-8: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationFailure(f"invalid network JSON: {exc.msg} (line {exc.lineno})")
-    try:
-        network = network_from_dict(doc)
-    except (TypeError, AttributeError) as exc:
-        # A document of the wrong shape, such as a bare number or a
-        # non-object intention entry.
-        raise ValidationFailure(f"invalid network document: {exc}") from exc
-    violations = validate_network(network)
-    if violations:
-        raise ValidationFailure("network invalid: " + "; ".join(violations))
-    return network
 
 
 def _print_ranking(ranking: cbr.RetrievalRanking) -> None:

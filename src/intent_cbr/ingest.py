@@ -1,11 +1,13 @@
-"""Parsing external evidence files into Attack records.
+"""Parsing external input files into Attack and CausalNetwork records.
 
-Two formats map onto the same model: CSV for analyst hand-entry and
-JSON for tool integration. Parsing is deterministic and order
-preserving, and no invalid Attack ever escapes: the parsed record is
-validated before it is returned.
+Evidence comes as CSV for analyst hand-entry or JSON for tool
+integration, both mapped onto the same model. Parsing is deterministic
+and order preserving, and no invalid record ever escapes: the parsed
+record is validated before it is returned. Every input file is read by
+one function, as UTF-8 with or without a byte order mark; a missing or
+unreadable file is an IoFailure.
 
-CSV dialect: UTF-8, comma separated, double-quote escaping, header row
+CSV dialect: comma separated, double-quote escaping, header row
 required. Columns are ``id, kind, description, confidence`` followed by
 any number of attribute cells, each holding one ``key=value`` token.
 A blank confidence cell defaults to 1.0 (the analyst asserted the
@@ -29,8 +31,17 @@ from .errors import (
     DuplicateEvidenceId,
     IoFailure,
     MalformedRecord,
+    ValidationFailure,
 )
-from .model import Attack, Evidence, EvidenceKind, validate_attack
+from .model import (
+    Attack,
+    CausalNetwork,
+    Evidence,
+    EvidenceKind,
+    validate_attack,
+    validate_network,
+)
+from .serialize import network_from_dict
 
 logger = logging.getLogger(__name__)
 
@@ -78,18 +89,9 @@ def parse_evidence_file(
     path = Path(path)
     if format not in ("csv", "json"):
         raise ValueError(f"format must be csv or json, got {format!r}")
-    if not path.exists():
-        raise IoFailure(f"no such file: {path}")
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        line = exc.object[: exc.start].count(b"\n") + 1
-        raise MalformedRecord(line, f"not UTF-8 text: {exc.reason}") from exc
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-
+    content = _read_input(path, format)
     if format == "csv":
-        evidence = _parse_csv(text)
+        evidence = _parse_csv(content)
         attack = Attack(
             id=attack_id or path.stem,
             name=attack_name or attack_id or path.stem,
@@ -97,12 +99,46 @@ def parse_evidence_file(
             evidence=evidence,
         )
     else:
-        attack = _parse_json(text, attack_id, attack_name, detection_state)
+        attack = _parse_json(content, attack_id, attack_name, detection_state)
 
     violations = validate_attack(attack)
     if violations:
         raise MalformedRecord(0, "; ".join(violations))
     return attack
+
+
+def parse_network_file(path) -> CausalNetwork:
+    """Parse a causal-network JSON document into a validated network."""
+    doc = _read_input(Path(path), "json")
+    try:
+        network = network_from_dict(doc)
+    except (TypeError, AttributeError) as exc:
+        # A document of the wrong shape, such as a bare number or a
+        # non-object intention entry.
+        raise ValidationFailure(f"invalid network document: {exc}") from exc
+    violations = validate_network(network)
+    if violations:
+        raise ValidationFailure("network invalid: " + "; ".join(violations))
+    return network
+
+
+def _read_input(path: Path, format: str):
+    """The text of a CSV input file, or the decoded document of a JSON one."""
+    try:
+        text = path.read_text(encoding="utf-8-sig")
+    except FileNotFoundError as exc:
+        raise IoFailure(f"no such file: {path}") from exc
+    except UnicodeDecodeError as exc:
+        line = exc.object[: exc.start].count(b"\n") + 1
+        raise MalformedRecord(line, f"not UTF-8 text: {exc.reason}") from exc
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    if format == "csv":
+        return text
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MalformedRecord(exc.lineno, f"invalid JSON: {exc.msg}") from exc
 
 
 def _parse_csv(text: str) -> tuple[Evidence, ...]:
@@ -140,16 +176,11 @@ def _parse_csv(text: str) -> tuple[Evidence, ...]:
 
 
 def _parse_json(
-    text: str,
+    doc,
     attack_id: str | None,
     attack_name: str | None,
     detection_state: float | None,
 ) -> Attack:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedRecord(exc.lineno, f"invalid JSON: {exc.msg}") from exc
-
     if isinstance(doc, list):
         meta: dict = {}
         items = doc

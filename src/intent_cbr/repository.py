@@ -16,6 +16,10 @@ need every case (``list_cases``, ``case_count``,
 result; the handle's own writes keep it current. :meth:`Repository.open`
 is ``attach`` plus that scan.
 
+Every case, attack and network read is strict UTF-8 JSON, validated, and
+its own id must match its file name; a record that fails is CorruptRecord,
+keyed by the bare id for a case, ``attacks/<id>`` or ``networks/<id>``.
+
 An id that is not a safe file name (see ``model.is_safe_id``) is never
 stored, so reads treat it as not stored without touching the disk.
 
@@ -132,28 +136,28 @@ class Repository:
     def add_case(self, case: Case) -> None:
         """Store a new case; atomic, validated, id must be unused on disk."""
         self._check_case(case)
-        path = self._case_path(case.case_id)
+        path = self._path("cases", case.case_id)
         with self._writer_lock():
-            if path.exists():
+            if os.path.exists(path):
                 raise DuplicateCaseId(f"case '{case.case_id}' already stored")
             self._write_case(path, case)
 
     def update_case(self, case: Case) -> None:
         """Replace an existing case record; atomic, validated."""
         self._check_case(case)
-        path = self._case_path(case.case_id)
+        path = self._path("cases", case.case_id)
         with self._writer_lock():
-            if not path.exists():
+            if not os.path.exists(path):
                 raise UnknownCaseId(f"case '{case.case_id}' not stored")
             self._write_case(path, case)
 
     def store_confirmed(self, case: Case) -> None:
         """Store a retained case, replacing only its own in-flight record."""
         self._check_case(case)
-        path = self._case_path(case.case_id)
+        path = self._path("cases", case.case_id)
         with self._writer_lock():
-            if path.exists():
-                existing = self._read_case(path, case.case_id)
+            if os.path.exists(path):
+                existing = self.get_case(case.case_id)
                 if existing.status not in IN_FLIGHT_STATUSES:
                     raise DuplicateCaseId(
                         f"case '{case.case_id}' already stored with status "
@@ -169,7 +173,7 @@ class Repository:
         path = self._stored("cases", case_id)
         if path is None:
             raise UnknownCaseId(f"case '{case_id}' not stored")
-        return self._read_case(path, case_id)
+        return self._read(path, case_id, case_id, case_from_dict, validate_case, "case_id")
 
     def has_case(self, case_id: str) -> bool:
         """True when ``cases/<id>.json`` exists; the record is not read."""
@@ -214,15 +218,19 @@ class Repository:
         violations = validate_attack(attack)
         if violations:
             raise ValidationFailure("; ".join(violations))
-        path = self.root / "attacks" / f"{attack.id}.json"
+        path = self._path("attacks", attack.id)
         with self._writer_lock():
-            if path.exists() and not overwrite:
+            if os.path.exists(path) and not overwrite:
                 raise DuplicateCaseId(f"attack '{attack.id}' already stored")
             _atomic_write(path, canonical_dumps(attack_to_dict(attack)))
 
     def load_attack(self, attack_id: str) -> Attack:
-        return self._read_record(
-            "attacks", attack_id, attack_from_dict, f"attack '{attack_id}' not stored"
+        """Stored attack, read and validated like a case."""
+        path = self._stored("attacks", attack_id)
+        if path is None:
+            raise UnknownCaseId(f"attack '{attack_id}' not stored")
+        return self._read(
+            path, f"attacks/{attack_id}", attack_id, attack_from_dict, validate_attack, "id"
         )
 
     def has_attack(self, attack_id: str) -> bool:
@@ -235,18 +243,19 @@ class Repository:
         violations = validate_network(network)
         if violations:
             raise ValidationFailure("; ".join(violations))
-        path = self.root / "networks" / f"{network.attack_id}.json"
+        path = self._path("networks", network.attack_id)
         with self._writer_lock():
-            if path.exists() and not overwrite:
+            if os.path.exists(path) and not overwrite:
                 raise DuplicateCaseId(f"network for '{network.attack_id}' already stored")
             _atomic_write(path, canonical_dumps(network_to_dict(network)))
 
     def load_network(self, attack_id: str) -> CausalNetwork:
-        return self._read_record(
-            "networks",
-            attack_id,
-            network_from_dict,
-            f"network for '{attack_id}' not stored",
+        """Stored network for an attack, read and validated like a case."""
+        path = self._stored("networks", attack_id)
+        if path is None:
+            raise UnknownCaseId(f"network for '{attack_id}' not stored")
+        return self._read(
+            path, f"networks/{attack_id}", attack_id, network_from_dict, validate_network, "attack_id"
         )
 
     # -- internals ------------------------------------------------------------
@@ -261,7 +270,7 @@ class Repository:
             return self._cases
         # A plain str path per record: building a Path for each costs about
         # as much as reading the file.
-        cases_dir = str(self.root / "cases")
+        cases_dir = os.path.join(self.root, "cases")
         try:
             # Sort ids, not file names: "a-b.json" sorts before "a.json".
             record_ids = sorted(
@@ -275,8 +284,9 @@ class Repository:
         corrupt: dict[str, str] = {}
         for record_id in record_ids:
             try:
-                case = self._read_case(
-                    os.path.join(cases_dir, f"{record_id}.json"), record_id
+                case = self._read(
+                    os.path.join(cases_dir, f"{record_id}.json"), record_id, record_id,
+                    case_from_dict, validate_case, "case_id",
                 )
             except CorruptRecord as exc:
                 corrupt.update(exc.details)
@@ -287,29 +297,37 @@ class Repository:
         self._cases = cases
         return cases
 
-    def _read_case(self, path: str | Path, record_id: str) -> Case:
-        """Decode and validate one case file; a bad record is a CorruptRecord."""
+    def _read(self, path: str, key: str, record_id: str, from_dict, validate, id_field: str):
+        """Read, decode and validate the stored record at `path`.
+
+        `from_dict` and `validate` are its kind's decoder and invariant
+        check, and its `id_field` must equal `record_id`, its file name.
+        A record that fails any of this is a CorruptRecord under `key`.
+        """
         try:
             # Unbuffered binary read of the whole file, then decode: no
             # buffer layer and no newline translation, which JSON does not
             # need.
             with open(path, "rb", buffering=0) as fh:
                 data = fh.read()
-            case = case_from_dict(json.loads(data.decode("utf-8")))
+            record = from_dict(json.loads(data.decode("utf-8")))
         except OSError as exc:
             raise IoFailure(f"cannot read {path}: {exc}") from exc
         except Exception as exc:
-            raise CorruptRecord({record_id: f"unparseable: {exc}"}) from exc
-        violations = validate_case(case)
+            raise CorruptRecord({key: f"unparseable: {exc}"}) from exc
+        violations = validate(record)
         if violations:
-            raise CorruptRecord({record_id: "; ".join(violations)})
-        if case.case_id != record_id:
-            raise CorruptRecord(
-                {record_id: f"file name does not match case_id '{case.case_id}'"}
-            )
-        return case
+            raise CorruptRecord({key: "; ".join(violations)})
+        own_id = getattr(record, id_field)
+        if own_id != record_id:
+            raise CorruptRecord({key: f"file name does not match {id_field} '{own_id}'"})
+        return record
 
-    def _stored(self, sub: str, record_id: str) -> Path | None:
+    def _path(self, sub: str, record_id: str) -> str:
+        """Where the record `record_id` of ``<sub>/`` is stored."""
+        return os.path.join(self.root, sub, f"{record_id}.json")
+
+    def _stored(self, sub: str, record_id: str) -> str | None:
         """Path of the stored ``<sub>/<record_id>.json``, or None.
 
         An id unusable as a file name is never stored, so it is None
@@ -317,21 +335,8 @@ class Repository:
         """
         if not is_safe_id(record_id):
             return None
-        path = self.root / sub / f"{record_id}.json"
-        return path if path.exists() else None
-
-    def _case_path(self, case_id: str) -> Path:
-        return self.root / "cases" / f"{case_id}.json"
-
-    def _read_record(self, sub: str, record_id: str, from_dict, missing: str):
-        """Decode ``<sub>/<record_id>.json``; a bad document is a CorruptRecord."""
-        path = self._stored(sub, record_id)
-        if path is None:
-            raise UnknownCaseId(missing)
-        try:
-            return from_dict(json.loads(path.read_text(encoding="utf-8")))
-        except (ValueError, TypeError, AttributeError, KeyError) as exc:
-            raise CorruptRecord({f"{sub}/{record_id}": f"unparseable: {exc}"}) from exc
+        path = self._path(sub, record_id)
+        return path if os.path.exists(path) else None
 
     def _check_case(self, case: Case) -> None:
         _check_id(case.case_id, "case")
@@ -341,7 +346,7 @@ class Repository:
                 f"case '{case.case_id}': " + "; ".join(violations)
             )
 
-    def _write_case(self, path: Path, case: Case) -> None:
+    def _write_case(self, path: str, case: Case) -> None:
         """Write under the caller's writer lock; keep a loaded scan current."""
         doc = canonical_dumps(case_to_dict(case))
         _atomic_write(path, doc)
@@ -385,7 +390,7 @@ def _check_id(record_id: str, label: str) -> None:
         )
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path, text: str) -> None:
     """Write-temp-then-rename so readers never see a partial document."""
     try:
         tmp = _write_temp(path, text)
@@ -410,7 +415,7 @@ def _create_exclusive(path: Path, text: str) -> None:
         os.unlink(tmp)
 
 
-def _write_temp(path: Path, text: str) -> str:
+def _write_temp(path, text: str) -> str:
     """A new file beside `path` holding `text`; returns its name.
 
     The name is unique, so concurrent writers never share a temp file,
@@ -418,7 +423,8 @@ def _write_temp(path: Path, text: str) -> str:
     umask, as for a plain open(). A failed write leaves no file.
     """
     data = text.encode("utf-8")
-    tmp = os.path.join(path.parent, f".{path.name}.{os.urandom(8).hex()}.tmp")
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "wb") as fh:

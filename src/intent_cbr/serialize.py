@@ -3,8 +3,7 @@
 One schema serves disk storage and interchange: sorted keys, two-space
 indent, floats rounded to 12 significant digits. Equal values therefore
 always serialize to identical bytes, which keeps golden-file tests and
-repository round-trips stable. Mass-function subset keys are encoded as
-the sorted member ids joined with "|".
+repository round-trips stable.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from .model import (
     Evidence,
     EvidenceKind,
     Intention,
-    MassFunction,
 )
 
 
@@ -224,27 +222,6 @@ def case_from_dict(doc: dict) -> Case:
         status=status,
         provenance=provenance,
         created_at=created_at,
-    )
-
-
-def subset_key(subset: frozenset[str]) -> str:
-    return "|".join(sorted(subset))
-
-
-def mass_to_dict(m: MassFunction) -> dict:
-    return {
-        "frame": list(m.frame),
-        "masses": {subset_key(s): v for s, v in m.masses.items()},
-    }
-
-
-def mass_from_dict(doc: dict) -> MassFunction:
-    return MassFunction(
-        frame=tuple(str(i) for i in _req(doc, "frame", list)),
-        masses={
-            frozenset(key.split("|")): _num(v, f"masses[{key}]")
-            for key, v in _req(doc, "masses", dict).items()
-        },
     )
 
 

@@ -248,6 +248,12 @@ class TestRetrieve:
         with pytest.raises(EmptyRepository):
             retrieve(keylogging_case, repo, k=3)
 
+    @pytest.mark.parametrize("status", list(CaseStatus), ids=lambda s: s.value)
+    def test_only_confirmed_cases_are_ranked(self, demo_repo, keylogging_case, status):
+        demo_repo.add_case(replace(demo.precedent_cases()[0], case_id="copy", status=status))
+        ranked = {e.precedent_case_id for e in retrieve(keylogging_case, demo_repo, k=None).entries}
+        assert ("copy" in ranked) == (status in CONFIRMED_STATUSES)
+
     def test_k_must_be_positive(self, demo_repo, keylogging_case):
         with pytest.raises(ValidationFailure):
             retrieve(keylogging_case, demo_repo, k=0)

@@ -567,6 +567,72 @@ def test_truncated_attack_exit_2(workdir, capsys, command):
     assert "Traceback" not in err
 
 
+def _other_id(doc):
+    doc["id"] = "other"
+
+
+def _confidence_7(doc):
+    doc["evidence"][0]["confidence"] = 7.0
+
+
+def _no_evidence(doc):
+    doc["evidence"] = []
+
+
+@pytest.mark.parametrize("command", ["analyze", "report"])
+@pytest.mark.parametrize("damage", [_other_id, _confidence_7, _no_evidence])
+def test_invalid_stored_attack_exit_2(workdir, capsys, command, damage):
+    """A stored attack is validated and id-checked like a stored case."""
+    ingest_keylogging(workdir)
+    target = workdir / "repo" / "attacks" / "keylogging.json"
+    doc = json.loads(target.read_text(encoding="utf-8"))
+    damage(doc)
+    target.write_text(json.dumps(doc), encoding="utf-8")
+    cases = sorted(os.listdir(workdir / "repo" / "cases"))
+    capsys.readouterr()
+    argv = [command, "--repo", workdir / "repo", "--attack-id", "keylogging"]
+    if command == "report":
+        argv += ["--out", workdir / "r.csv"]
+    assert run(workdir, *argv) == 2
+    err = capsys.readouterr().err
+    assert "corrupt records: attacks/keylogging" in err
+    assert sorted(os.listdir(workdir / "repo" / "cases")) == cases
+    assert not (workdir / "r.csv").exists()
+
+
+def test_unreadable_stored_attack_exit_1(workdir, capsys):
+    (workdir / "repo" / "attacks" / "keylogging.json").mkdir()
+    rc = run(workdir, "analyze", "--repo", workdir / "repo", "--attack-id", "keylogging")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read ")
+    assert "attacks/keylogging.json" in err
+
+
+@pytest.mark.parametrize("flag", ["--network", "--attack"])
+def test_seed_aia_missing_input_file_exit_1(workdir, capsys, flag):
+    argv = ["seed-aia", "--repo", workdir / "repo",
+            "--network", workdir / "network.json", "--attack", workdir / "attack.json"]
+    argv[argv.index(flag) + 1] = workdir / "nope.json"
+    assert run(workdir, *argv) == 1
+    assert "no such file" in capsys.readouterr().err
+
+
+def test_seed_aia_accepts_input_files_with_a_bom(workdir):
+    for name in ("network.json", "attack.json"):
+        path = workdir / name
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    rc = run(
+        workdir,
+        "seed-aia", "--repo", workdir / "repo",
+        "--network", workdir / "network.json", "--attack", workdir / "attack.json",
+    )
+    assert rc == 0
+    repo = Repository.attach(workdir / "repo")
+    assert repo.load_network("demo-attack") == demo.demo_network()
+    assert repo.load_attack("demo-attack") == demo.demo_attack()
+
+
 def test_usage_error_exit_2():
     assert main(["analyze"]) == 2
 

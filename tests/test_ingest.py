@@ -231,6 +231,18 @@ def test_order_preserved(tmp_path):
     assert [ev.id for ev in attack.evidence] == ids
 
 
+@pytest.mark.parametrize(
+    "write, fmt", [(demo.write_keylogging_csv, "csv"), (demo.write_keylogging_json, "json")]
+)
+def test_byte_order_mark_is_accepted(tmp_path, write, fmt):
+    plain = write(tmp_path / f"plain.{fmt}")
+    marked = tmp_path / f"marked.{fmt}"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert parse_evidence_file(marked, fmt, attack_id="a1") == parse_evidence_file(
+        plain, fmt, attack_id="a1"
+    )
+
+
 def parse_evidence_file_from_text(text: str, fmt: str = "json"):
     import tempfile
     from pathlib import Path

@@ -344,10 +344,23 @@ def test_network_round_trip(repo):
         repo.load_network("ghost")
 
 
+def _edit_network(**fields):
+    def damage(text):
+        return json.dumps({**json.loads(text), **fields})
+
+    return damage
+
+
 @pytest.mark.parametrize(
     "damage",
-    [lambda text: text[:40], lambda text: "[]"],
-    ids=["truncated", "json-array"],
+    [
+        lambda text: text[:40],
+        lambda text: "[]",
+        _edit_network(priors={"int-exfil": 0.9, "int-recon": 0.9}),
+        _edit_network(attack_id="other"),
+        lambda text: "\ufeff" + text,
+    ],
+    ids=["truncated", "json-array", "invalid", "other-id", "byte-order-mark"],
 )
 def test_corrupt_network_reported(repo, damage):
     network = demo.demo_network()

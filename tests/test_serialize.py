@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import case_st, mass_function_st, network_st
+from conftest import case_st, network_st
 from intent_cbr import fixtures as demo
 from intent_cbr.errors import ValidationFailure
 from intent_cbr.serialize import (
@@ -16,11 +16,8 @@ from intent_cbr.serialize import (
     canonical_float,
     case_from_dict,
     case_to_dict,
-    mass_from_dict,
-    mass_to_dict,
     network_from_dict,
     network_to_dict,
-    subset_key,
 )
 
 
@@ -39,23 +36,6 @@ def test_case_round_trip(case):
 @settings(max_examples=50)
 def test_network_round_trip(network):
     assert network_from_dict(network_to_dict(network)) == network
-
-
-@given(mass_function_st())
-@settings(max_examples=50)
-def test_mass_round_trip_values(m):
-    parsed = mass_from_dict(json.loads(canonical_dumps(mass_to_dict(m))))
-    assert set(parsed.masses) == set(m.masses)
-    for subset, value in m.masses.items():
-        assert parsed.masses[subset] == canonical_float(value)
-
-
-def test_subset_keys_sorted_pipe_joined():
-    assert subset_key(frozenset({"i2", "i1"})) == "i1|i2"
-    doc = mass_to_dict(
-        mass_from_dict({"frame": ["i1", "i2"], "masses": {"i2|i1": 1.0}})
-    )
-    assert list(doc["masses"]) == ["i1|i2"]
 
 
 def test_canonical_dumps_is_sorted_and_newline_terminated():
