@@ -303,15 +303,16 @@ def retain(case: Case, repository) -> Case:
     return retained
 
 
-def write_ranking_csv(ranking: RetrievalRanking, out: IO[str], decimals: int = 2) -> None:
-    """Ranking as CSV rows (rank, precedent_case_id, intention_label, score)."""
+def write_ranking_csv(ranking: RetrievalRanking, out: IO[str]) -> None:
+    """Ranking as CSV rows (rank, precedent_case_id, intention_label, score),
+    scores at 2 decimals."""
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["rank", "precedent_case_id", "intention_label", "score"])
     for rank, entry in enumerate(ranking.entries, start=1):
         intention = ranking.precedent_intentions.get(entry.precedent_case_id)
         label = "" if intention is None else intention.label
         writer.writerow(
-            [rank, entry.precedent_case_id, label, f"{entry.score:.{decimals}f}"]
+            [rank, entry.precedent_case_id, label, f"{entry.score:.2f}"]
         )
 
 

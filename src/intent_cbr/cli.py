@@ -14,6 +14,7 @@ import logging
 import math
 import os
 import sys
+from contextlib import suppress
 from dataclasses import replace
 from pathlib import Path
 
@@ -249,7 +250,8 @@ def cmd_seed_aia(args) -> int:
     )
     repo.add_case(case)
     repo.save_network(network, overwrite=True)
-    if not repo.has_attack(attack.id):
+    # An attack already stored, also by another handle meanwhile, is kept.
+    with suppress(DuplicateCaseId):
         repo.save_attack(attack)
     print(f"case {case.case_id} stored as precedent (intention {report.selected})")
     return 0

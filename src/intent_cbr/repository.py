@@ -264,7 +264,9 @@ class Repository:
         """Every stored case by id, in case-id order, from one scan of
         ``cases/`` per handle.
 
-        All corrupt records are reported together via CorruptRecord.
+        A file whose name is not ``<safe id>.json`` is no record, as for
+        the per-record reads, and is skipped. All corrupt records are
+        reported together via CorruptRecord.
         """
         if self._cases is not None:
             return self._cases
@@ -276,7 +278,7 @@ class Repository:
             record_ids = sorted(
                 name[: -len(".json")]
                 for name in os.listdir(cases_dir)
-                if name.endswith(".json")
+                if name.endswith(".json") and is_safe_id(name[: -len(".json")])
             )
         except OSError as exc:
             raise IoFailure(f"cannot list {cases_dir}: {exc}") from exc

@@ -67,35 +67,17 @@ def evidence_to_dict(ev: Evidence) -> dict:
     }
 
 
-# The decoders below read each field once with ``doc.get`` and keep a
-# value of exactly the JSON type they expect. Any other value goes back
-# through ``_req``/``_num`` or the enum call, which raise what they always
-# raised, in the same field order.
+# Each field is read by one call to the readers at the end of this
+# module, which hold the type rule and its messages.
 
 
 def evidence_from_dict(doc: dict) -> Evidence:
-    # ``_req`` reports a document that is not a dict; ``get`` would not.
-    is_dict = type(doc) is dict
-    ev_id = doc.get("id") if is_dict else None
-    if type(ev_id) is not str:
-        ev_id = _req(doc, "id", str)
-    kind = doc.get("kind") if is_dict else None
-    kind = _KINDS.get(kind) if type(kind) is str else None
-    if kind is None:
-        kind = EvidenceKind(_req(doc, "kind", str))
-    attributes = {str(k): str(v) for k, v in doc.get("attributes", {}).items()}
-    description = doc.get("description", "")
-    if type(description) is not str:
-        description = str(description)
-    confidence = doc.get("confidence", 1.0)
-    if type(confidence) is not float:
-        confidence = _num(confidence, "confidence")
     return Evidence(
-        id=ev_id,
-        kind=kind,
-        attributes=attributes,
-        description=description,
-        confidence=confidence,
+        id=_req(doc, "id", str),
+        kind=_member(doc, "kind", _KINDS, EvidenceKind),
+        attributes={str(k): str(v) for k, v in doc.get("attributes", {}).items()},
+        description=str(doc.get("description", "")),
+        confidence=_num(doc.get("confidence", 1.0), "confidence"),
     )
 
 
@@ -109,23 +91,12 @@ def attack_to_dict(attack: Attack) -> dict:
 
 
 def attack_from_dict(doc: dict) -> Attack:
-    attack_id = doc.get("id") if type(doc) is dict else None
-    if type(attack_id) is not str:
-        attack_id = _req(doc, "id", str)
-    name = doc.get("name", attack_id)
-    if type(name) is not str:
-        name = str(name)
-    detection_state = doc.get("detection_state", 1.0)
-    if type(detection_state) is not float:
-        detection_state = _num(detection_state, "detection_state")
-    items = doc.get("evidence")
-    if type(items) is not list:
-        items = _req(doc, "evidence", list)
+    attack_id = _req(doc, "id", str)
     return Attack(
         id=attack_id,
-        name=name,
-        detection_state=detection_state,
-        evidence=tuple([evidence_from_dict(item) for item in items]),
+        name=str(doc.get("name", attack_id)),
+        detection_state=_num(doc.get("detection_state", 1.0), "detection_state"),
+        evidence=tuple([evidence_from_dict(item) for item in _req(doc, "evidence", list)]),
     )
 
 
@@ -187,41 +158,18 @@ def case_to_dict(case: Case) -> dict:
 
 def case_from_dict(doc: dict) -> Case:
     intention_doc = doc.get("intention")
-    case_id = doc.get("case_id")
-    if type(case_id) is not str:
-        case_id = _req(doc, "case_id", str)
-    attack_doc = doc.get("attack")
-    if type(attack_doc) is not dict:
-        attack_doc = _req(doc, "attack", dict)
-    attack = attack_from_dict(attack_doc)
-    intention = None if intention_doc is None else intention_from_dict(intention_doc)
-    weights = doc.get("evidence_weights")
-    if type(weights) is not dict:
-        weights = _req(doc, "evidence_weights", dict)
-    evidence_weights = {}
-    for k, v in weights.items():
-        key = k if type(k) is str else str(k)
-        evidence_weights[key] = (
-            v if type(v) is float else _num(v, f"evidence_weights[{k}]")
-        )
-    status = doc.get("status")
-    status = _STATUSES.get(status) if type(status) is str else None
-    if status is None:
-        status = CaseStatus(_req(doc, "status", str))
-    provenance = doc.get("provenance", "")
-    if type(provenance) is not str:
-        provenance = str(provenance)
-    created_at = doc.get("created_at", "")
-    if type(created_at) is not str:
-        created_at = str(created_at)
     return Case(
-        case_id=case_id,
-        attack=attack,
-        intention=intention,
-        evidence_weights=evidence_weights,
-        status=status,
-        provenance=provenance,
-        created_at=created_at,
+        case_id=_req(doc, "case_id", str),
+        attack=attack_from_dict(_req(doc, "attack", dict)),
+        intention=None if intention_doc is None else intention_from_dict(intention_doc),
+        # Inline: a label and a call per weight would slow the scan.
+        evidence_weights={
+            str(k): v if type(v) is float else _num(v, f"evidence_weights[{k}]")
+            for k, v in _req(doc, "evidence_weights", dict).items()
+        },
+        status=_member(doc, "status", _STATUSES, CaseStatus),
+        provenance=str(doc.get("provenance", "")),
+        created_at=str(doc.get("created_at", "")),
     )
 
 
@@ -231,7 +179,11 @@ _KINDS = {kind.value: kind for kind in EvidenceKind}
 _STATUSES = {status.value: status for status in CaseStatus}
 
 
-def _req(doc: dict, key: str, expected: type | tuple) -> Any:
+def _req(doc: dict, key: str, expected: type) -> Any:
+    """``doc[key]``, which must be an `expected`."""
+    value = doc.get(key) if type(doc) is dict else None
+    if type(value) is expected:
+        return value
     if key not in doc:
         raise ValidationFailure(f"missing required field '{key}'")
     value = doc[key]
@@ -241,6 +193,16 @@ def _req(doc: dict, key: str, expected: type | tuple) -> Any:
 
 
 def _num(value: Any, label: str) -> float:
+    """`value` as a ``float``; `label` names it in the error."""
+    if type(value) is float:
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationFailure(f"field '{label}' must be a number")
     return float(value)
+
+
+def _member(doc: dict, key: str, members: dict, enum: type) -> Any:
+    """The `enum` member named by the string ``doc[key]``."""
+    value = doc.get(key) if type(doc) is dict else None
+    member = members.get(value) if type(value) is str else None
+    return enum(_req(doc, key, str)) if member is None else member

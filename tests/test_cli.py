@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -310,6 +311,28 @@ class TestSeedAia:
         n = len(zeroed.evidence)
         assert weights == {ev.id: 1.0 / n for ev in zeroed.evidence}
         assert math.fsum(weights.values()) == pytest.approx(1.0, abs=1e-12)
+
+    def test_attack_stored_meanwhile_by_another_handle_is_kept(self, tmp_path, monkeypatch):
+        demo.write_demo_network(tmp_path / "network.json")
+        demo.write_demo_attack(tmp_path / "attack.json")
+        other = Repository.attach(tmp_path / "repo")
+        theirs = replace(demo.demo_attack(), name="stored by another handle")
+        save_attack = Repository.save_attack
+
+        def other_handle_first(self, attack, overwrite=False):
+            save_attack(other, theirs)
+            return save_attack(self, attack, overwrite)
+
+        monkeypatch.setattr(Repository, "save_attack", other_handle_first)
+        rc = main([
+            "seed-aia", "--repo", str(tmp_path / "repo"),
+            "--network", str(tmp_path / "network.json"),
+            "--attack", str(tmp_path / "attack.json"),
+        ])
+        assert rc == 0
+        stored = tmp_path / "repo" / "attacks" / "demo-attack.json"
+        assert stored.read_text(encoding="utf-8") == canonical_dumps(attack_to_dict(theirs))
+        assert Repository.attach(tmp_path / "repo").has_case("aia-demo-attack")
 
     def test_network_missing_evidence_row_exit_2(self, tmp_path):
         network = demo.demo_network()
@@ -785,6 +808,32 @@ def test_undecodable_or_misshaped_input_exit_2(workdir, capsys, argv, file_name,
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "name", ["._botnet-01.json", ".b3.json"], ids=["macos-sidecar", "unsafe-id"]
+)
+def test_analyze_and_report_skip_case_files_that_are_no_records(workdir, capsys, name):
+    ingest_keylogging(workdir)
+    shutil.copytree(workdir / "repo", workdir / "plain")
+    cases = workdir / "repo" / "cases"
+    if name == ".b3.json":
+        doc = json.loads((cases / "botnet-03.json").read_text(encoding="utf-8"))
+        doc["case_id"] = ".b3"
+        content = json.dumps(doc).encode()
+    else:
+        content = b"\x00\x05\x16\x07Mac OS X        \x00\x02"
+    (cases / name).write_bytes(content)
+    outputs = []
+    for repo in ("plain", "repo"):
+        capsys.readouterr()
+        assert run(workdir, "analyze", "--repo", workdir / repo, "--attack-id", "keylogging") == 0
+        out = capsys.readouterr().out
+        argv = ["report", "--repo", workdir / repo, "--attack-id", "keylogging",
+                "--out", workdir / f"{repo}.csv"]
+        assert run(workdir, *argv) == 0
+        outputs.append((out, (workdir / f"{repo}.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_two_processes_analyze_one_attack(workdir):

@@ -511,6 +511,26 @@ def test_full_scan_runs_once_and_writes_keep_it_current(tmp_path, monkeypatch):
     assert repo.case_count() == 12
 
 
+@pytest.mark.parametrize(
+    "name", ["._botnet-01.json", ".b3.json"], ids=["macos-sidecar", "unsafe-id"]
+)
+def test_full_scan_skips_case_files_that_are_no_records(tmp_path, name):
+    """Only ``<safe id>.json`` is a record, for the scan as for get_case."""
+    root = tmp_path / "repo"
+    demo.install_demo_repository(root)
+    expected = Repository.open(root).list_cases()
+    if name == ".b3.json":
+        content = canonical_dumps(case_to_dict(replace(expected[0], case_id=".b3"))).encode()
+    else:
+        content = b"\x00\x05\x16\x07Mac OS X        \x00\x02"
+    (root / "cases" / name).write_bytes(content)
+    repo = Repository.open(root)
+    assert repo.list_cases() == expected
+    assert repo.case_count() == 11
+    with pytest.raises(UnknownCaseId):
+        repo.get_case(name[: -len(".json")])
+
+
 @pytest.mark.parametrize("record_id", ["../cases/botnet-01", "../../outside", "botnet-01\n"])
 def test_unsafe_ids_are_not_stored(tmp_path, record_id):
     repo = demo.install_demo_repository(tmp_path / "repo")

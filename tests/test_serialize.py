@@ -8,7 +8,10 @@ from hypothesis import strategies as st
 
 from conftest import case_st, network_st
 from intent_cbr import fixtures as demo
-from intent_cbr.errors import ValidationFailure
+from intent_cbr import ingest
+from intent_cbr import repository as repository_module
+from intent_cbr.errors import CorruptRecord, ValidationFailure
+from intent_cbr.repository import Repository
 from intent_cbr.serialize import (
     attack_from_dict,
     attack_to_dict,
@@ -73,3 +76,50 @@ def test_priors_default_uniform_when_absent():
     del doc["priors"]
     network = network_from_dict(doc)
     assert network.priors == {"int-exfil": 0.5, "int-recon": 0.5}
+
+
+class _Id(str):
+    """A str subclass: JSON never yields one, a caller may pass one."""
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda doc: doc["priors"].update({"int-exfil": "high"}),
+         "field 'priors[int-exfil]' must be a number"),
+        (lambda doc: doc["likelihoods"]["dev01"].update({"int-recon": None}),
+         "field 'likelihoods[dev01][int-recon]' must be a number"),
+        (lambda doc: doc["intentions"][0].pop("label"), "missing required field 'label'"),
+        (lambda doc: doc.update(intentions={}), "field 'intentions' has wrong type dict"),
+        (lambda doc: doc["intentions"][0].update(id=_Id("int-exfil")), None),
+    ],
+    ids=["prior", "likelihood", "no-label", "intentions-not-a-list", "str-subclass-id"],
+)
+def test_network_decoder_through_both_readers(tmp_path, monkeypatch, mutate, message):
+    repo = Repository.attach(tmp_path / "repo")
+    repo.save_network(demo.demo_network())
+    demo.write_demo_network(tmp_path / "network.json")
+
+    # Each reader parses the demo network; its decoder gets the row's
+    # document, which may hold what JSON cannot (a str subclass).
+    def decode(doc):
+        mutate(doc)
+        return network_from_dict(doc)
+
+    monkeypatch.setattr(repository_module, "network_from_dict", decode)
+    monkeypatch.setattr(ingest, "network_from_dict", decode)
+    if message is None:
+        for network in (
+            repo.load_network("demo-attack"),
+            ingest.parse_network_file(tmp_path / "network.json"),
+        ):
+            assert type(network.intentions[0].id) is _Id
+        return
+    with pytest.raises(CorruptRecord) as excinfo:
+        repo.load_network("demo-attack")
+    assert excinfo.value.details == {"networks/demo-attack": f"unparseable: {message}"}
+    assert type(excinfo.value.__cause__) is ValidationFailure
+    with pytest.raises(ValidationFailure) as excinfo:
+        ingest.parse_network_file(tmp_path / "network.json")
+    assert str(excinfo.value) == message
+    assert excinfo.value.exit_code == 2
