@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import logging
 import math
 import os
 import sys
@@ -20,8 +19,6 @@ from pathlib import Path
 
 from . import cbr
 from .errors import DuplicateCaseId, IntentCbrError, ValidationFailure
-from .inference import analyze_attack
-from .ingest import parse_evidence_file, parse_network_file
 from .model import Attack, Case, CaseStatus, now_utc, transition
 from .repository import Repository, _atomic_write
 from .serialize import canonical_dumps
@@ -41,7 +38,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format="%(levelname)s: %(message)s")
     try:
         return args.func(args)
     except IntentCbrError as exc:
@@ -156,9 +152,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # --- commands ----------------------------------------------------------------
+# A module that only some commands run (ingest, inference) is imported in
+# those commands, so the others do not load it.
 
 
 def cmd_ingest(args) -> int:
+    from .ingest import parse_evidence_file
+
+    _log_warnings()
     repo = Repository.attach(_repo_path(args))
     attack = parse_evidence_file(
         args.input,
@@ -220,6 +221,10 @@ def cmd_retain(args) -> int:
 
 
 def cmd_seed_aia(args) -> int:
+    from .inference import analyze_attack
+    from .ingest import parse_evidence_file, parse_network_file
+
+    _log_warnings()
     repo = Repository.attach(_repo_path(args))
     network = parse_network_file(args.network)
     attack = parse_evidence_file(args.attack, "json")
@@ -283,6 +288,13 @@ def cmd_report(args) -> int:
 
 
 # --- helpers ------------------------------------------------------------------
+
+
+def _log_warnings() -> None:
+    """Print warnings logged by ingest as ``WARNING: <message>`` on stderr."""
+    import logging
+
+    logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format="%(levelname)s: %(message)s")
 
 
 def _add_repo_flag(parser: argparse.ArgumentParser) -> None:

@@ -109,13 +109,7 @@ def parse_evidence_file(
 
 def parse_network_file(path) -> CausalNetwork:
     """Parse a causal-network JSON document into a validated network."""
-    doc = _read_input(Path(path), "json")
-    try:
-        network = network_from_dict(doc)
-    except (TypeError, AttributeError) as exc:
-        # A document of the wrong shape, such as a bare number or a
-        # non-object intention entry.
-        raise ValidationFailure(f"invalid network document: {exc}") from exc
+    network = network_from_dict(_read_input(Path(path), "json"))
     violations = validate_network(network)
     if violations:
         raise ValidationFailure("network invalid: " + "; ".join(violations))

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 import re
+import time
 from dataclasses import dataclass, field, replace
-from datetime import datetime, timezone
 from enum import Enum
 
 from .errors import IllegalTransition, ValidationFailure
@@ -73,7 +73,7 @@ IN_FLIGHT_STATUSES = frozenset(
 
 def now_utc() -> str:
     """Current time as an ISO-8601 UTC string (second resolution)."""
-    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
 @dataclass(frozen=True)

@@ -68,14 +68,21 @@ def evidence_to_dict(ev: Evidence) -> dict:
 
 
 # Each field is read by one call to the readers at the end of this
-# module, which hold the type rule and its messages.
+# module, which hold the type rule and its messages. On the scan's path a
+# nested object is tested for its exact type inline, which costs no call,
+# and goes to `_obj` only when that test fails.
 
 
 def evidence_from_dict(doc: dict) -> Evidence:
+    ev_id = _req(doc, "id", str)
+    kind = _member(doc, "kind", _KINDS, EvidenceKind)
+    attributes = doc.get("attributes", {})
+    if type(attributes) is not dict:
+        attributes = _obj(attributes, "attributes")
     return Evidence(
-        id=_req(doc, "id", str),
-        kind=_member(doc, "kind", _KINDS, EvidenceKind),
-        attributes={str(k): str(v) for k, v in doc.get("attributes", {}).items()},
+        id=ev_id,
+        kind=kind,
+        attributes={str(k): str(v) for k, v in attributes.items()},
         description=str(doc.get("description", "")),
         confidence=_num(doc.get("confidence", 1.0), "confidence"),
     )
@@ -96,7 +103,10 @@ def attack_from_dict(doc: dict) -> Attack:
         id=attack_id,
         name=str(doc.get("name", attack_id)),
         detection_state=_num(doc.get("detection_state", 1.0), "detection_state"),
-        evidence=tuple([evidence_from_dict(item) for item in _req(doc, "evidence", list)]),
+        evidence=tuple([
+            evidence_from_dict(item if type(item) is dict else _obj(item, f"evidence[{i}]"))
+            for i, item in enumerate(_req(doc, "evidence", list))
+        ]),
     )
 
 
@@ -105,11 +115,10 @@ def intention_to_dict(it: Intention) -> dict:
 
 
 def intention_from_dict(doc: dict) -> Intention:
-    category = doc.get("category")
     return Intention(
         id=_req(doc, "id", str),
         label=_req(doc, "label", str),
-        category=None if category is None else str(category),
+        category=None if doc.get("category") is None else str(doc["category"]),
     )
 
 
@@ -125,7 +134,8 @@ def network_to_dict(net: CausalNetwork) -> dict:
 
 def network_from_dict(doc: dict) -> CausalNetwork:
     intentions = tuple(
-        intention_from_dict(item) for item in _req(doc, "intentions", list)
+        intention_from_dict(_obj(item, f"intentions[{i}]"))
+        for i, item in enumerate(_req(doc, "intentions", list))
     )
     priors = doc.get("priors")
     if priors is None:
@@ -136,9 +146,12 @@ def network_from_dict(doc: dict) -> CausalNetwork:
         attack_id=_req(doc, "attack_id", str),
         intentions=intentions,
         evidence_ids=tuple(str(e) for e in _req(doc, "evidence_ids", list)),
-        priors={str(k): _num(v, f"priors[{k}]") for k, v in priors.items()},
+        priors={str(k): _num(v, f"priors[{k}]") for k, v in _obj(priors, "priors").items()},
         likelihoods={
-            str(ev): {str(i): _num(p, f"likelihoods[{ev}][{i}]") for i, p in row.items()}
+            str(ev): {
+                str(i): _num(p, f"likelihoods[{ev}][{i}]")
+                for i, p in _obj(row, f"likelihoods[{ev}]").items()
+            }
             for ev, row in _req(doc, "likelihoods", dict).items()
         },
     )
@@ -157,11 +170,17 @@ def case_to_dict(case: Case) -> dict:
 
 
 def case_from_dict(doc: dict) -> Case:
-    intention_doc = doc.get("intention")
+    case_id = _req(doc, "case_id", str)
+    attack = attack_from_dict(_req(doc, "attack", dict))
+    intention = doc.get("intention")
+    if intention is not None:
+        intention = intention_from_dict(
+            intention if type(intention) is dict else _obj(intention, "intention")
+        )
     return Case(
-        case_id=_req(doc, "case_id", str),
-        attack=attack_from_dict(_req(doc, "attack", dict)),
-        intention=None if intention_doc is None else intention_from_dict(intention_doc),
+        case_id=case_id,
+        attack=attack,
+        intention=intention,
         # Inline: a label and a call per weight would slow the scan.
         evidence_weights={
             str(k): v if type(v) is float else _num(v, f"evidence_weights[{k}]")
@@ -184,6 +203,8 @@ def _req(doc: dict, key: str, expected: type) -> Any:
     value = doc.get(key) if type(doc) is dict else None
     if type(value) is expected:
         return value
+    if not isinstance(doc, dict):
+        raise ValidationFailure(f"document has wrong type {type(doc).__name__}")
     if key not in doc:
         raise ValidationFailure(f"missing required field '{key}'")
     value = doc[key]
@@ -199,6 +220,13 @@ def _num(value: Any, label: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationFailure(f"field '{label}' must be a number")
     return float(value)
+
+
+def _obj(value: Any, label: str) -> dict:
+    """`value`, which must be a JSON object; `label` names it in the error."""
+    if isinstance(value, dict):
+        return value
+    raise ValidationFailure(f"field '{label}' has wrong type {type(value).__name__}")
 
 
 def _member(doc: dict, key: str, members: dict, enum: type) -> Any:

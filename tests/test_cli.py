@@ -704,6 +704,7 @@ def _argv(workdir, command):
     return {
         "ingest": ["ingest", "--input", workdir / "keylog.csv", "--format", "csv",
                    "--repo", repo, "--attack-id", "keylogging-2"],
+        "analyze": ["analyze", "--repo", repo, "--attack-id", "keylogging"],
         "revise": ["revise", "--repo", repo, "--case-id", "keylogging-c1", "--verdict", "accept"],
         "retain": ["retain", "--repo", repo, "--case-id", "keylogging-c1"],
         "seed-aia": seed,
@@ -875,3 +876,69 @@ def test_python_dash_m_runs_the_command(workdir, module):
         0, "5 evidence items ingested\n", ""
     )
     assert Repository.attach(workdir / "repo").has_attack("keylogging")
+
+
+def test_ingest_warns_of_an_unknown_kind_on_stderr(workdir):
+    (workdir / "weird.csv").write_text(
+        "id,kind,description,confidence\ne1,weird,odd artefact,0.5\n", encoding="utf-8"
+    )
+    result = subprocess.run(
+        [
+            sys.executable, "-m", "intent_cbr", "ingest",
+            "--input", str(workdir / "weird.csv"), "--format", "csv",
+            "--repo", str(workdir / "repo"), "--attack-id", "weird",
+        ],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (
+        0,
+        "1 evidence items ingested\n",
+        "WARNING: line 2: unknown kind 'weird' mapped to 'other'\n",
+    )
+
+
+# Prints, as its last line, what importing the CLI and running one command
+# added to sys.modules.
+_LOAD_PROBE = """
+import json, sys
+before = set(sys.modules)
+from intent_cbr.cli import main
+rc = main(sys.argv[1:])
+print(json.dumps({"rc": rc, "loaded": sorted(set(sys.modules) - before)}))
+"""
+
+
+def _loaded_by(workdir, command):
+    _prepare(workdir, command)
+    result = subprocess.run(
+        [sys.executable, "-c", _LOAD_PROBE, *map(str, _argv(workdir, command))],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    probe = json.loads(result.stdout.splitlines()[-1])
+    assert probe["rc"] == 0
+    return set(probe["loaded"])
+
+
+@pytest.mark.parametrize("command", ["analyze", "revise", "retain", "report"])
+def test_case_commands_load_no_ingest_or_inference(workdir, command):
+    loaded = _loaded_by(workdir, command)
+    assert "intent_cbr.cbr" in loaded  # the probe sees what the command loads
+    not_run = {"intent_cbr.ingest", "intent_cbr.inference", "intent_cbr.fixtures"}
+    assert loaded & (not_run | {"logging", "datetime"}) == set()
+
+
+def test_ingest_loads_no_inference(workdir):
+    loaded = _loaded_by(workdir, "ingest")
+    assert "intent_cbr.ingest" in loaded
+    assert loaded & {"intent_cbr.inference", "datetime"} == set()
+
+
+def test_seed_aia_loads_ingest_and_inference(workdir):
+    assert {"intent_cbr.ingest", "intent_cbr.inference"} <= _loaded_by(workdir, "seed-aia")

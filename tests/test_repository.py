@@ -669,18 +669,22 @@ _EV = ("attack", "evidence", 0)
          "unparseable: field 'status' has wrong type list"),
         (_set("status", value={"precedent": 1}), ValidationFailure,
          "unparseable: field 'status' has wrong type dict"),
-        (_set(*_EV, "attributes", value=["tool", "agobot"]), AttributeError,
-         "unparseable: 'list' object has no attribute 'items'"),
-        (_set(*_EV, "attributes", value="tool=agobot"), AttributeError,
-         "unparseable: 'str' object has no attribute 'items'"),
-        (_set("attack", "evidence", 0, value=1), TypeError,
-         "unparseable: argument of type 'int' is not iterable"),
+        (_set(*_EV, "attributes", value=["tool", "agobot"]), ValidationFailure,
+         "unparseable: field 'attributes' has wrong type list"),
+        (_set(*_EV, "attributes", value="tool=agobot"), ValidationFailure,
+         "unparseable: field 'attributes' has wrong type str"),
+        (_set("attack", "evidence", 0, value=1), ValidationFailure,
+         "unparseable: field 'evidence[0]' has wrong type int"),
         (_set("attack", "evidence", 0, value=[]), ValidationFailure,
-         "unparseable: missing required field 'id'"),
-        (_set("intention", value="botnet"), AttributeError,
-         "unparseable: 'str' object has no attribute 'get'"),
-        (lambda doc: [doc], AttributeError,
-         "unparseable: 'list' object has no attribute 'get'"),
+         "unparseable: field 'evidence[0]' has wrong type list"),
+        (_set("attack", "evidence", 1, value="e2"), ValidationFailure,
+         "unparseable: field 'evidence[1]' has wrong type str"),
+        (_set("intention", value="botnet"), ValidationFailure,
+         "unparseable: field 'intention' has wrong type str"),
+        (_set("intention", value=[1]), ValidationFailure,
+         "unparseable: field 'intention' has wrong type list"),
+        (lambda doc: [doc], ValidationFailure,
+         "unparseable: document has wrong type list"),
         (_set(*_EV, "confidence", value=float("nan")), None,
          "evidence 'e1': confidence nan outside [0,1]"),
         (_set("evidence_weights", "e1", value=1.5), None,

@@ -92,8 +92,15 @@ class _Id(str):
         (lambda doc: doc["intentions"][0].pop("label"), "missing required field 'label'"),
         (lambda doc: doc.update(intentions={}), "field 'intentions' has wrong type dict"),
         (lambda doc: doc["intentions"][0].update(id=_Id("int-exfil")), None),
+        (lambda doc: doc.update(intentions=[5]), "field 'intentions[0]' has wrong type int"),
+        (lambda doc: doc["intentions"].append("int-x"),
+         "field 'intentions[2]' has wrong type str"),
+        (lambda doc: doc.update(priors=[0.5, 0.5]), "field 'priors' has wrong type list"),
+        (lambda doc: doc["likelihoods"].update(dev01=[0.8, 0.4]),
+         "field 'likelihoods[dev01]' has wrong type list"),
     ],
-    ids=["prior", "likelihood", "no-label", "intentions-not-a-list", "str-subclass-id"],
+    ids=["prior", "likelihood", "no-label", "intentions-not-a-list", "str-subclass-id",
+         "intention-int", "intention-str", "priors-list", "likelihood-row-list"],
 )
 def test_network_decoder_through_both_readers(tmp_path, monkeypatch, mutate, message):
     repo = Repository.attach(tmp_path / "repo")
@@ -123,3 +130,9 @@ def test_network_decoder_through_both_readers(tmp_path, monkeypatch, mutate, mes
         ingest.parse_network_file(tmp_path / "network.json")
     assert str(excinfo.value) == message
     assert excinfo.value.exit_code == 2
+
+
+def test_a_non_object_document_names_its_type():
+    for decode in (case_from_dict, attack_from_dict, network_from_dict):
+        with pytest.raises(ValidationFailure, match=r"^document has wrong type list$"):
+            decode([])
