@@ -26,7 +26,8 @@ stored, so reads treat it as not stored without touching the disk.
 Concurrency: single writer, many readers. Mutating operations take an
 exclusive advisory flock on ``meta.json`` and decide under it whether a
 record already exists, so two handles never overwrite each other's case,
-attack or network.
+attack or network. An update is decided there too, from the stored
+status, so a case another handle has moved on is never replaced.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from .model import (
     CONFIRMED_STATUSES,
     IN_FLIGHT_STATUSES,
     is_safe_id,
+    transition,
     validate_attack,
     validate_case,
     validate_network,
@@ -143,12 +145,15 @@ class Repository:
             self._write_case(path, case)
 
     def update_case(self, case: Case) -> None:
-        """Replace an existing case record; atomic, validated."""
+        """Replace an existing case record; atomic, validated.
+
+        The stored status must be able to move to the new one, so an
+        update made from a stale read raises IllegalTransition.
+        """
         self._check_case(case)
         path = self._path("cases", case.case_id)
         with self._writer_lock():
-            if not os.path.exists(path):
-                raise UnknownCaseId(f"case '{case.case_id}' not stored")
+            transition(self.get_case(case.case_id), case.status)
             self._write_case(path, case)
 
     def store_confirmed(self, case: Case) -> None:

@@ -4,12 +4,18 @@ One schema serves disk storage and interchange: sorted keys, two-space
 indent, floats rounded to 12 significant digits. Equal values therefore
 always serialize to identical bytes, which keeps golden-file tests and
 repository round-trips stable.
+
+A record's document is exactly its dataclass fields, by name: one walker
+writes every record, an enum member as its value and a tuple as a list.
+Each record type has its own decoder, which checks what it reads.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any
+from dataclasses import fields, is_dataclass
+from enum import Enum
+from typing import Any, Callable
 
 from .errors import ValidationFailure
 from .model import (
@@ -32,7 +38,7 @@ def canonical_dumps(data: Any) -> str:
     """Serialize to the canonical byte form (trailing newline included)."""
     return (
         json.dumps(
-            _round_floats(data),
+            _walk(data, canonical_float),
             sort_keys=True,
             indent=2,
             ensure_ascii=False,
@@ -42,30 +48,48 @@ def canonical_dumps(data: Any) -> str:
     )
 
 
-def _round_floats(value: Any) -> Any:
-    if isinstance(value, bool) or value is None or isinstance(value, (str, int)):
+def _walk(value: Any, leaf: Callable[[float], float] | None) -> Any:
+    """`value` as JSON data: a record as a dict of its fields by name, an
+    enum member as its value, each float through `leaf` (None keeps it)."""
+    # Strings, floats, dicts and records, most of the nodes, come first and
+    # pay for no test meant for another type. A str-valued enum member is
+    # a str, but not exactly one; an enum must not subclass float or dict.
+    kind = type(value)
+    if kind is str or value is None:
         return value
     if isinstance(value, float):
-        return canonical_float(value)
+        return value if leaf is None else leaf(value)
     if isinstance(value, dict):
-        return {key: _round_floats(item) for key, item in value.items()}
+        return {key: _walk(item, leaf) for key, item in value.items()}
+    names = _FIELD_NAMES.get(kind)
+    if names is not None:
+        return {name: _walk(getattr(value, name), leaf) for name in names}
+    if isinstance(value, Enum):
+        return _walk(value.value, leaf)
+    if isinstance(value, (str, int)):  # a bool is an int
+        return value
     if isinstance(value, (list, tuple)):
-        return [_round_floats(item) for item in value]
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+        return [_walk(item, leaf) for item in value]
+    if is_dataclass(value) and not isinstance(value, type):
+        _FIELD_NAMES[kind] = tuple(f.name for f in fields(value))
+        return _walk(value, leaf)
+    raise TypeError(f"cannot serialize {kind.__name__}")
 
 
-# --- per-type codecs -------------------------------------------------------
+# Field names by record type, filled as each type is first walked.
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
 
 
-def evidence_to_dict(ev: Evidence) -> dict:
-    return {
-        "id": ev.id,
-        "kind": ev.kind.value,
-        "attributes": dict(ev.attributes),
-        "description": ev.description,
-        "confidence": ev.confidence,
-    }
+def _to_dict(record: Any) -> dict:
+    """The record's document: its dataclass fields by name, floats as stored."""
+    return _walk(record, None)
 
+
+evidence_to_dict = attack_to_dict = intention_to_dict = _to_dict
+network_to_dict = case_to_dict = _to_dict
+
+
+# --- per-type decoders -----------------------------------------------------
 
 # Each field is read by one call to the readers at the end of this
 # module, which hold the type rule and its messages. On the scan's path a
@@ -88,15 +112,6 @@ def evidence_from_dict(doc: dict) -> Evidence:
     )
 
 
-def attack_to_dict(attack: Attack) -> dict:
-    return {
-        "id": attack.id,
-        "name": attack.name,
-        "detection_state": attack.detection_state,
-        "evidence": [evidence_to_dict(ev) for ev in attack.evidence],
-    }
-
-
 def attack_from_dict(doc: dict) -> Attack:
     attack_id = _req(doc, "id", str)
     return Attack(
@@ -110,26 +125,12 @@ def attack_from_dict(doc: dict) -> Attack:
     )
 
 
-def intention_to_dict(it: Intention) -> dict:
-    return {"id": it.id, "label": it.label, "category": it.category}
-
-
 def intention_from_dict(doc: dict) -> Intention:
     return Intention(
         id=_req(doc, "id", str),
         label=_req(doc, "label", str),
         category=None if doc.get("category") is None else str(doc["category"]),
     )
-
-
-def network_to_dict(net: CausalNetwork) -> dict:
-    return {
-        "attack_id": net.attack_id,
-        "intentions": [intention_to_dict(it) for it in net.intentions],
-        "evidence_ids": list(net.evidence_ids),
-        "priors": dict(net.priors),
-        "likelihoods": {ev: dict(row) for ev, row in net.likelihoods.items()},
-    }
 
 
 def network_from_dict(doc: dict) -> CausalNetwork:
@@ -155,18 +156,6 @@ def network_from_dict(doc: dict) -> CausalNetwork:
             for ev, row in _req(doc, "likelihoods", dict).items()
         },
     )
-
-
-def case_to_dict(case: Case) -> dict:
-    return {
-        "case_id": case.case_id,
-        "attack": attack_to_dict(case.attack),
-        "intention": None if case.intention is None else intention_to_dict(case.intention),
-        "evidence_weights": dict(case.evidence_weights),
-        "status": case.status.value,
-        "provenance": case.provenance,
-        "created_at": case.created_at,
-    }
 
 
 def case_from_dict(doc: dict) -> Case:

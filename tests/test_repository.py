@@ -11,11 +11,13 @@ from pathlib import Path
 
 import pytest
 
+from intent_cbr import cbr
 from intent_cbr import fixtures as demo
 from intent_cbr.errors import (
     CorruptRecord,
     DuplicateCaseId,
     EmptyRepository,
+    IllegalTransition,
     IoFailure,
     SchemaVersionMismatch,
     UnknownCaseId,
@@ -455,6 +457,25 @@ def test_existence_is_decided_from_disk_across_handles(tmp_path):
     first.store_confirmed(replace(case, status=CaseStatus.RETAINED))
     with pytest.raises(DuplicateCaseId):
         second.store_confirmed(replace(case, status=CaseStatus.RETAINED))
+
+
+def test_a_stale_update_leaves_a_case_another_handle_moved_on(tmp_path):
+    first = Repository.attach(tmp_path / "repo")
+    second = Repository.attach(tmp_path / "repo")
+    incipient = replace(demo.precedent_cases()[0], case_id="k-c1", status=CaseStatus.INCIPIENT)
+    first.add_case(incipient)
+    seen_by_first = first.get_case("k-c1")
+    seen_by_second = second.get_case("k-c1")
+    accepted = cbr.revise(seen_by_first, cbr.ReviseVerdict(verdict="accept"))
+    first.update_case(accepted)
+    cbr.retain(accepted, first)
+    path = tmp_path / "repo" / "cases" / "k-c1.json"
+    retained = path.read_bytes()
+    rejected = cbr.revise(seen_by_second, cbr.ReviseVerdict(verdict="reject", rationale="benign"))
+    with pytest.raises(IllegalTransition, match="retained -> revised-rejected is not legal"):
+        second.update_case(rejected)
+    assert path.read_bytes() == retained
+    assert Repository.attach(tmp_path / "repo").get_case("k-c1").status == CaseStatus.RETAINED
 
 
 def _corrupt(root, case_id):

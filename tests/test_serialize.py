@@ -1,6 +1,8 @@
 """Canonical JSON codec: round trips and byte stability."""
 
 import json
+from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from intent_cbr import fixtures as demo
 from intent_cbr import ingest
 from intent_cbr import repository as repository_module
 from intent_cbr.errors import CorruptRecord, ValidationFailure
+from intent_cbr.model import CaseStatus, EvidenceKind, Intention
 from intent_cbr.repository import Repository
 from intent_cbr.serialize import (
     attack_from_dict,
@@ -19,9 +22,15 @@ from intent_cbr.serialize import (
     canonical_float,
     case_from_dict,
     case_to_dict,
+    evidence_from_dict,
+    evidence_to_dict,
+    intention_from_dict,
+    intention_to_dict,
     network_from_dict,
     network_to_dict,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_attack_round_trip():
@@ -136,3 +145,94 @@ def test_a_non_object_document_names_its_type():
     for decode in (case_from_dict, attack_from_dict, network_from_dict):
         with pytest.raises(ValidationFailure, match=r"^document has wrong type list$"):
             decode([])
+
+
+# Per record type: its codec pair, a fixture value, and for every field a
+# value that differs from the fixture's. A field added to a record and
+# missing here fails the test until it is written, read back and listed.
+_RECORD_FIELDS = [
+    (
+        evidence_to_dict,
+        evidence_from_dict,
+        demo.keylogging_attack().evidence[0],
+        {
+            "id": "ev99",
+            "kind": EvidenceKind.OTHER,
+            "attributes": {"mode": "scan"},
+            "description": "Changed.",
+            "confidence": 0.5,
+        },
+    ),
+    (
+        attack_to_dict,
+        attack_from_dict,
+        demo.keylogging_attack(),
+        {
+            "id": "other-attack",
+            "name": "Other",
+            "detection_state": 0.5,
+            "evidence": demo.keylogging_attack().evidence[:1],
+        },
+    ),
+    (
+        intention_to_dict,
+        intention_from_dict,
+        demo.demo_network().intentions[0],
+        {"id": "int-other", "label": "Other.", "category": "other"},
+    ),
+    (
+        network_to_dict,
+        network_from_dict,
+        demo.demo_network(),
+        {
+            "attack_id": "other-attack",
+            "intentions": demo.demo_network().intentions[:1],
+            "evidence_ids": ("dev01",),
+            "priors": {"int-exfil": 0.25, "int-recon": 0.75},
+            "likelihoods": {"dev01": {"int-exfil": 0.3, "int-recon": 0.6}},
+        },
+    ),
+    (
+        case_to_dict,
+        case_from_dict,
+        demo.precedent_cases()[0],
+        {
+            "case_id": "other-case",
+            "attack": demo.keylogging_attack(),
+            "intention": Intention("int-other", "Other.", "other"),
+            "evidence_weights": {"ev01": 1.0},
+            "status": CaseStatus.INCIPIENT,
+            "provenance": "changed",
+            "created_at": "2030-01-01T00:00:00Z",
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "encode, decode, record, others",
+    _RECORD_FIELDS,
+    ids=[type(entry[2]).__name__ for entry in _RECORD_FIELDS],
+)
+def test_every_field_is_written_and_read_back(encode, decode, record, others):
+    names = [f.name for f in fields(record)]
+    assert sorted(encode(record)) == sorted(names)
+    assert sorted(others) == sorted(names)
+    for name, value in others.items():
+        changed = replace(record, **{name: value})
+        assert changed != record, name
+        assert decode(encode(changed)) == changed, name
+        assert decode(encode(changed)) != decode(encode(record)), name
+
+
+@pytest.mark.parametrize(
+    "record, encode, name",
+    [
+        (demo.keylogging_attack(), attack_to_dict, "keylogging_attack.json"),
+        (demo.demo_network(), network_to_dict, "demo_network.json"),
+    ],
+    ids=["attack", "network"],
+)
+def test_fixture_documents_keep_their_bytes(record, encode, name):
+    expected = (DATA / name).read_text(encoding="utf-8")
+    assert canonical_dumps(encode(record)) == expected
