@@ -50,9 +50,6 @@ class RetrievalRanking:
     # repository handle of their own.
     precedent_intentions: dict[str, Intention] = field(default_factory=dict)
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-
 
 @dataclass(frozen=True)
 class ReviseVerdict:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import json
 import math
 import os
 import sys
@@ -21,7 +22,6 @@ from . import cbr
 from .errors import DuplicateCaseId, IntentCbrError, ValidationFailure
 from .model import Attack, Case, CaseStatus, now_utc, transition
 from .repository import Repository, _atomic_write
-from .serialize import canonical_dumps
 
 _REPO_ENV = "INTENT_CBR_REPO"
 # How many ids `analyze` tries for its new case before DuplicateCaseId stands.
@@ -39,7 +39,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return args.func(Repository.attach(_repo_path(args)), args)
     except IntentCbrError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
@@ -156,11 +156,10 @@ def build_parser() -> argparse.ArgumentParser:
 # those commands, so the others do not load it.
 
 
-def cmd_ingest(args) -> int:
+def cmd_ingest(repo: Repository, args) -> int:
     from .ingest import parse_evidence_file
 
     _log_warnings()
-    repo = Repository.attach(_repo_path(args))
     attack = parse_evidence_file(
         args.input,
         args.format,
@@ -173,8 +172,7 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def cmd_analyze(args) -> int:
-    repo = Repository.attach(_repo_path(args))
+def cmd_analyze(repo: Repository, args) -> int:
     attack = repo.load_attack(args.attack_id)
     new_case = _fresh_case(repo, attack)
     ranking = cbr.retrieve(new_case, repo, k=args.top)
@@ -197,8 +195,7 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def cmd_revise(args) -> int:
-    repo = Repository.attach(_repo_path(args))
+def cmd_revise(repo: Repository, args) -> int:
     case = repo.get_case(args.case_id)
     verdict = cbr.ReviseVerdict(
         verdict=args.verdict,
@@ -212,20 +209,18 @@ def cmd_revise(args) -> int:
     return 0
 
 
-def cmd_retain(args) -> int:
-    repo = Repository.attach(_repo_path(args))
+def cmd_retain(repo: Repository, args) -> int:
     case = repo.get_case(args.case_id)
     retained = cbr.retain(case, repo)
     print(f"case {retained.case_id} retained")
     return 0
 
 
-def cmd_seed_aia(args) -> int:
+def cmd_seed_aia(repo: Repository, args) -> int:
     from .inference import analyze_attack
     from .ingest import parse_evidence_file, parse_network_file
 
     _log_warnings()
-    repo = Repository.attach(_repo_path(args))
     network = parse_network_file(args.network)
     attack = parse_evidence_file(args.attack, "json")
     if args.priors == "uniform":
@@ -262,8 +257,7 @@ def cmd_seed_aia(args) -> int:
     return 0
 
 
-def cmd_report(args) -> int:
-    repo = Repository.attach(_repo_path(args))
+def cmd_report(repo: Repository, args) -> int:
     attack = repo.load_attack(args.attack_id)
     new_case = _fresh_case(repo, attack)
     ranking = cbr.retrieve(new_case, repo, k=None)
@@ -282,7 +276,9 @@ def cmd_report(args) -> int:
             }
             for e in ranking.entries
         ]
-        _atomic_write(Path(args.chart_data), canonical_dumps(rows))
+        # Not canonical_dumps: the chart keeps every digit, not 12 significant.
+        chart = json.dumps(rows, sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False)
+        _atomic_write(Path(args.chart_data), chart + "\n")
         print(f"wrote {args.chart_data}", file=sys.stderr)
     return 0
 

@@ -5,6 +5,10 @@ reasoning life cycle, and the belief-mass structures used by the
 intention-inference engine. All types are immutable value objects; a
 "mutation" is a copy with the change applied (``dataclasses.replace``),
 so instances are safe to share across threads.
+
+Records take their fields as given, with no copy or conversion: a field
+typed as a tuple must be passed a tuple. Only ``MassFunction`` and
+``BeliefReport`` check what they are built from.
 """
 
 from __future__ import annotations
@@ -96,9 +100,6 @@ class Attack:
     detection_state: float  # detection accuracy ratio in [0, 1]
     evidence: tuple[Evidence, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "evidence", tuple(self.evidence))
-
     def evidence_ids(self) -> list[str]:
         return [ev.id for ev in self.evidence]
 
@@ -139,10 +140,6 @@ class CausalNetwork:
     evidence_ids: tuple[str, ...]
     priors: dict[str, float]  # intention id -> P(intention)
     likelihoods: dict[str, dict[str, float]]  # evidence id -> intention id -> p
-
-    def __post_init__(self):
-        object.__setattr__(self, "intentions", tuple(self.intentions))
-        object.__setattr__(self, "evidence_ids", tuple(self.evidence_ids))
 
     def intention_ids(self) -> list[str]:
         return [it.id for it in self.intentions]
@@ -242,11 +239,6 @@ class SimilarityResult:
     # (new evidence id, precedent evidence id, local similarity)
     alignment: tuple[tuple[str, str, float], ...]
     score: float
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "alignment", tuple(tuple(entry) for entry in self.alignment)
-        )
 
 
 # --- validation -----------------------------------------------------------

@@ -113,7 +113,8 @@ class Repository:
             if not isinstance(meta, dict):
                 raise CorruptRecord({"meta.json": "not a JSON object"})
             version = meta.get("schema_version")
-            if version != SCHEMA_VERSION:
+            # Exactly an int: True and 1.0 compare equal to 1 but are not it.
+            if type(version) is not int or version != SCHEMA_VERSION:
                 raise SchemaVersionMismatch(
                     f"repository at {root} has schema_version {version!r}, "
                     f"supported: {SCHEMA_VERSION}"

@@ -13,11 +13,11 @@ from pathlib import Path
 import pytest
 
 from conftest import random_network
-from intent_cbr import cli
+from intent_cbr import cbr, cli
 from intent_cbr import fixtures as demo
 from intent_cbr.cli import main
 from intent_cbr.errors import DuplicateCaseId
-from intent_cbr.model import Attack, CaseStatus, Evidence, EvidenceKind
+from intent_cbr.model import Attack, Case, CaseStatus, Evidence, EvidenceKind, Intention
 from intent_cbr.repository import Repository
 from intent_cbr.serialize import attack_to_dict, canonical_dumps, network_to_dict
 
@@ -504,6 +504,56 @@ class TestReport:
         scores = [row["score"] for row in rows]
         assert scores == sorted(scores, reverse=True)
 
+    def test_chart_data_keeps_every_digit_of_a_score(self, tmp_path):
+        """Weights stored as 0.333333333333 make the score 0.6666666666659999,
+        which 12 significant digits would write as 0.666666666666."""
+
+        def attack(attack_id, host):
+            return Attack(
+                id=attack_id,
+                name=attack_id,
+                detection_state=1.0,
+                evidence=tuple(
+                    Evidence(
+                        id=f"{attack_id}-{i}",
+                        kind=EvidenceKind.TOOL_USAGE,
+                        attributes={"tool": f"t{i}", "host": host},
+                    )
+                    for i in range(3)
+                ),
+            )
+
+        root = tmp_path / "repo"
+        repo = Repository.open(root)
+        precedent = attack("p", "h1")
+        repo.add_case(
+            Case(
+                case_id="p",
+                attack=precedent,
+                intention=Intention("i1", "goal"),
+                evidence_weights={ev.id: 1 / 3 for ev in precedent.evidence},
+                status=CaseStatus.PRECEDENT,
+            )
+        )
+        query = attack("q", "h2")
+        repo.save_attack(query)
+        chart = tmp_path / "chart.json"
+        rc = main([
+            "report", "--repo", str(root), "--attack-id", "q",
+            "--out", str(tmp_path / "r.csv"), "--chart-data", str(chart),
+        ])
+        assert rc == 0
+        new_case = Case(
+            case_id="q-c1",
+            attack=query,
+            intention=None,
+            evidence_weights={},
+            status=CaseStatus.PROPOSED,
+        )
+        ranking = cbr.retrieve(new_case, Repository.open(root), k=None)
+        scores = [row["score"] for row in json.loads(chart.read_text(encoding="utf-8"))]
+        assert scores == [entry.score for entry in ranking.entries]
+
     def test_failed_csv_write_leaves_the_old_file(self, workdir, monkeypatch):
         ingest_keylogging(workdir)
         out = workdir / "report.csv"
@@ -809,6 +859,56 @@ def test_undecodable_or_misshaped_input_exit_2(workdir, capsys, argv, file_name,
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def _priors_sum_1_8(workdir):
+    network = replace(demo.demo_network(), priors={"int-exfil": 0.9, "int-recon": 0.9})
+    (workdir / "network.json").write_text(
+        canonical_dumps(network_to_dict(network)), encoding="utf-8"
+    )
+
+
+def _meta_not_an_object(workdir):
+    (workdir / "repo" / "meta.json").write_text("[]\n", encoding="utf-8")
+
+
+SEED_AIA = ["seed-aia", "--network", "{dir}/network.json", "--attack", "{dir}/attack.json"]
+
+
+@pytest.mark.parametrize(
+    "prepare, argv, message",
+    [
+        (
+            None,
+            ["ingest", "--input", "{dir}/keylog.csv", "--format", "csv",
+             "--attack-id", "x", "--detection-state", "1.5"],
+            "line 0: attack.detection_state: 1.5 outside [0,1]",
+        ),
+        (
+            None,
+            [*SEED_AIA, "--priors", "frequency"],
+            "repository frequencies cover none of the network's intentions",
+        ),
+        (_priors_sum_1_8, SEED_AIA, "network invalid: priors: sum 1.8 != 1"),
+        (
+            _meta_not_an_object,
+            ["analyze", "--attack-id", "keylogging"],
+            "corrupt records: meta.json",
+        ),
+    ],
+    ids=[
+        "ingest-detection-state-above-1",
+        "seed-aia-frequencies-cover-no-intention",
+        "seed-aia-priors-sum-1.8",
+        "meta-not-an-object",
+    ],
+)
+def test_invalid_input_exit_2_names_the_fault(workdir, capsys, prepare, argv, message):
+    if prepare is not None:
+        prepare(workdir)
+    rc = main([*(a.format(dir=workdir) for a in argv), "--repo", str(workdir / "repo")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

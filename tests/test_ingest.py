@@ -205,6 +205,36 @@ class TestJsonParsing:
             parse_evidence_file(path, "json")
 
 
+@pytest.mark.parametrize(
+    "doc, reason",
+    [
+        (5, "top level must be an object or an array"),
+        ({"id": "a1", "evidence": {}}, "attack document needs an 'evidence' array"),
+        (["e1"], "evidence record must be an object"),
+        ([{"id": "e1", "confidence": "high"}], "confidence must be a number, got 'high'"),
+        ([{"id": "e1", "attributes": [1]}], "attributes must be an object"),
+        ({"id": "a1", "detection_state": "x", "evidence": [{"id": "e1"}]},
+         "detection_state must be a number"),
+        ([{"id": " "}], "evidence id must be non-empty"),
+    ],
+    ids=[
+        "top-level-number",
+        "evidence-not-an-array",
+        "item-not-an-object",
+        "confidence-a-string",
+        "attributes-an-array",
+        "detection-state-a-string",
+        "blank-evidence-id",
+    ],
+)
+def test_malformed_json_document(tmp_path, doc, reason):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(MalformedRecord) as excinfo:
+        parse_evidence_file(path, "json", attack_id="a1")
+    assert excinfo.value.reason == reason
+
+
 @given(case_st("c1"))
 @settings(max_examples=50)
 def test_json_round_trip_property(tmp_path_factory, case):

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import case_st, mass_function_st
+from intent_cbr import cbr
+from intent_cbr import fixtures as demo
 from intent_cbr.errors import IllegalTransition, ValidationFailure
+from intent_cbr.ingest import parse_evidence_file, parse_network_file
 from intent_cbr.model import (
     Attack,
     BeliefReport,
@@ -20,6 +23,12 @@ from intent_cbr.model import (
     now_utc,
     transition,
     validate_case,
+)
+from intent_cbr.serialize import (
+    attack_from_dict,
+    attack_to_dict,
+    network_from_dict,
+    network_to_dict,
 )
 
 
@@ -211,3 +220,43 @@ def test_is_safe_id(record_id, ok):
 @pytest.mark.parametrize("record_id", ["case-1\n", "case-1\nx", "\ncase-1"])
 def test_is_safe_id_rejects_line_breaks(record_id):
     assert not is_safe_id(record_id)
+
+
+def test_every_builder_passes_exact_tuples(tmp_path):
+    """Records take their fields as given, so each builder in the package
+    hands them tuples, never lists."""
+    keylogging = demo.keylogging_attack()
+    attacks = [
+        keylogging,
+        demo.demo_attack(),
+        *(case.attack for case in demo.precedent_cases()),
+        attack_from_dict(attack_to_dict(keylogging)),
+        parse_evidence_file(demo.write_keylogging_csv(tmp_path / "k.csv"), "csv", attack_id="k"),
+        parse_evidence_file(demo.write_keylogging_json(tmp_path / "k.json"), "json"),
+    ]
+    networks = [
+        demo.demo_network(),
+        network_from_dict(network_to_dict(demo.demo_network())),
+        parse_network_file(demo.write_demo_network(tmp_path / "n.json")),
+    ]
+    query = Case(
+        case_id="q",
+        attack=keylogging,
+        intention=None,
+        evidence_weights={},
+        status=CaseStatus.PROPOSED,
+    )
+    repo = demo.install_demo_repository(tmp_path / "repo")
+    rankings = [cbr.retrieve(query, repo, k=k) for k in (3, None)]
+    results = [entry for ranking in rankings for entry in ranking.entries]
+    results += [cbr.similarity(query, p) for p in demo.precedent_cases()]
+
+    assert all(type(attack.evidence) is tuple for attack in attacks)
+    for network in networks:
+        assert type(network.intentions) is tuple
+        assert type(network.evidence_ids) is tuple
+    assert all(type(ranking.entries) is tuple for ranking in rankings)
+    for result in results:
+        assert type(result.alignment) is tuple
+        assert all(type(entry) is tuple for entry in result.alignment)
+    assert type(cbr.align_evidence(query, demo.precedent_cases()[0])) is tuple

@@ -313,6 +313,16 @@ def test_schema_version_mismatch(tmp_path):
         Repository.open(root)
 
 
+@pytest.mark.parametrize("version", ["true", "1.0"])
+def test_schema_version_must_be_an_exact_int(tmp_path, version):
+    """``True == 1`` and ``1.0 == 1``, yet neither is schema version 1."""
+    root = tmp_path / "repo"
+    Repository.open(root)
+    (root / "meta.json").write_text(f'{{"schema_version": {version}}}\n', encoding="utf-8")
+    with pytest.raises(SchemaVersionMismatch):
+        Repository.attach(root)
+
+
 def test_corrupt_meta_reported(tmp_path):
     root = tmp_path / "repo"
     Repository.open(root)
