@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import math
 import os
 import sys
@@ -21,7 +20,8 @@ from pathlib import Path
 from . import cbr
 from .errors import DuplicateCaseId, IntentCbrError, ValidationFailure
 from .model import Attack, Case, CaseStatus, now_utc, transition
-from .repository import Repository, _atomic_write
+from .repository import Repository, _atomic_write, _check_id
+from .serialize import canonical_dumps
 
 _REPO_ENV = "INTENT_CBR_REPO"
 # How many ids `analyze` tries for its new case before DuplicateCaseId stands.
@@ -223,6 +223,9 @@ def cmd_seed_aia(repo: Repository, args) -> int:
     _log_warnings()
     network = parse_network_file(args.network)
     attack = parse_evidence_file(args.attack, "json")
+    # Both are stored after the case: a bad id must fail before that write.
+    _check_id(attack.id, "attack")
+    _check_id(network.attack_id, "network attack_id")
     if args.priors == "uniform":
         ids = network.intention_ids()
         network = replace(network, priors={iid: 1.0 / len(ids) for iid in ids})
@@ -276,9 +279,7 @@ def cmd_report(repo: Repository, args) -> int:
             }
             for e in ranking.entries
         ]
-        # Not canonical_dumps: the chart keeps every digit, not 12 significant.
-        chart = json.dumps(rows, sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False)
-        _atomic_write(Path(args.chart_data), chart + "\n")
+        _atomic_write(Path(args.chart_data), canonical_dumps(rows))
         print(f"wrote {args.chart_data}", file=sys.stderr)
     return 0
 

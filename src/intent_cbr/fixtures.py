@@ -25,7 +25,7 @@ KEYLOGGING_ATTACK_ID = "keylogging"
 
 # The five keylogging evidence items: (id, kind, attributes, description,
 # confidence). Confidences sum to 4.0 so the normalized weights terminate
-# as short decimals and survive canonical rounding exactly.
+# as short decimals.
 _KEYLOGGING_EVIDENCE: tuple[tuple[str, EvidenceKind, dict[str, str], str, float], ...] = (
     (
         "ev01",

@@ -200,13 +200,18 @@ def _parse_json(
         attributes = item.get("attributes", {})
         if not isinstance(attributes, dict):
             raise MalformedRecord(index, "attributes must be an object")
+        for key, value in attributes.items():
+            if value is None:
+                raise MalformedRecord(index, f"attribute '{key}' has a null value")
+        # A null field is an absent one, never the text "None".
+        ev_id, raw_kind, description = map(item.get, ("id", "kind", "description"))
         evidence.append(
             _checked_evidence(
                 index,
                 seen,
-                ev_id=str(item.get("id", "")).strip(),
-                raw_kind=str(item.get("kind", "other")),
-                description=str(item.get("description", "")),
+                ev_id="" if ev_id is None else str(ev_id).strip(),
+                raw_kind="other" if raw_kind is None else str(raw_kind),
+                description="" if description is None else str(description),
                 confidence=float(raw_conf),
                 attributes={str(k): str(v) for k, v in attributes.items()},
             )

@@ -364,7 +364,8 @@ class Repository:
             out_of_order = case.case_id not in cases and case.case_id < next(
                 reversed(cases), ""
             )
-            # Cache what the disk now holds, not the pre-rounding value.
+            # Cache what the disk now holds: decoding turns a caller's types,
+            # such as an int attribute value, into the stored ones.
             cases[case.case_id] = case_from_dict(json.loads(doc))
             if out_of_order:
                 self._cases = dict(sorted(cases.items()))

@@ -1,9 +1,10 @@
 """Canonical JSON wire format for the domain model.
 
 One schema serves disk storage and interchange: sorted keys, two-space
-indent, floats rounded to 12 significant digits. Equal values therefore
-always serialize to identical bytes, which keeps golden-file tests and
-repository round-trips stable.
+indent, and each float as its shortest repr that reads back as the same
+float (as in RFC 8785). Equal values therefore always serialize to
+identical bytes, and a record reads back exactly as written, which keeps
+golden-file tests and repository round-trips stable.
 
 A record's document is exactly its dataclass fields, by name: one walker
 writes every record, an enum member as its value and a tuple as a list.
@@ -15,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import fields, is_dataclass
 from enum import Enum
-from typing import Any, Callable
+from typing import Any
 
 from .errors import ValidationFailure
 from .model import (
@@ -29,16 +30,11 @@ from .model import (
 )
 
 
-def canonical_float(x: float) -> float:
-    """Round to 12 significant digits; idempotent."""
-    return float(format(float(x), ".12g"))
-
-
 def canonical_dumps(data: Any) -> str:
     """Serialize to the canonical byte form (trailing newline included)."""
     return (
         json.dumps(
-            _walk(data, canonical_float),
+            _walk(data),
             sort_keys=True,
             indent=2,
             ensure_ascii=False,
@@ -48,31 +44,29 @@ def canonical_dumps(data: Any) -> str:
     )
 
 
-def _walk(value: Any, leaf: Callable[[float], float] | None) -> Any:
-    """`value` as JSON data: a record as a dict of its fields by name, an
-    enum member as its value, each float through `leaf` (None keeps it)."""
+def _walk(value: Any) -> Any:
+    """`value` as JSON data: a record as its document (a dict of its fields
+    by name), an enum member as its value, a tuple as a list."""
     # Strings, floats, dicts and records, most of the nodes, come first and
     # pay for no test meant for another type. A str-valued enum member is
     # a str, but not exactly one; an enum must not subclass float or dict.
     kind = type(value)
-    if kind is str or value is None:
+    if kind is str or value is None or isinstance(value, float):
         return value
-    if isinstance(value, float):
-        return value if leaf is None else leaf(value)
     if isinstance(value, dict):
-        return {key: _walk(item, leaf) for key, item in value.items()}
+        return {key: _walk(item) for key, item in value.items()}
     names = _FIELD_NAMES.get(kind)
     if names is not None:
-        return {name: _walk(getattr(value, name), leaf) for name in names}
+        return {name: _walk(getattr(value, name)) for name in names}
     if isinstance(value, Enum):
-        return _walk(value.value, leaf)
+        return _walk(value.value)
     if isinstance(value, (str, int)):  # a bool is an int
         return value
     if isinstance(value, (list, tuple)):
-        return [_walk(item, leaf) for item in value]
+        return [_walk(item) for item in value]
     if is_dataclass(value) and not isinstance(value, type):
         _FIELD_NAMES[kind] = tuple(f.name for f in fields(value))
-        return _walk(value, leaf)
+        return _walk(value)
     raise TypeError(f"cannot serialize {kind.__name__}")
 
 
@@ -80,13 +74,8 @@ def _walk(value: Any, leaf: Callable[[float], float] | None) -> Any:
 _FIELD_NAMES: dict[type, tuple[str, ...]] = {}
 
 
-def _to_dict(record: Any) -> dict:
-    """The record's document: its dataclass fields by name, floats as stored."""
-    return _walk(record, None)
-
-
-evidence_to_dict = attack_to_dict = intention_to_dict = _to_dict
-network_to_dict = case_to_dict = _to_dict
+evidence_to_dict = attack_to_dict = intention_to_dict = _walk
+network_to_dict = case_to_dict = _walk
 
 
 # --- per-type decoders -----------------------------------------------------

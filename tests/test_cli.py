@@ -84,6 +84,15 @@ class TestIngest:
         )
         assert rc == 1
 
+    def test_directory_input_is_io_failure(self, workdir, capsys):
+        rc = run(
+            workdir,
+            "ingest", "--input", workdir, "--format", "csv",
+            "--repo", workdir / "repo", "--attack-id", "x",
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read {workdir}: ")
+
     def test_bad_confidence_is_validation_failure(self, workdir, capsys):
         bad = workdir / "bad.csv"
         bad.write_text(
@@ -352,6 +361,37 @@ class TestSeedAia:
         ])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "attack_id, network_attack_id, message",
+        [
+            (".hidden", "demo-attack", "attack id '.hidden' not usable as a file name"),
+            ("demo-attack", "bad id", "network attack_id id 'bad id' not usable as a file name"),
+        ],
+        ids=["attack-id", "network-attack-id"],
+    )
+    def test_unusable_id_stores_nothing(
+        self, tmp_path, capsys, attack_id, network_attack_id, message
+    ):
+        network = replace(demo.demo_network(), attack_id=network_attack_id)
+        (tmp_path / "network.json").write_text(
+            canonical_dumps(network_to_dict(network)), encoding="utf-8"
+        )
+        (tmp_path / "attack.json").write_text(
+            canonical_dumps(attack_to_dict(replace(demo.demo_attack(), id=attack_id))),
+            encoding="utf-8",
+        )
+        root = tmp_path / "repo"
+        for _ in range(2):  # a retry meets the same fault, not a stored case
+            capsys.readouterr()
+            rc = main([
+                "seed-aia", "--repo", str(root),
+                "--network", str(tmp_path / "network.json"),
+                "--attack", str(tmp_path / "attack.json"),
+            ])
+            assert rc == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert sorted(p.name for p in root.rglob("*") if p.is_file()) == ["meta.json"]
+
     def test_total_conflict_exit_4(self, tmp_path, capsys):
         network = replace(
             demo.demo_network(),
@@ -505,8 +545,8 @@ class TestReport:
         assert scores == sorted(scores, reverse=True)
 
     def test_chart_data_keeps_every_digit_of_a_score(self, tmp_path):
-        """Weights stored as 0.333333333333 make the score 0.6666666666659999,
-        which 12 significant digits would write as 0.666666666666."""
+        """Two matched weights of 1/3 make the score 0.6666666666666666,
+        which 12 significant digits would write as 0.666666666667."""
 
         def attack(attack_id, host):
             return Attack(
@@ -861,11 +901,21 @@ def test_undecodable_or_misshaped_input_exit_2(workdir, capsys, argv, file_name,
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
-def _priors_sum_1_8(workdir):
-    network = replace(demo.demo_network(), priors={"int-exfil": 0.9, "int-recon": 0.9})
-    (workdir / "network.json").write_text(
-        canonical_dumps(network_to_dict(network)), encoding="utf-8"
-    )
+def _network(**changes):
+    """A `prepare` that writes the demo network, with `changes`, as the
+    seed-aia input."""
+
+    def prepare(workdir):
+        network = replace(demo.demo_network(), **changes)
+        (workdir / "network.json").write_text(
+            canonical_dumps(network_to_dict(network)), encoding="utf-8"
+        )
+
+    return prepare
+
+
+_EXFIL = demo.demo_network().intentions[0]
+_DEMO_ROWS = demo.demo_network().likelihoods
 
 
 def _meta_not_an_object(workdir):
@@ -889,7 +939,46 @@ SEED_AIA = ["seed-aia", "--network", "{dir}/network.json", "--attack", "{dir}/at
             [*SEED_AIA, "--priors", "frequency"],
             "repository frequencies cover none of the network's intentions",
         ),
-        (_priors_sum_1_8, SEED_AIA, "network invalid: priors: sum 1.8 != 1"),
+        (
+            _network(priors={"int-exfil": 0.9, "int-recon": 0.9}),
+            SEED_AIA,
+            "network invalid: priors: sum 1.8 != 1",
+        ),
+        (
+            _network(intentions=(_EXFIL, _EXFIL), priors={"int-exfil": 0.5}),
+            SEED_AIA,
+            "network invalid: intentions: ids must be unique within the frame",
+        ),
+        (
+            _network(intentions=(_EXFIL, Intention("int-recon", "", "demo"))),
+            SEED_AIA,
+            "network invalid: intention 'int-recon': label must be non-empty",
+        ),
+        (
+            _network(priors={"int-exfil": 1.0}),
+            SEED_AIA,
+            "network invalid: priors: missing entry for intention 'int-recon'",
+        ),
+        (
+            _network(priors={"int-exfil": 1.5, "int-recon": -0.5}),
+            SEED_AIA,
+            "network invalid: priors['int-recon']: -0.5 is negative",
+        ),
+        (
+            _network(likelihoods={"dev01": _DEMO_ROWS["dev01"]}),
+            SEED_AIA,
+            "network invalid: likelihoods: missing row for evidence 'dev02'",
+        ),
+        (
+            _network(likelihoods={**_DEMO_ROWS, "dev02": {"int-exfil": 0.7}}),
+            SEED_AIA,
+            "network invalid: likelihoods['dev02']: missing entry for intention 'int-recon'",
+        ),
+        (
+            _network(likelihoods={**_DEMO_ROWS, "dev02": {"int-exfil": 0.7, "int-recon": 1.5}}),
+            SEED_AIA,
+            "network invalid: likelihoods['dev02']['int-recon']: 1.5 outside [0,1]",
+        ),
         (
             _meta_not_an_object,
             ["analyze", "--attack-id", "keylogging"],
@@ -900,6 +989,13 @@ SEED_AIA = ["seed-aia", "--network", "{dir}/network.json", "--attack", "{dir}/at
         "ingest-detection-state-above-1",
         "seed-aia-frequencies-cover-no-intention",
         "seed-aia-priors-sum-1.8",
+        "seed-aia-duplicate-intention-ids",
+        "seed-aia-empty-label",
+        "seed-aia-missing-prior",
+        "seed-aia-negative-prior",
+        "seed-aia-missing-likelihood-row",
+        "seed-aia-missing-likelihood-entry",
+        "seed-aia-likelihood-1.5",
         "meta-not-an-object",
     ],
 )

@@ -140,6 +140,21 @@ class TestCsvParsing:
         with pytest.raises(MalformedRecord):
             parse_evidence_file(path, "csv", attack_id="a1")
 
+    @pytest.mark.parametrize(
+        "row, reason",
+        [
+            ("ev01\n", "expected at least id and kind columns"),
+            ("ev01,tool,x,1,=v\n", "attribute cell '=v' has an empty key"),
+        ],
+        ids=["one-column", "attribute-without-key"],
+    )
+    def test_malformed_row(self, tmp_path, row, reason):
+        path = tmp_path / "bad.csv"
+        path.write_text("id,kind,description,confidence,attr1\n" + row, encoding="utf-8")
+        with pytest.raises(MalformedRecord) as excinfo:
+            parse_evidence_file(path, "csv", attack_id="a1")
+        assert (excinfo.value.line, excinfo.value.reason) == (2, reason)
+
     def test_unknown_kind_warns_and_maps_to_other(self, tmp_path, caplog):
         path = tmp_path / "kind.csv"
         path.write_text("id,kind,description,confidence\nev01,weird,x,1\n", encoding="utf-8")
@@ -154,6 +169,16 @@ class TestCsvParsing:
 
 
 class TestJsonParsing:
+    def test_null_kind_and_description_take_their_defaults(self, caplog):
+        doc = json.dumps(
+            {"id": "a1", "evidence": [{"id": "e1", "kind": None, "description": None}]}
+        )
+        with caplog.at_level(logging.WARNING):
+            attack = parse_evidence_file_from_text(doc)
+        assert attack.evidence[0].kind is EvidenceKind.OTHER
+        assert attack.evidence[0].description == ""
+        assert caplog.records == []
+
     def test_round_trip_identity(self):
         attack = demo.keylogging_attack()
         doc = canonical_dumps(attack_to_dict(attack))
@@ -216,6 +241,8 @@ class TestJsonParsing:
         ({"id": "a1", "detection_state": "x", "evidence": [{"id": "e1"}]},
          "detection_state must be a number"),
         ([{"id": " "}], "evidence id must be non-empty"),
+        ([{"id": None}], "evidence id must be non-empty"),
+        ([{"id": "e1", "attributes": {"host": None}}], "attribute 'host' has a null value"),
     ],
     ids=[
         "top-level-number",
@@ -225,6 +252,8 @@ class TestJsonParsing:
         "attributes-an-array",
         "detection-state-a-string",
         "blank-evidence-id",
+        "null-evidence-id",
+        "null-attribute-value",
     ],
 )
 def test_malformed_json_document(tmp_path, doc, reason):
@@ -242,13 +271,12 @@ def test_json_round_trip_property(tmp_path_factory, case):
     path = tmp_path_factory.mktemp("rt") / "attack.json"
     path.write_text(canonical_dumps(attack_to_dict(attack)), encoding="utf-8")
     parsed = parse_evidence_file(path, "json")
-    # Confidences go through 12-significant-digit canonical rounding.
     assert parsed.id == attack.id
     assert [ev.id for ev in parsed.evidence] == [ev.id for ev in attack.evidence]
     for got, want in zip(parsed.evidence, attack.evidence):
         assert got.kind == want.kind
         assert got.attributes == want.attributes
-        assert got.confidence == pytest.approx(want.confidence, abs=1e-11)
+        assert got.confidence == want.confidence
 
 
 def test_order_preserved(tmp_path):

@@ -721,6 +721,8 @@ _EV = ("attack", "evidence", 0)
         (_set("evidence_weights", "e1", value=1.5), None,
          "evidence_weights: sum 1.75 != 1 for status 'precedent'"),
         (_set("case_id", value="c2"), None, "file name does not match case_id 'c2'"),
+        (_set("attack", "id", value=""), None, "attack.id: must be non-empty"),
+        (_set("intention", "label", value=""), None, "intention.label: must be non-empty"),
     ],
 )
 def test_scan_reports_a_malformed_case(tmp_path, mutate, cause, reason):
