@@ -9,6 +9,14 @@ so instances are safe to share across threads.
 Records take their fields as given, with no copy or conversion: a field
 typed as a tuple must be passed a tuple. Only ``MassFunction`` and
 ``BeliefReport`` check what they are built from.
+
+The records built once per stored case or per scored precedent
+(``Evidence``, ``Attack``, ``Intention``, ``Case`` and
+``SimilarityResult``) are slotted: they have no ``__dict__``, so each is
+smaller and quicker to build, which a full scan of the repository repeats
+thousands of times. The stored-record decoders build the first four slot
+by slot (``serialize._builder``), skipping ``__init__``, so none of them
+may gain a ``__post_init__``; ``_builder`` refuses such a class.
 """
 
 from __future__ import annotations
@@ -25,6 +33,10 @@ from .errors import IllegalTransition, ValidationFailure
 SUM_TOLERANCE = 1e-9
 
 _ID_PATTERN = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
+
+# Longest record id: a write's temp file, ``.<id>.json.<16 hex>.tmp``, is
+# the id plus 27 bytes, and 255 bytes is the usual file-name limit.
+_MAX_ID_LENGTH = 228
 
 
 class EvidenceKind(str, Enum):
@@ -80,7 +92,7 @@ def now_utc() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Evidence:
     """One observable artifact of an attack."""
 
@@ -91,7 +103,7 @@ class Evidence:
     confidence: float = 1.0  # detection confidence in [0, 1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Attack:
     """A detected attack and the evidence collected for it."""
 
@@ -104,7 +116,7 @@ class Attack:
         return [ev.id for ev in self.evidence]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Intention:
     """A candidate attacker goal."""
 
@@ -151,7 +163,7 @@ class CausalNetwork:
         raise ValidationFailure(f"intention '{intention_id}' not in network")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Case:
     """An attack paired with an (eventual) intention and evidence weights."""
 
@@ -230,7 +242,7 @@ class BeliefReport:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimilarityResult:
     """Outcome of scoring a new case against one precedent."""
 
@@ -282,21 +294,28 @@ def validate_case(case: Case) -> list[str]:
     if case.intention is not None and not case.intention.label:
         violations.append("intention.label: must be non-empty")
     evidence_ids = set(case.attack.evidence_ids())
+    finite = True
     for ev_id, weight in case.evidence_weights.items():
-        if weight < 0 or not math.isfinite(weight):
+        if not math.isfinite(weight):
+            violations.append(f"evidence_weights['{ev_id}']: {weight!r} is not finite")
+            finite = False
+        elif weight < 0:
             violations.append(f"evidence_weights['{ev_id}']: {weight!r} is negative")
         if ev_id not in evidence_ids:
             violations.append(
                 f"evidence_weights['{ev_id}']: no such evidence in the case"
             )
     if case.status in CONFIRMED_STATUSES:
-        weight_sum = math.fsum(
-            case.evidence_weights.get(ev_id, 0.0) for ev_id in evidence_ids
-        )
-        if abs(weight_sum - 1.0) > SUM_TOLERANCE:
-            violations.append(
-                f"evidence_weights: sum {weight_sum!r} != 1 for status '{case.status.value}'"
+        # A sum over a non-finite weight means nothing (and fsum raises on
+        # inf + -inf); that weight is reported above.
+        if finite:
+            weight_sum = math.fsum(
+                case.evidence_weights.get(ev_id, 0.0) for ev_id in evidence_ids
             )
+            if abs(weight_sum - 1.0) > SUM_TOLERANCE:
+                violations.append(
+                    f"evidence_weights: sum {weight_sum!r} != 1 for status '{case.status.value}'"
+                )
         if case.intention is None:
             violations.append(
                 f"intention: required for status '{case.status.value}'"
@@ -313,14 +332,19 @@ def validate_network(network: CausalNetwork) -> list[str]:
     for it in network.intentions:
         if not it.label:
             violations.append(f"intention '{it.id}': label must be non-empty")
-    prior_sum = math.fsum(network.priors.get(iid, 0.0) for iid in intention_ids)
-    if abs(prior_sum - 1.0) > SUM_TOLERANCE:
-        violations.append(f"priors: sum {prior_sum!r} != 1")
+    priors = [network.priors.get(iid, 0.0) for iid in intention_ids]
+    # A non-finite prior is reported below; a sum over it means nothing.
+    if all(map(math.isfinite, priors)):
+        prior_sum = math.fsum(priors)
+        if abs(prior_sum - 1.0) > SUM_TOLERANCE:
+            violations.append(f"priors: sum {prior_sum!r} != 1")
     for iid in intention_ids:
         prior = network.priors.get(iid)
         if prior is None:
             violations.append(f"priors: missing entry for intention '{iid}'")
-        elif prior < 0 or not math.isfinite(prior):
+        elif not math.isfinite(prior):
+            violations.append(f"priors['{iid}']: {prior!r} is not finite")
+        elif prior < 0:
             violations.append(f"priors['{iid}']: {prior!r} is negative")
     for ev_id in network.evidence_ids:
         row = network.likelihoods.get(ev_id)
@@ -351,8 +375,9 @@ def transition(case: Case, target: CaseStatus) -> Case:
 
 
 def is_safe_id(record_id: str) -> bool:
-    """True when the id is usable as a file name (no separators, no dots-only)."""
-    return bool(_ID_PATTERN.fullmatch(record_id))
+    """True when the id is usable as a file name (no separators, no dots-only,
+    and short enough for the temp name of a write)."""
+    return len(record_id) <= _MAX_ID_LENGTH and bool(_ID_PATTERN.fullmatch(record_id))
 
 
 def _is_finite_unit(x: float) -> bool:

@@ -72,6 +72,10 @@ from .serialize import (
 
 SCHEMA_VERSION = 1
 
+# Bytes asked for by each read of a stored record: far more than a case
+# file (about 1.5 KB), so one read takes all of it.
+_READ_SIZE = 65536
+
 
 class Repository:
     """Handle over a repository directory.
@@ -313,12 +317,18 @@ class Repository:
         A record that fails any of this is a CorruptRecord under `key`.
         """
         try:
-            # Unbuffered binary read of the whole file, then decode: no
-            # buffer layer and no newline translation, which JSON does not
-            # need.
-            with open(path, "rb", buffering=0) as fh:
-                data = fh.read()
-            record = from_dict(json.loads(data.decode("utf-8")))
+            # The whole file by plain reads until end of file, then decode:
+            # no file object, no stat to size a buffer, and no newline
+            # translation, which JSON does not need. A case file takes one
+            # read plus the empty one that ends it.
+            fd = os.open(path, os.O_RDONLY)
+            try:
+                chunks = []
+                while chunk := os.read(fd, _READ_SIZE):
+                    chunks.append(chunk)
+            finally:
+                os.close(fd)
+            record = from_dict(json.loads(b"".join(chunks).decode("utf-8")))
         except OSError as exc:
             raise IoFailure(f"cannot read {path}: {exc}") from exc
         except Exception as exc:

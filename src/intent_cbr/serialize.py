@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import fields, is_dataclass
 from enum import Enum
+from types import MemberDescriptorType
 from typing import Any
 
 from .errors import ValidationFailure
@@ -83,7 +84,8 @@ network_to_dict = case_to_dict = _walk
 # Each field is read by one call to the readers at the end of this
 # module, which hold the type rule and its messages. On the scan's path a
 # nested object is tested for its exact type inline, which costs no call,
-# and goes to `_obj` only when that test fails.
+# and goes to `_obj` only when that test fails. Records are built by
+# `_builder`'s functions, which take the field values by position.
 
 
 def evidence_from_dict(doc: dict) -> Evidence:
@@ -92,22 +94,28 @@ def evidence_from_dict(doc: dict) -> Evidence:
     attributes = doc.get("attributes", {})
     if type(attributes) is not dict:
         attributes = _obj(attributes, "attributes")
-    return Evidence(
-        id=ev_id,
-        kind=kind,
-        attributes={str(k): str(v) for k, v in attributes.items()},
-        description=str(doc.get("description", "")),
-        confidence=_num(doc.get("confidence", 1.0), "confidence"),
+    if None in attributes.values():
+        key = next(k for k, v in attributes.items() if v is None)
+        raise ValidationFailure(f"attribute '{key}' has a null value")
+    # A null field is an absent one, never the text "None".
+    description = doc.get("description")
+    return _build_evidence(
+        ev_id,
+        kind,
+        {str(k): str(v) for k, v in attributes.items()},
+        "" if description is None else str(description),
+        _num(doc.get("confidence", 1.0), "confidence"),
     )
 
 
 def attack_from_dict(doc: dict) -> Attack:
     attack_id = _req(doc, "id", str)
-    return Attack(
-        id=attack_id,
-        name=str(doc.get("name", attack_id)),
-        detection_state=_num(doc.get("detection_state", 1.0), "detection_state"),
-        evidence=tuple([
+    name = doc.get("name")
+    return _build_attack(
+        attack_id,
+        attack_id if name is None else str(name),
+        _num(doc.get("detection_state", 1.0), "detection_state"),
+        tuple([
             evidence_from_dict(item if type(item) is dict else _obj(item, f"evidence[{i}]"))
             for i, item in enumerate(_req(doc, "evidence", list))
         ]),
@@ -115,10 +123,10 @@ def attack_from_dict(doc: dict) -> Attack:
 
 
 def intention_from_dict(doc: dict) -> Intention:
-    return Intention(
-        id=_req(doc, "id", str),
-        label=_req(doc, "label", str),
-        category=None if doc.get("category") is None else str(doc["category"]),
+    return _build_intention(
+        _req(doc, "id", str),
+        _req(doc, "label", str),
+        None if doc.get("category") is None else str(doc["category"]),
     )
 
 
@@ -155,18 +163,19 @@ def case_from_dict(doc: dict) -> Case:
         intention = intention_from_dict(
             intention if type(intention) is dict else _obj(intention, "intention")
         )
-    return Case(
-        case_id=case_id,
-        attack=attack,
-        intention=intention,
+    provenance, created_at = doc.get("provenance"), doc.get("created_at")
+    return _build_case(
+        case_id,
+        attack,
+        intention,
         # Inline: a label and a call per weight would slow the scan.
-        evidence_weights={
+        {
             str(k): v if type(v) is float else _num(v, f"evidence_weights[{k}]")
             for k, v in _req(doc, "evidence_weights", dict).items()
         },
-        status=_member(doc, "status", _STATUSES, CaseStatus),
-        provenance=str(doc.get("provenance", "")),
-        created_at=str(doc.get("created_at", "")),
+        _member(doc, "status", _STATUSES, CaseStatus),
+        "" if provenance is None else str(provenance),
+        "" if created_at is None else str(created_at),
     )
 
 
@@ -174,6 +183,37 @@ def case_from_dict(doc: dict) -> Case:
 
 _KINDS = {kind.value: kind for kind in EvidenceKind}
 _STATUSES = {status.value: status for status in CaseStatus}
+
+
+def _builder(cls: type):
+    """A function that builds a `cls` from its field values, given by
+    position in ``dataclasses.fields(cls)`` order.
+
+    It does what the frozen ``__init__`` does, with no keyword call: a
+    new instance, then each slot set through its member descriptor. It
+    skips ``__post_init__``, so `cls` must have none, and it needs the
+    slots of ``@dataclass(slots=True)``.
+    """
+    names = [f.name for f in fields(cls)]
+    slots = [vars(cls).get(name) for name in names]
+    if hasattr(cls, "__post_init__") or not all(
+        isinstance(slot, MemberDescriptorType) for slot in slots
+    ):
+        raise TypeError(f"{cls.__name__} cannot be built slot by slot")
+    # One unrolled function per class: about half the cost of a loop over
+    # the setters, and a wrong number of values is a TypeError.
+    env = {"_new": object.__new__, "_cls": cls}
+    env.update({f"_set_{name}": slot.__set__ for name, slot in zip(names, slots)})
+    params = ", ".join(names)
+    body = "".join(f"    _set_{name}(_obj, {name})\n" for name in names)
+    exec(f"def build({params}):\n    _obj = _new(_cls)\n{body}    return _obj\n", env)
+    return env["build"]
+
+
+_build_evidence = _builder(Evidence)
+_build_attack = _builder(Attack)
+_build_intention = _builder(Intention)
+_build_case = _builder(Case)
 
 
 def _req(doc: dict, key: str, expected: type) -> Any:

@@ -107,6 +107,23 @@ class TestIngest:
         err = capsys.readouterr().err
         assert "line 2" in err
 
+    @pytest.mark.parametrize("length, rc", [(228, 0), (229, 2)])
+    def test_attack_id_length_limit(self, workdir, capsys, length, rc):
+        # A longer id would make a temp file name over 255 bytes.
+        attack_id = "x" * length
+        assert run(
+            workdir,
+            "ingest", "--input", workdir / "keylog.csv", "--format", "csv",
+            "--repo", workdir / "repo", "--attack-id", attack_id,
+        ) == rc
+        if rc == 0:
+            assert Repository.attach(workdir / "repo").load_attack(attack_id).id == attack_id
+        else:
+            assert capsys.readouterr().err == (
+                f"error: attack id '{attack_id}' not usable as a file name\n"
+            )
+            assert os.listdir(workdir / "repo" / "attacks") == []
+
     def test_reingest_same_attack_id_refused(self, workdir, capsys):
         assert ingest_keylogging(workdir) == 0
         assert ingest_keylogging(workdir) == 2
@@ -366,8 +383,11 @@ class TestSeedAia:
         [
             (".hidden", "demo-attack", "attack id '.hidden' not usable as a file name"),
             ("demo-attack", "bad id", "network attack_id id 'bad id' not usable as a file name"),
+            ("demo-attack", "a" * 300,
+             f"network attack_id id '{'a' * 300}' not usable as a file name"),
+            ("a" * 226, "demo-attack", f"case id 'aia-{'a' * 226}' not usable as a file name"),
         ],
-        ids=["attack-id", "network-attack-id"],
+        ids=["attack-id", "network-attack-id", "long-network-attack-id", "long-case-id"],
     )
     def test_unusable_id_stores_nothing(
         self, tmp_path, capsys, attack_id, network_attack_id, message

@@ -1,6 +1,7 @@
 """Core model invariants: validation, transitions, mass-function checks."""
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from intent_cbr.model import (
     now_utc,
     transition,
     validate_case,
+    validate_network,
 )
 from intent_cbr.serialize import (
     attack_from_dict,
@@ -211,7 +213,12 @@ def test_now_utc_shape():
 
 @pytest.mark.parametrize(
     "record_id,ok",
-    [("case-1", True), ("a.b_c-9", True), ("", False), ("../evil", False), (".hidden", False)],
+    [
+        ("case-1", True), ("a.b_c-9", True), ("", False), ("../evil", False), (".hidden", False),
+        # A write's temp name is the id plus 27 bytes, within the usual 255.
+        pytest.param("a" * 228, True, id="228-characters"),
+        pytest.param("a" * 229, False, id="229-characters"),
+    ],
 )
 def test_is_safe_id(record_id, ok):
     assert is_safe_id(record_id) is ok
@@ -220,6 +227,21 @@ def test_is_safe_id(record_id, ok):
 @pytest.mark.parametrize("record_id", ["case-1\n", "case-1\nx", "\ncase-1"])
 def test_is_safe_id_rejects_line_breaks(record_id):
     assert not is_safe_id(record_id)
+
+
+@pytest.mark.parametrize(
+    "prior, message",
+    [
+        (float("nan"), "priors['int-recon']: nan is not finite"),
+        (float("inf"), "priors['int-recon']: inf is not finite"),
+        (-float("inf"), "priors['int-recon']: -inf is not finite"),
+        (-0.5, "priors['int-recon']: -0.5 is negative"),
+    ],
+)
+def test_validate_network_names_a_bad_prior(prior, message):
+    network = demo.demo_network()
+    network = replace(network, priors={**network.priors, "int-recon": prior})
+    assert message in validate_network(network)
 
 
 def test_every_builder_passes_exact_tuples(tmp_path):

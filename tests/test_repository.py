@@ -716,6 +716,14 @@ _EV = ("attack", "evidence", 0)
          "unparseable: field 'intention' has wrong type list"),
         (lambda doc: [doc], ValidationFailure,
          "unparseable: document has wrong type list"),
+        (_set(*_EV, "attributes", value={"tool": None}), ValidationFailure,
+         "unparseable: attribute 'tool' has a null value"),
+        (_set("evidence_weights", "e1", value=float("nan")), None,
+         "evidence_weights['e1']: nan is not finite"),
+        (_set("evidence_weights", "e1", value=float("inf")), None,
+         "evidence_weights['e1']: inf is not finite"),
+        (_set("evidence_weights", value={"e1": float("inf"), "e2": -float("inf")}), None,
+         "evidence_weights['e1']: inf is not finite; evidence_weights['e2']: -inf is not finite"),
         (_set(*_EV, "confidence", value=float("nan")), None,
          "evidence 'e1': confidence nan outside [0,1]"),
         (_set("evidence_weights", "e1", value=1.5), None,
@@ -746,12 +754,16 @@ def test_scan_reports_a_malformed_case(tmp_path, mutate, cause, reason):
          lambda c: c.evidence_weights, {"e1": 1.0, "e2": 0.0}),
         (_set(*_EV, "description", value=5), lambda c: c.attack.evidence[0].description, "5"),
         (_set(*_EV, "description", value=None),
-         lambda c: c.attack.evidence[0].description, "None"),
+         lambda c: c.attack.evidence[0].description, ""),
         (_set(*_EV, "attributes", value={"port": 6667}),
          lambda c: c.attack.evidence[0].attributes, {"port": "6667"}),
         (_drop(*_EV, "confidence"), lambda c: c.attack.evidence[0].confidence, 1.0),
         (_drop("attack", "name"), lambda c: c.attack.name, "a1"),
         (_set("provenance", value=3), lambda c: c.provenance, "3"),
+        # A null optional field reads as an absent one, as in input files.
+        (_set("attack", "name", value=None), lambda c: c.attack.name, "a1"),
+        (_set("provenance", value=None), lambda c: c.provenance, ""),
+        (_set("created_at", value=None), lambda c: c.created_at, ""),
     ],
 )
 def test_scan_converts_loose_values_as_before(tmp_path, mutate, read, expected):
@@ -764,6 +776,15 @@ def test_scan_converts_loose_values_as_before(tmp_path, mutate, read, expected):
         assert all(type(v) is type(expected[k]) for k, v in scanned.items())
     else:
         assert type(scanned) is type(expected)
+
+
+def test_a_case_file_larger_than_one_read_is_read_whole(tmp_path):
+    doc = _set(*_EV, "description", value="d" * 100_000)(_case_doc())
+    repo = _scan_one(tmp_path, doc)
+    assert (tmp_path / "repo" / "cases" / "c1.json").stat().st_size > 65536
+    expected = case_from_dict(doc)
+    assert repo.get_case("c1") == expected
+    assert repo.list_cases() == [expected]
 
 
 def test_scan_loads_a_case_file_with_crlf_line_endings(tmp_path):

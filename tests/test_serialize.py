@@ -1,7 +1,10 @@
 """Canonical JSON codec: round trips and byte stability."""
 
+import copy
+import inspect
 import json
-from dataclasses import fields, replace
+import pickle
+from dataclasses import FrozenInstanceError, dataclass, fields, replace
 from pathlib import Path
 
 import pytest
@@ -12,6 +15,7 @@ from conftest import case_st, network_st
 from intent_cbr import fixtures as demo
 from intent_cbr import ingest
 from intent_cbr import repository as repository_module
+from intent_cbr import serialize
 from intent_cbr.errors import CorruptRecord, ValidationFailure
 from intent_cbr.model import CaseStatus, EvidenceKind, Intention
 from intent_cbr.repository import Repository
@@ -221,6 +225,68 @@ def test_every_field_is_written_and_read_back(encode, decode, record, others):
         assert changed != record, name
         assert decode(encode(changed)) == changed, name
         assert decode(encode(changed)) != decode(encode(record)), name
+
+
+# The records the decoders build slot by slot: all but the network.
+_BUILT = [entry for entry in _RECORD_FIELDS if entry[1] is not network_from_dict]
+_BUILT_IDS = [type(entry[2]).__name__ for entry in _BUILT]
+
+
+@pytest.mark.parametrize("record", [entry[2] for entry in _BUILT], ids=_BUILT_IDS)
+def test_builder_sets_exactly_the_fields(record):
+    cls = type(record)
+    names = [f.name for f in fields(cls)]
+    assert cls.__slots__ == tuple(names)
+    values = [object() for _ in names]
+    built = serialize._builder(cls)(*values)
+    assert all(getattr(built, name) is value for name, value in zip(names, values))
+    # The decoders' own builders take exactly the fields, in order.
+    decoder_builder = vars(serialize)[f"_build_{cls.__name__.lower()}"]
+    assert list(inspect.signature(decoder_builder).parameters) == names
+    with pytest.raises(TypeError):
+        decoder_builder(*values[:-1])
+
+
+@pytest.mark.parametrize("encode, decode, record, others", _BUILT, ids=_BUILT_IDS)
+def test_a_decoded_record_is_the_constructed_one(encode, decode, record, others):
+    names = [f.name for f in fields(record)]
+    for value in (record, *(replace(record, **{k: v}) for k, v in others.items())):
+        decoded = decode(encode(value))
+        constructed = type(value)(**{name: getattr(decoded, name) for name in names})
+        assert decoded == constructed == value
+        assert repr(decoded) == repr(constructed)
+
+
+@pytest.mark.parametrize("encode, decode, record, others", _BUILT, ids=_BUILT_IDS)
+def test_a_decoded_record_stays_a_frozen_value(encode, decode, record, others):
+    decoded = decode(encode(record))
+    assert not hasattr(decoded, "__dict__")
+    for name, value in others.items():
+        with pytest.raises(FrozenInstanceError):
+            setattr(decoded, name, value)
+        assert getattr(replace(decoded, **{name: value}), name) == value
+    assert decoded == record
+    if isinstance(record, Intention):
+        assert hash(decoded) == hash(record)
+    assert pickle.loads(pickle.dumps(decoded)) == decoded
+    assert copy.deepcopy(decoded) == decoded
+
+
+def test_builder_refuses_a_class_it_cannot_build_slot_by_slot():
+    @dataclass(frozen=True, slots=True)
+    class Checked:
+        value: float
+
+        def __post_init__(self):
+            pass
+
+    @dataclass(frozen=True)
+    class NoSlots:
+        value: float
+
+    for cls in (Checked, NoSlots):
+        with pytest.raises(TypeError, match=f"^{cls.__name__} cannot be built slot by slot$"):
+            serialize._builder(cls)
 
 
 @pytest.mark.parametrize(
