@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import heapq
 import math
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import IO
 
@@ -33,7 +32,6 @@ from .model import (
     Case,
     CaseStatus,
     Evidence,
-    EvidenceKind,
     Intention,
     SimilarityResult,
     transition,
@@ -168,7 +166,7 @@ def _bounded_scores(
     precedent whose bound equals the k-th score is still scored, since it
     can win that tie on its case id.
     """
-    query_kinds = Counter(ev.kind for ev in new_case.attack.evidence)
+    query_kinds = {ev.kind for ev in new_case.attack.evidence}
     pending = [(-_score_bound(query_kinds, p), p.case_id, p) for p in precedents]
     heapq.heapify(pending)
     best: list[float] = []  # min-heap of the k highest scores so far
@@ -186,38 +184,43 @@ def _bounded_scores(
     return scored
 
 
-def _score_bound(query_kinds: Counter, precedent: Case) -> float:
+def _score_bound(query_kinds: set, precedent: Case) -> float:
     """Upper bound on ``similarity(query, precedent).score``.
 
-    `query_kinds` counts the query's evidence per kind. Only evidence of
-    a query kind can align, a local similarity is at most 1, and each
-    item aligns at most once, so the bound adds, per query kind with
-    count c, the c largest weights of the precedent's evidence of that
-    kind. Summed with ``fsum`` like the score, it is never below it.
+    `query_kinds` holds the query's evidence kinds. Only evidence of a
+    query kind can align, each item aligns at most once, a local
+    similarity is at most 1 and weights are non-negative, so the score
+    is at most the weight of the precedent's evidence of those kinds.
+    Summed with ``fsum`` like the score, the bound is never below it.
     Checks the precedent's weights as :func:`similarity` does.
     """
     weights = _checked_weights(precedent)
-    by_kind: dict[EvidenceKind, list[float]] = {}
+    # A plain loop: a comprehension costs a frame per call before 3.12.
+    terms = []
     for ev in precedent.attack.evidence:
         if ev.kind in query_kinds:
-            by_kind.setdefault(ev.kind, []).append(weights.get(ev.id, 0.0))
-    terms: list[float] = []
-    for kind, kind_weights in by_kind.items():
-        count = query_kinds[kind]
-        if len(kind_weights) > count:
-            kind_weights = sorted(kind_weights, reverse=True)[:count]
-        terms += kind_weights
+            terms.append(weights.get(ev.id, 0.0))
     return math.fsum(terms)
 
 
 def _checked_weights(precedent: Case) -> dict[str, float]:
-    """The precedent's evidence weights; UnnormalizedWeights unless they sum to 1."""
+    """The precedent's evidence weights; UnnormalizedWeights unless each is
+    finite and non-negative and they sum to 1, as for a stored case.
+
+    A NaN or infinite weight makes the sum fail its test: it is then NaN or
+    infinite, or ``fsum`` raises (on inf + -inf, or beyond float range).
+    """
     weights = precedent.evidence_weights
-    weight_sum = math.fsum(weights.values())
-    if abs(weight_sum - 1.0) > SUM_TOLERANCE:
+    try:
+        weight_sum = math.fsum(weights.values())
+    except (ValueError, OverflowError):
+        weight_sum = math.nan
+    if not abs(weight_sum - 1.0) <= SUM_TOLERANCE:
         raise UnnormalizedWeights(
             f"precedent '{precedent.case_id}' weights sum to {weight_sum!r}"
         )
+    if min(weights.values()) < 0.0:
+        raise UnnormalizedWeights(f"precedent '{precedent.case_id}' has a negative weight")
     return weights
 
 

@@ -175,6 +175,8 @@ def cmd_ingest(repo: Repository, args) -> int:
 def cmd_analyze(repo: Repository, args) -> int:
     attack = repo.load_attack(args.attack_id)
     new_case = _fresh_case(repo, attack)
+    # The case is stored after the ranking is printed: a bad id must fail first.
+    _check_id(new_case.case_id, "case")
     ranking = cbr.retrieve(new_case, repo, k=args.top)
     _print_ranking(ranking)
     proposed = cbr.reuse(new_case, ranking)
@@ -379,10 +381,8 @@ def _prompt_verdict() -> cbr.ReviseVerdict:
     rationale = ""
     if answer == "reject":
         print("rationale: ", file=sys.stderr, end="", flush=True)
-        try:
+        with suppress(EOFError):
             rationale = input().strip()
-        except EOFError:
-            rationale = ""
     return cbr.ReviseVerdict(verdict=answer, rationale=rationale)
 
 

@@ -91,16 +91,24 @@ def parse_evidence_file(
         raise ValueError(f"format must be csv or json, got {format!r}")
     content = _read_input(path, format)
     if format == "csv":
-        evidence = _parse_csv(content)
-        attack = Attack(
-            id=attack_id or path.stem,
-            name=attack_name or attack_id or path.stem,
-            detection_state=1.0 if detection_state is None else detection_state,
-            evidence=evidence,
-        )
+        meta, evidence = {"id": path.stem}, _parse_csv(content)
     else:
-        attack = _parse_json(content, attack_id, attack_name, detection_state)
-
+        meta, evidence = _parse_json(content)
+    attack_id = attack_id or meta.get("id")
+    if not attack_id:
+        raise MalformedRecord(0, "attack id missing (pass attack_id or set 'id')")
+    if detection_state is None:
+        detection_state = meta.get("detection_state", 1.0)
+        if isinstance(detection_state, bool) or not isinstance(
+            detection_state, (int, float)
+        ):
+            raise MalformedRecord(0, "detection_state must be a number")
+    attack = Attack(
+        id=str(attack_id),
+        name=str(attack_name or meta.get("name") or attack_id),
+        detection_state=float(detection_state),
+        evidence=evidence,
+    )
     violations = validate_attack(attack)
     if violations:
         raise MalformedRecord(0, "; ".join(violations))
@@ -169,12 +177,8 @@ def _parse_csv(text: str) -> tuple[Evidence, ...]:
     return tuple(evidence)
 
 
-def _parse_json(
-    doc,
-    attack_id: str | None,
-    attack_name: str | None,
-    detection_state: float | None,
-) -> Attack:
+def _parse_json(doc) -> tuple[dict, tuple[Evidence, ...]]:
+    """The attack metadata and the evidence of a JSON document."""
     if isinstance(doc, list):
         meta: dict = {}
         items = doc
@@ -186,9 +190,6 @@ def _parse_json(
     else:
         raise MalformedRecord(0, "top level must be an object or an array")
 
-    resolved_id = attack_id or meta.get("id")
-    if not resolved_id:
-        raise MalformedRecord(0, "attack id missing (pass attack_id or set 'id')")
     evidence: list[Evidence] = []
     seen: set[str] = set()
     for index, item in enumerate(items, start=1):
@@ -218,19 +219,7 @@ def _parse_json(
         )
     if not evidence:
         raise MalformedRecord(0, "no evidence records; an attack needs at least one")
-
-    if detection_state is None:
-        detection_state = meta.get("detection_state", 1.0)
-        if isinstance(detection_state, bool) or not isinstance(
-            detection_state, (int, float)
-        ):
-            raise MalformedRecord(0, "detection_state must be a number")
-    return Attack(
-        id=str(resolved_id),
-        name=str(attack_name or meta.get("name") or resolved_id),
-        detection_state=float(detection_state),
-        evidence=tuple(evidence),
-    )
+    return meta, tuple(evidence)
 
 
 def _checked_evidence(

@@ -199,10 +199,9 @@ class MassFunction:
             key = frozenset(subset)
             if mass < 0:
                 raise ValidationFailure(f"negative mass {mass!r} on {sorted(key)}")
-            if not key:
-                if mass != 0.0:
-                    raise ValidationFailure("empty set must carry zero mass")
-                continue
+            # Zero mass on the empty set is dropped below like any zero mass.
+            if not key and mass != 0.0:
+                raise ValidationFailure("empty set must carry zero mass")
             if not key <= frame_set:
                 raise ValidationFailure(
                     f"focal subset {sorted(key)} outside frame {sorted(frame_set)}"

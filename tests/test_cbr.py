@@ -42,6 +42,8 @@ from intent_cbr.model import (
 )
 from oracles import resum_similarity
 
+TOOL, OTHER = EvidenceKind.TOOL_USAGE, EvidenceKind.OTHER
+
 
 def ev(ev_id, kind=EvidenceKind.TOOL_USAGE, attrs=None, confidence=1.0):
     return Evidence(id=ev_id, kind=kind, attributes=attrs or {}, confidence=confidence)
@@ -353,23 +355,24 @@ class TestBoundedRetrieve:
         assert cbr._score_bound(query_kinds, old) >= similarity(new, old).score
 
     @pytest.mark.parametrize(
-        "query_kinds, weights, expected",
+        "query_kinds, precedent_evidence, expected",
         [
-            ([EvidenceKind.TOOL_USAGE] * 2, [0.5, 0.5], 1.0),
-            ([EvidenceKind.TOOL_USAGE], [0.3, 0.7], 0.7),
-            ([EvidenceKind.TOOL_USAGE] * 2, [0.25, 0.5, 0.25], 0.75),
-            ([EvidenceKind.OTHER], [0.3, 0.7], 0.0),
+            ([TOOL] * 2, [(TOOL, 0.5), (TOOL, 0.5)], 1.0),
+            ([TOOL], [(TOOL, 0.3), (TOOL, 0.7)], 1.0),
+            ([TOOL] * 2, [(TOOL, 0.25), (TOOL, 0.5), (TOOL, 0.25)], 1.0),
+            ([OTHER], [(TOOL, 0.3), (TOOL, 0.7)], 0.0),
+            ([TOOL], [(TOOL, 0.3), (OTHER, 0.7)], 0.3),
         ],
     )
-    def test_bound_takes_as_many_weights_per_kind_as_the_query_has(
-        self, query_kinds, weights, expected
+    def test_bound_is_the_weight_of_the_evidence_of_the_query_kinds(
+        self, query_kinds, precedent_evidence, expected
     ):
         precedent = case_of(
             "p",
-            [ev(f"p{i}") for i in range(len(weights))],
-            {f"p{i}": w for i, w in enumerate(weights)},
+            [ev(f"p{i}", kind=kind) for i, (kind, _) in enumerate(precedent_evidence)],
+            {f"p{i}": w for i, (_, w) in enumerate(precedent_evidence)},
         )
-        assert cbr._score_bound(Counter(query_kinds), precedent) == expected
+        assert cbr._score_bound(set(query_kinds), precedent) == expected
 
     def test_two_query_items_of_one_kind_can_lift_a_precedent_to_the_top(self):
         query = case_of("new", [ev("q1"), ev("q2")], status=CaseStatus.PROPOSED)
@@ -398,6 +401,39 @@ class TestBoundedRetrieve:
         skewed = case_of("z", [unshared], {"z1": 0.5})
         with pytest.raises(UnnormalizedWeights, match="'z'"):
             retrieve(query, ListRepository([copy, skewed]), k=1)
+
+    @pytest.mark.parametrize("k", [None, 1])
+    def test_a_negative_weight_is_refused_by_every_ranking(self, k):
+        # Both sum to 1. Unchecked, k=None ranked "a" (-0.25) above "b"
+        # (-0.3), while the bound of k=1 kept "b".
+        query = case_of("new", [ev("q1", attrs={"tool": "x"})], status=CaseStatus.PROPOSED)
+        a = case_of(
+            "a", [ev("a1", attrs={"tool": "y"}), ev("a2", kind=OTHER)], {"a1": -0.5, "a2": 1.5}
+        )
+        b = case_of(
+            "b", [ev("b1", attrs={"tool": "x"}), ev("b2", kind=OTHER)], {"b1": -0.3, "b2": 1.3}
+        )
+        with pytest.raises(UnnormalizedWeights, match="'a'"):
+            retrieve(query, ListRepository([a, b]), k=k)
+
+    @pytest.mark.parametrize("k", [None, 1])
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            {"n1": math.nan, "n2": 1.0},
+            # min passes over a NaN that is not the first value.
+            {"n1": 1.0, "n2": math.nan},
+            {"n1": math.inf, "n2": 0.0},
+            {"n1": math.inf, "n2": -math.inf},
+            {"n1": 1e308, "n2": 1e308},
+        ],
+    )
+    def test_a_weight_that_is_not_finite_or_too_large_is_refused(self, weights, k):
+        query = case_of("new", [ev("q1")], status=CaseStatus.PROPOSED)
+        copy = case_of("a", [ev("a1")], {"a1": 1.0})
+        bad = case_of("n", [ev("n1"), ev("n2")], weights)
+        with pytest.raises(UnnormalizedWeights, match="'n'"):
+            retrieve(query, ListRepository([copy, bad]), k=k)
 
     def test_top_k_scores_fewer_precedents_than_a_full_ranking(self, monkeypatch):
         rng = random.Random(20031)
@@ -458,6 +494,13 @@ class TestReuse:
         with pytest.raises(EmptyRanking):
             reuse(keylogging_case, RetrievalRanking("x", ()))
 
+    def test_top_precedent_without_an_intention(self, keylogging_case):
+        precedent = case_of("p", [ev("p1")], {"p1": 1.0})
+        ranking = retrieve(keylogging_case, ListRepository([precedent]), k=1)
+        ranking = replace(ranking, precedent_intentions={})
+        with pytest.raises(ValidationFailure, match="precedent 'p' carries no intention"):
+            reuse(keylogging_case, ranking)
+
 
 class TestInitializeIncipient:
     def make_proposed(self, confidences):
@@ -504,6 +547,15 @@ class TestRevise:
     def test_accept(self):
         revised = revise(self.incipient(), ReviseVerdict("accept"))
         assert revised.status == CaseStatus.REVISED_ACCEPTED
+
+    def test_accept_notes_crime_type_and_damage(self):
+        revised = revise(
+            self.incipient(),
+            ReviseVerdict("accept", crime_type="espionage", damage_note="keys leaked"),
+        )
+        assert revised.provenance.endswith(
+            "revise accept crime_type=espionage damage=keys leaked"
+        )
 
     def test_reject_with_rationale(self):
         revised = revise(

@@ -211,6 +211,76 @@ class TestAnalyze:
         assert "does not fit" in case.provenance
 
 
+    @pytest.mark.parametrize(
+        "answers, message",
+        [
+            ([], "error: no verdict given\n"),
+            (["reject"], "error: a reject verdict requires a rationale\n"),
+        ],
+        ids=["at-the-verdict", "at-the-rationale"],
+    )
+    def test_interactive_end_of_input_stores_nothing(
+        self, workdir, capsys, monkeypatch, answers, message
+    ):
+        ingest_keylogging(workdir)
+        answers = iter(answers)
+
+        def answer():
+            text = next(answers, None)
+            if text is None:
+                raise EOFError
+            return text
+
+        monkeypatch.setattr("builtins.input", answer)
+        rc = run(
+            workdir,
+            "analyze", "--repo", workdir / "repo",
+            "--attack-id", "keylogging", "--interactive",
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.endswith(message)
+        assert not Repository.attach(workdir / "repo").has_case("keylogging-c1")
+
+    def test_interactive_asks_again_after_an_unknown_answer(self, workdir, capsys, monkeypatch):
+        ingest_keylogging(workdir)
+        answers = iter(["maybe", "accept"])
+        monkeypatch.setattr("builtins.input", lambda: next(answers))
+        rc = run(
+            workdir,
+            "analyze", "--repo", workdir / "repo",
+            "--attack-id", "keylogging", "--interactive",
+        )
+        assert rc == 0
+        prompt = "accept proposed intention? [accept/reject]: "
+        assert capsys.readouterr().err == (
+            f"{prompt}please answer 'accept' or 'reject'\n{prompt}"
+        )
+        repo = Repository.attach(workdir / "repo")
+        assert repo.get_case("keylogging-c1").status == CaseStatus.RETAINED
+
+    @pytest.mark.parametrize("length, rc", [(225, 0), (226, 2), (228, 2)])
+    def test_attack_id_too_long_for_its_case_id_prints_and_stores_nothing(
+        self, workdir, capsys, length, rc
+    ):
+        # Ingest takes up to 228 characters; the case id adds "-c1".
+        attack_id = "x" * length
+        assert run(
+            workdir,
+            "ingest", "--input", workdir / "keylog.csv", "--format", "csv",
+            "--repo", workdir / "repo", "--attack-id", attack_id,
+        ) == 0
+        capsys.readouterr()
+        cases = sorted(os.listdir(workdir / "repo" / "cases"))
+        assert run(workdir, "analyze", "--repo", workdir / "repo", "--attack-id", attack_id) == rc
+        out, err = capsys.readouterr()
+        if rc == 0:
+            assert f"incipient case {attack_id}-c1 written" in out
+        else:
+            assert (out, err) == (
+                "", f"error: case id '{attack_id}-c1' not usable as a file name\n"
+            )
+            assert sorted(os.listdir(workdir / "repo" / "cases")) == cases
+
     def test_id_taken_after_it_was_chosen_moves_to_the_next(
         self, workdir, capsys, monkeypatch
     ):
@@ -258,6 +328,25 @@ class TestAnalyze:
         assert rc == 2
         assert "already stored" in capsys.readouterr().err
         assert len(calls) == cli._ADD_ATTEMPTS
+
+    def test_the_last_id_attempt_can_succeed(self, workdir, capsys, monkeypatch):
+        ingest_keylogging(workdir)
+        calls = []
+        add_case = Repository.add_case
+
+        def taken_until_the_last_attempt(self, case):
+            calls.append(case.case_id)
+            if len(calls) < cli._ADD_ATTEMPTS:
+                raise DuplicateCaseId(f"case '{case.case_id}' already stored")
+            add_case(self, case)
+
+        monkeypatch.setattr(Repository, "add_case", taken_until_the_last_attempt)
+        rc = run(workdir, "analyze", "--repo", workdir / "repo", "--attack-id", "keylogging")
+        assert rc == 0
+        assert "incipient case keylogging-c1 written" in capsys.readouterr().out
+        assert len(calls) == cli._ADD_ATTEMPTS
+        stored = Repository.attach(workdir / "repo").get_case("keylogging-c1")
+        assert stored.status == CaseStatus.INCIPIENT
 
 
 class TestReviseRetain:

@@ -159,6 +159,11 @@ class TestBuildMassFunction:
         with pytest.raises(EmptyPosteriors):
             build_mass_function({}, Hypothesis("h1", accuracy=1.0))
 
+    @pytest.mark.parametrize("p", [1.5, -0.1])
+    def test_posterior_outside_the_unit_interval(self, p):
+        with pytest.raises(ValidationFailure, match=r"posterior for 'i1' is .*, outside \[0,1\]"):
+            build_mass_function({"i1": p, "i2": 0.5}, Hypothesis("h1", accuracy=1.0))
+
     def test_all_zero_posteriors(self):
         with pytest.raises(AllZeroPosteriors):
             build_mass_function({"i1": 0.0, "i2": 0.0}, Hypothesis("h1", accuracy=1.0))
@@ -481,3 +486,14 @@ def replace_frame(m: MassFunction, frame) -> MassFunction:
         key = mapped if mapped else theta
         masses[key] = masses.get(key, 0.0) + value
     return MassFunction(frame=tuple(target), masses=masses)
+
+
+def test_posterior_of_an_unknown_intention():
+    with pytest.raises(ValidationFailure, match="'ghost' not in network"):
+        posterior(two_intention_network(), "ghost", "ev1")
+
+
+def test_analyze_attack_refuses_an_attack_without_evidence():
+    attack = Attack(id="a1", name="a1", detection_state=0.9, evidence=())
+    with pytest.raises(ValidationFailure, match="attack 'a1' has no evidence"):
+        analyze_attack(attack, two_intention_network())

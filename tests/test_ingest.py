@@ -113,6 +113,15 @@ class TestCsvParsing:
         attack = parse_evidence_file(path, "csv", attack_id="a1")
         assert attack.evidence[0].confidence == 1.0
 
+    def test_blank_rows_are_skipped(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text(
+            "id,kind,description,confidence\n\nev01,tool,x,1\n , ,,\nev02,tool,y,1\n",
+            encoding="utf-8",
+        )
+        attack = parse_evidence_file(path, "csv", attack_id="a1")
+        assert [ev.id for ev in attack.evidence] == ["ev01", "ev02"]
+
     def test_duplicate_evidence_id(self, tmp_path):
         path = tmp_path / "dup.csv"
         path.write_text(
@@ -309,3 +318,8 @@ def parse_evidence_file_from_text(text: str, fmt: str = "json"):
         path = Path(tmp) / f"doc.{fmt}"
         path.write_text(text, encoding="utf-8")
         return parse_evidence_file(path, fmt)
+
+
+def test_unknown_format_is_refused(keylog_csv):
+    with pytest.raises(ValueError, match="format must be csv or json, got 'xml'"):
+        parse_evidence_file(keylog_csv, "xml", attack_id="a1")

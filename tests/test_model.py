@@ -23,6 +23,7 @@ from intent_cbr.model import (
     is_safe_id,
     now_utc,
     transition,
+    validate_attack,
     validate_case,
     validate_network,
 )
@@ -173,6 +174,15 @@ class TestMassFunction:
         assert frozenset({"i2"}) not in m.masses
         assert m.mass({"i2"}) == 0.0
 
+    @pytest.mark.parametrize("frame", [(), ("i1", "i1")])
+    def test_empty_or_repeated_frame_rejected(self, frame):
+        with pytest.raises(ValidationFailure, match="non-empty set of unique ids"):
+            MassFunction(frame=frame, masses={frozenset({"i1"}): 1.0})
+
+    def test_zero_mass_on_the_empty_set_dropped(self):
+        m = MassFunction(frame=("i1",), masses={frozenset(): 0.0, frozenset({"i1"}): 1.0})
+        assert m.masses == {frozenset({"i1"}): 1.0}
+
     @given(mass_function_st())
     @settings(max_examples=150)
     def test_constructed_masses_always_normalized(self, m):
@@ -282,3 +292,28 @@ def test_every_builder_passes_exact_tuples(tmp_path):
         assert type(result.alignment) is tuple
         assert all(type(entry) is tuple for entry in result.alignment)
     assert type(cbr.align_evidence(query, demo.precedent_cases()[0])) is tuple
+
+
+def test_find_intention_of_an_unknown_id():
+    network = demo.demo_network()
+    with pytest.raises(ValidationFailure, match="'ghost' not in network"):
+        network.find_intention("ghost")
+
+
+def test_validate_attack_names_an_empty_evidence_id_and_an_unknown_kind():
+    attack = Attack(
+        id="a1",
+        name="a1",
+        detection_state=0.5,
+        evidence=(Evidence(id="", kind=EvidenceKind.OTHER), Evidence(id="e2", kind="tool")),
+    )
+    assert validate_attack(attack) == [
+        "evidence with empty id: id must be non-empty",
+        "evidence 'e2': kind 'tool' not a known kind",
+    ]
+
+
+def test_validate_case_names_an_empty_case_id():
+    assert validate_case(replace(make_case({"ev01": 1.0}), case_id="")) == [
+        "case_id: must be non-empty"
+    ]

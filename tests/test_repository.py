@@ -806,3 +806,49 @@ def test_scan_names_a_case_file_that_is_not_utf8(tmp_path):
         "c1": f"unparseable: 'utf-8' codec can't decode byte 0xff in position {offset}:"
         " invalid start byte"
     }
+
+
+def test_a_cases_directory_that_cannot_be_listed_is_io_failure(tmp_path):
+    repo = Repository.attach(tmp_path / "repo")
+    (tmp_path / "repo" / "cases").rmdir()
+    with pytest.raises(IoFailure, match="cannot list .*cases"):
+        repo.list_cases()
+
+
+def test_the_writer_lock_on_a_vanished_meta_json_is_io_failure(repo):
+    (repo.root / "meta.json").unlink()
+    with pytest.raises(IoFailure, match="cannot lock .*meta.json"):
+        repo.add_case(demo.precedent_cases()[0])
+    assert os.listdir(repo.root / "cases") == []
+
+
+def test_a_failed_temp_write_leaves_no_temp_file(repo, monkeypatch):
+    class FailingWrite:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            raise OSError("simulated full disk")
+
+    def open_failing_writes(file, *args, **kwargs):
+        fh = open(file, *args, **kwargs)
+        # The temp file is opened by descriptor; meta.json (the lock) by path.
+        return FailingWrite(fh) if isinstance(file, int) else fh
+
+    monkeypatch.setattr(repository_module, "open", open_failing_writes, raising=False)
+    with pytest.raises(IoFailure, match="simulated full disk"):
+        repo.add_case(demo.precedent_cases()[0])
+    assert os.listdir(repo.root / "cases") == []
+
+
+def test_save_attack_refuses_an_invalid_attack(repo):
+    attack = replace(demo.keylogging_attack(), detection_state=1.5)
+    with pytest.raises(ValidationFailure, match=r"detection_state: 1.5 outside \[0,1\]"):
+        repo.save_attack(attack)
+    assert os.listdir(repo.root / "attacks") == []

@@ -300,3 +300,8 @@ def test_builder_refuses_a_class_it_cannot_build_slot_by_slot():
 def test_fixture_documents_keep_their_bytes(record, encode, name):
     expected = (DATA / name).read_text(encoding="utf-8")
     assert canonical_dumps(encode(record)) == expected
+
+
+def test_canonical_dumps_refuses_an_unsupported_type():
+    with pytest.raises(TypeError, match="cannot serialize object"):
+        canonical_dumps({"x": object()})
