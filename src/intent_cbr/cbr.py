@@ -15,7 +15,9 @@ from __future__ import annotations
 import csv
 import heapq
 import math
+import weakref
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from typing import IO
 
 from .errors import (
@@ -32,10 +34,20 @@ from .model import (
     Case,
     CaseStatus,
     Evidence,
+    EvidenceKind,
     Intention,
     SimilarityResult,
+    fsum_or_nan,
     transition,
 )
+
+# Column of each evidence kind in a bound row (see _bound_row).
+_COLUMN = {kind: column for column, kind in enumerate(EvidenceKind, start=1)}
+_ZERO_TOTALS = (0.0,) * len(_COLUMN)
+
+# Bound rows of each repository handle, by case id. A row dies with its
+# handle, and is used only for the very precedent object it was built from.
+_ROWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -135,7 +147,9 @@ def retrieve(new_case: Case, repository, k: int | None) -> RetrievalRanking:
     visits precedents in descending order of an upper bound on their
     score and stops once k scores are held and the next bound is below
     the k-th of them (the threshold algorithm of Fagin, Lotem & Naor).
-    The ranking is exactly the one of scoring every precedent.
+    The ranking is exactly the one of scoring every precedent. The bounds
+    come from rows that a repository handle keeps from its first top-k
+    call on (see :func:`_bound_rows`).
     """
     if k is not None and k < 1:
         raise ValidationFailure(f"k must be positive, got {k}")
@@ -145,7 +159,7 @@ def retrieve(new_case: Case, repository, k: int | None) -> RetrievalRanking:
     if k is None:
         scored = [(similarity(new_case, p), p) for p in precedents]
     else:
-        scored = _bounded_scores(new_case, precedents, k)
+        scored = _bounded_scores(new_case, _bound_rows(repository, precedents), k)
     scored.sort(key=lambda item: (-item[0].score, item[0].precedent_case_id))
     top = scored[:k]
     return RetrievalRanking(
@@ -158,16 +172,23 @@ def retrieve(new_case: Case, repository, k: int | None) -> RetrievalRanking:
 
 
 def _bounded_scores(
-    new_case: Case, precedents: list[Case], k: int
+    new_case: Case, rows: list[tuple], k: int
 ) -> list[tuple[SimilarityResult, Case]]:
     """Scores of the precedents that can still reach the top k.
 
-    Visits precedents by descending bound, ties by ascending case id. A
-    precedent whose bound equals the k-th score is still scored, since it
-    can win that tie on its case id.
+    `rows` holds the precedents' bound rows. Visits precedents by
+    descending bound, ties by ascending case id. A precedent whose bound
+    equals the k-th score is still scored, since it can win that tie on
+    its case id.
     """
-    query_kinds = {ev.kind for ev in new_case.attack.evidence}
-    pending = [(-_score_bound(query_kinds, p), p.case_id, p) for p in precedents]
+    query_columns = {_COLUMN[ev.kind] for ev in new_case.attack.evidence}
+    if len(query_columns) == 1:
+        bounds = map(itemgetter(*query_columns), rows)
+    elif query_columns:
+        bounds = map(math.fsum, map(itemgetter(*query_columns), rows))
+    else:  # a query without evidence aligns with nothing
+        bounds = [0.0] * len(rows)
+    pending = [(-bound, row[0].case_id, row[0]) for bound, row in zip(bounds, rows)]
     heapq.heapify(pending)
     best: list[float] = []  # min-heap of the k highest scores so far
     scored: list[tuple[SimilarityResult, Case]] = []
@@ -184,37 +205,72 @@ def _bounded_scores(
     return scored
 
 
-def _score_bound(query_kinds: set, precedent: Case) -> float:
+def _bound_rows(repository, precedents: list[Case]) -> list[tuple]:
+    """The precedents' bound rows, kept per repository handle.
+
+    A row is rebuilt whenever the handle lists another object under its
+    case id, as after a write. A handle that cannot be weakly referenced
+    or hashed gets fresh rows on every call.
+    """
+    try:
+        rows = _ROWS.setdefault(repository, {})
+    except TypeError:
+        rows = {}
+    found = []
+    for precedent in precedents:
+        row = rows.get(precedent.case_id)
+        if row is None or row[0] is not precedent:
+            row = rows[precedent.case_id] = _bound_row(precedent)
+        found.append(row)
+    return found
+
+
+def _bound_row(precedent: Case) -> tuple:
+    """The precedent, then its weight total per :class:`EvidenceKind`.
+
+    Checks the precedent's weights as :func:`similarity` does. A kind the
+    precedent lacks totals 0.0 and a kind with one item its weight. The
+    ``fsum`` of several is rounded one step up when the exact sum is
+    above it, so every total is at least the exact sum of its weights.
+    """
+    weights = _checked_weights(precedent)
+    by_column: dict[int, list[float]] = {}
+    for ev in precedent.attack.evidence:
+        by_column.setdefault(_COLUMN[ev.kind], []).append(weights.get(ev.id, 0.0))
+    row = [precedent, *_ZERO_TOTALS]
+    for column, terms in by_column.items():
+        total = terms[0]
+        if len(terms) > 1:
+            total = math.fsum(terms)
+            if math.fsum((*terms, -total)) > 0.0:
+                total = math.nextafter(total, math.inf)
+        row[column] = total
+    return tuple(row)
+
+
+def _score_bound(query_kinds, precedent: Case) -> float:
     """Upper bound on ``similarity(query, precedent).score``.
 
     `query_kinds` holds the query's evidence kinds. Only evidence of a
     query kind can align, each item aligns at most once, a local
     similarity is at most 1 and weights are non-negative, so the score
     is at most the weight of the precedent's evidence of those kinds.
-    Summed with ``fsum`` like the score, the bound is never below it.
-    Checks the precedent's weights as :func:`similarity` does.
+    Each kind's total in the bound row is at least the exact sum of its
+    weights, so their ``fsum`` is never below the score's.
     """
-    weights = _checked_weights(precedent)
-    # A plain loop: a comprehension costs a frame per call before 3.12.
-    terms = []
-    for ev in precedent.attack.evidence:
-        if ev.kind in query_kinds:
-            terms.append(weights.get(ev.id, 0.0))
-    return math.fsum(terms)
+    row = _bound_row(precedent)
+    return math.fsum(row[_COLUMN[kind]] for kind in set(query_kinds))
 
 
 def _checked_weights(precedent: Case) -> dict[str, float]:
     """The precedent's evidence weights; UnnormalizedWeights unless each is
     finite and non-negative and they sum to 1, as for a stored case.
 
-    A NaN or infinite weight makes the sum fail its test: it is then NaN or
-    infinite, or ``fsum`` raises (on inf + -inf, or beyond float range).
+    A NaN or infinite weight, or finite weights whose sum leaves float
+    range, make the sum NaN or infinite, which fails its test.
     """
     weights = precedent.evidence_weights
-    try:
-        weight_sum = math.fsum(weights.values())
-    except (ValueError, OverflowError):
-        weight_sum = math.nan
+    weight_sum = fsum_or_nan(weights.values())
     if not abs(weight_sum - 1.0) <= SUM_TOLERANCE:
         raise UnnormalizedWeights(
             f"precedent '{precedent.case_id}' weights sum to {weight_sum!r}"

@@ -208,8 +208,8 @@ class MassFunction:
                 )
             if mass != 0.0:
                 cleaned[key] = cleaned.get(key, 0.0) + mass
-        total = math.fsum(cleaned.values())
-        if abs(total - 1.0) > SUM_TOLERANCE:
+        total = fsum_or_nan(cleaned.values())
+        if not abs(total - 1.0) <= SUM_TOLERANCE:
             raise ValidationFailure(f"masses sum to {total!r}, expected 1")
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "masses", cleaned)
@@ -308,10 +308,10 @@ def validate_case(case: Case) -> list[str]:
         # A sum over a non-finite weight means nothing (and fsum raises on
         # inf + -inf); that weight is reported above.
         if finite:
-            weight_sum = math.fsum(
+            weight_sum = fsum_or_nan(
                 case.evidence_weights.get(ev_id, 0.0) for ev_id in evidence_ids
             )
-            if abs(weight_sum - 1.0) > SUM_TOLERANCE:
+            if not abs(weight_sum - 1.0) <= SUM_TOLERANCE:
                 violations.append(
                     f"evidence_weights: sum {weight_sum!r} != 1 for status '{case.status.value}'"
                 )
@@ -334,8 +334,8 @@ def validate_network(network: CausalNetwork) -> list[str]:
     priors = [network.priors.get(iid, 0.0) for iid in intention_ids]
     # A non-finite prior is reported below; a sum over it means nothing.
     if all(map(math.isfinite, priors)):
-        prior_sum = math.fsum(priors)
-        if abs(prior_sum - 1.0) > SUM_TOLERANCE:
+        prior_sum = fsum_or_nan(priors)
+        if not abs(prior_sum - 1.0) <= SUM_TOLERANCE:
             violations.append(f"priors: sum {prior_sum!r} != 1")
     for iid in intention_ids:
         prior = network.priors.get(iid)
@@ -377,6 +377,19 @@ def is_safe_id(record_id: str) -> bool:
     """True when the id is usable as a file name (no separators, no dots-only,
     and short enough for the temp name of a write)."""
     return len(record_id) <= _MAX_ID_LENGTH and bool(_ID_PATTERN.fullmatch(record_id))
+
+
+def fsum_or_nan(values) -> float:
+    """``math.fsum`` of the values, or NaN where ``fsum`` raises: on
+    inf + -inf, or when a sum of finite values leaves float range.
+
+    Every "sums to 1" check tests ``not abs(total - 1.0) <= SUM_TOLERANCE``,
+    which a NaN total fails.
+    """
+    try:
+        return math.fsum(values)
+    except (ValueError, OverflowError):
+        return math.nan
 
 
 def _is_finite_unit(x: float) -> bool:

@@ -1,9 +1,12 @@
 """Similarity, retrieval, and the retrieve/reuse/revise/retain cycle."""
 
+import gc
 import math
 import random
+import weakref
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +43,7 @@ from intent_cbr.model import (
     EvidenceKind,
     Intention,
 )
+from intent_cbr.repository import Repository
 from oracles import resum_similarity
 
 TOOL, OTHER = EvidenceKind.TOOL_USAGE, EvidenceKind.OTHER
@@ -456,6 +460,141 @@ class TestBoundedRetrieve:
             del scored[:]
             retrieve(query, repository, k=None)
             assert len(scored) == n
+
+
+def _top_k_is_the_head_of_the_full_ranking(query, repository):
+    full = retrieve(query, repository, k=None).entries
+    for k in range(1, len(full) + 1):
+        assert retrieve(query, repository, k=k).entries == full[:k]
+    return full
+
+
+class TestBoundRows:
+    """Each repository handle keeps one bound row per confirmed precedent."""
+
+    def test_writes_on_one_handle_keep_the_top_k_exact(self, tmp_path):
+        rng = random.Random(18)
+        repository = Repository.open(tmp_path / "repo")
+        for i in range(6):
+            repository.add_case(random_case(rng, f"p{i}"))
+        query = replace(random_case(rng, "q"), case_id="query", status=CaseStatus.PROPOSED)
+        _top_k_is_the_head_of_the_full_ranking(query, repository)
+        for i in range(4):
+            repository.add_case(random_case(rng, f"n{i}"))
+            _top_k_is_the_head_of_the_full_ranking(query, repository)
+            # An in-flight copy of the query, then its retained record, under
+            # an id that sorts first: the retained one must take the top.
+            twin = replace(
+                query,
+                case_id=f"a{i}",
+                intention=Intention("int-x", "goal"),
+                status=CaseStatus.REVISED_ACCEPTED,
+            )
+            repository.add_case(twin)
+            _top_k_is_the_head_of_the_full_ranking(query, repository)
+            retain(twin, repository)
+            full = _top_k_is_the_head_of_the_full_ranking(query, repository)
+            assert full[0].precedent_case_id == "a0"
+            assert f"a{i}" in cbr._ROWS[repository]
+
+    def test_a_new_object_under_an_old_case_id_gets_a_new_row(self):
+        query = case_of("new", [ev("q1")], status=CaseStatus.PROPOSED)
+        a = case_of("a", [ev("a1"), ev("a2", kind=OTHER)], {"a1": 0.1, "a2": 0.9})
+        b = case_of("b", [ev("b1", attrs={"tool": "x"})], {"b1": 1.0})
+        repository = ListRepository([a, b])
+        top = retrieve(query, repository, k=1).entries
+        assert [(e.precedent_case_id, e.score) for e in top] == [("b", 0.5)]
+        # The old row bounds "a" by 0.1, below b's 0.5: used, it would hide "a".
+        repository.cases[0] = replace(a, evidence_weights={"a1": 0.9, "a2": 0.1})
+        top = retrieve(query, repository, k=1).entries
+        assert [(e.precedent_case_id, e.score) for e in top] == [("a", 0.9)]
+        assert cbr._ROWS[repository]["a"][0] is repository.cases[0]
+
+    def test_bad_weights_raise_on_every_call(self):
+        query = case_of("new", [ev("q1")], status=CaseStatus.PROPOSED)
+        good = case_of("a", [ev("a1")], {"a1": 1.0})
+        bad = case_of("z", [ev("z1", kind=OTHER)], {"z1": 0.5})
+        repository = ListRepository([good, bad])
+        for _ in range(3):
+            with pytest.raises(UnnormalizedWeights, match="'z'"):
+                retrieve(query, repository, k=1)
+
+    def test_rows_die_with_their_handle(self, tmp_path):
+        repository = Repository.open(tmp_path / "repo")
+        repository.add_case(case_of("a", [ev("a1")], {"a1": 1.0}))
+        retrieve(case_of("new", [ev("q1")], status=CaseStatus.PROPOSED), repository, k=1)
+        assert list(cbr._ROWS[repository]) == ["a"]
+        handle = weakref.ref(repository)
+        held = len(cbr._ROWS)
+        del repository
+        gc.collect()
+        assert handle() is None
+        assert len(cbr._ROWS) < held
+
+    class Unhashable(ListRepository):
+        __hash__ = None
+
+    class Slotted:
+        """No __weakref__ slot, so no weak reference."""
+
+        __slots__ = ("cases",)
+
+        def __init__(self, cases):
+            self.cases = cases
+
+        def list_cases(self, status=None):
+            return list(self.cases)
+
+    @pytest.mark.parametrize("kind", [Unhashable, Slotted])
+    def test_a_handle_that_cannot_key_the_rows_still_ranks(self, kind):
+        rng = random.Random(7)
+        cases = [random_case(rng, f"p{i:02d}") for i in range(20)]
+        query = replace(random_case(rng, "q"), status=CaseStatus.PROPOSED)
+        held = len(cbr._ROWS)
+        full = _top_k_is_the_head_of_the_full_ranking(query, kind(cases))
+        assert full == retrieve(query, ListRepository(cases), k=None).entries
+        assert len(cbr._ROWS) == held
+
+    def test_a_query_without_evidence_ranks_every_precedent_at_zero(self):
+        query = replace(
+            case_of("new", [ev("q1")], status=CaseStatus.PROPOSED),
+            attack=Attack(id="empty", name="empty", detection_state=0.9, evidence=()),
+        )
+        repository = ListRepository([case_of(c, [ev(f"{c}1")], {f"{c}1": 1.0}) for c in "ba"])
+        full = _top_k_is_the_head_of_the_full_ranking(query, repository)
+        assert [(e.precedent_case_id, e.score) for e in full] == [("a", 0.0), ("b", 0.0)]
+
+    def test_a_repeated_kind_whose_fsum_rounds_down_is_rounded_up(self):
+        weights = {"p0": 1.0, "p1": 2.0**-53}
+        assert math.fsum(weights.values()) == 1.0
+        precedent = case_of("p", [ev("p0"), ev("p1")], weights)
+        bound = cbr._score_bound({TOOL}, precedent)
+        assert Fraction(bound) >= Fraction(1) + Fraction(2.0**-53)
+        assert bound == math.nextafter(1.0, 2.0)
+
+    def test_row_layout(self):
+        weights = {"t1": 0.25, "t2": 0.5, "o1": 0.25}
+        precedent = case_of("p", [ev("t1"), ev("o1", kind=OTHER), ev("t2")], weights)
+        row = cbr._bound_row(precedent)
+        assert row[0] is precedent
+        assert len(row) == 1 + len(EvidenceKind)
+        assert row[cbr._COLUMN[TOOL]] == 0.75
+        # A kind with one item holds that very weight object.
+        assert row[cbr._COLUMN[OTHER]] is weights["o1"]
+        assert [row[cbr._COLUMN[k]] for k in EvidenceKind if k not in (TOOL, OTHER)] == [0.0] * 7
+
+    @settings(max_examples=200, deadline=None)
+    @given(case_st("p"))
+    def test_each_total_is_the_least_float_not_below_its_exact_sum(self, precedent):
+        row = cbr._bound_row(precedent)
+        for kind, column in cbr._COLUMN.items():
+            exact = sum(
+                Fraction(precedent.evidence_weights[e.id])
+                for e in precedent.attack.evidence
+                if e.kind == kind
+            )
+            total = row[column]
+            assert Fraction(math.nextafter(total, -math.inf)) < exact <= Fraction(total)
 
 
 class TestReuse:

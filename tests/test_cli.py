@@ -762,16 +762,43 @@ def golden_bytes():
     return (Path(__file__).parent / "data" / "ranking_golden.csv").read_bytes()
 
 
-def test_corrupt_repository_exit_2(workdir):
+def test_corrupt_repository_exit_2(workdir, capsys):
     target = workdir / "repo" / "cases" / "botnet-01.json"
     doc = json.loads(target.read_text(encoding="utf-8"))
     first = next(iter(doc["evidence_weights"]))
     doc["evidence_weights"][first] += 0.4
     target.write_text(json.dumps(doc), encoding="utf-8")
+    ingest_keylogging(workdir)
+    capsys.readouterr()
     rc = main([
         "analyze", "--repo", str(workdir / "repo"), "--attack-id", "keylogging",
     ])
     assert rc == 2
+    assert "botnet-01" in capsys.readouterr().err
+
+
+def test_stored_weights_whose_sum_overflows_exit_2(workdir, capsys):
+    target = workdir / "repo" / "cases" / "botnet-01.json"
+    doc = json.loads(target.read_text(encoding="utf-8"))
+    doc["evidence_weights"] = dict.fromkeys(doc["evidence_weights"], 1e308)
+    target.write_text(json.dumps(doc), encoding="utf-8")
+    ingest_keylogging(workdir)
+    capsys.readouterr()
+    rc = run(workdir, "analyze", "--repo", workdir / "repo", "--attack-id", "keylogging")
+    assert rc == 2
+    assert capsys.readouterr().err == "error: corrupt records: botnet-01\n"
+
+
+def test_network_priors_whose_sum_overflows_exit_2(workdir, capsys):
+    doc = json.loads((workdir / "network.json").read_text(encoding="utf-8"))
+    doc["priors"] = dict.fromkeys(doc["priors"], 1e308)
+    (workdir / "network.json").write_text(json.dumps(doc), encoding="utf-8")
+    rc = run(
+        workdir, "seed-aia", "--repo", workdir / "repo",
+        "--network", workdir / "network.json", "--attack", workdir / "attack.json",
+    )
+    assert rc == 2
+    assert "priors: sum nan != 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["analyze", "report"])

@@ -77,6 +77,11 @@ class TestValidateCase:
         case = make_case({"ev01": 1.5, "ev02": -0.5})
         assert any("negative" in v for v in validate_case(case))
 
+    def test_weights_whose_sum_leaves_float_range_are_a_violation(self):
+        # fsum raises OverflowError on these; the sum counts as NaN instead.
+        violations = validate_case(make_case({"ev01": 1e308, "ev02": 1e308}))
+        assert violations == ["evidence_weights: sum nan != 1 for status 'retained'"]
+
     def test_in_flight_case_may_be_unnormalized(self):
         case = make_case({"ev01": 0.7, "ev02": 0.7}, status=CaseStatus.INCIPIENT)
         assert validate_case(case) == []
@@ -166,6 +171,19 @@ class TestMassFunction:
         with pytest.raises(ValidationFailure):
             MassFunction(frame=("i1",), masses={frozenset({"i9"}): 1.0})
 
+    @pytest.mark.parametrize(
+        "masses, total",
+        [
+            # abs(nan - 1.0) > SUM_TOLERANCE is false, so a plain test passed it.
+            ({frozenset({"i1"}): math.nan, frozenset({"i1", "i2"}): 0.5}, "nan"),
+            ({frozenset({"i1"}): 1e308, frozenset({"i2"}): 1e308}, "nan"),
+            ({frozenset({"i1"}): math.inf}, "inf"),
+        ],
+    )
+    def test_masses_that_are_nan_or_sum_beyond_float_range_rejected(self, masses, total):
+        with pytest.raises(ValidationFailure, match=f"masses sum to {total}, expected 1"):
+            MassFunction(frame=("i1", "i2"), masses=masses)
+
     def test_zero_masses_dropped(self):
         m = MassFunction(
             frame=("i1", "i2"),
@@ -252,6 +270,12 @@ def test_validate_network_names_a_bad_prior(prior, message):
     network = demo.demo_network()
     network = replace(network, priors={**network.priors, "int-recon": prior})
     assert message in validate_network(network)
+
+
+def test_validate_network_priors_whose_sum_leaves_float_range():
+    network = demo.demo_network()
+    network = replace(network, priors={iid: 1e308 for iid in network.priors})
+    assert validate_network(network) == ["priors: sum nan != 1"]
 
 
 def test_every_builder_passes_exact_tuples(tmp_path):

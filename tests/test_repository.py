@@ -728,6 +728,8 @@ _EV = ("attack", "evidence", 0)
          "evidence 'e1': confidence nan outside [0,1]"),
         (_set("evidence_weights", "e1", value=1.5), None,
          "evidence_weights: sum 1.75 != 1 for status 'precedent'"),
+        (_set("evidence_weights", value={"e1": 1e308, "e2": 1e308}), None,
+         "evidence_weights: sum nan != 1 for status 'precedent'"),
         (_set("case_id", value="c2"), None, "file name does not match case_id 'c2'"),
         (_set("attack", "id", value=""), None, "attack.id: must be non-empty"),
         (_set("intention", "label", value=""), None, "intention.label: must be non-empty"),
