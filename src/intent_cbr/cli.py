@@ -1,7 +1,8 @@
 """Command-line front end wiring the five-process workflow.
 
-Exit codes are stable and machine-friendly: 0 ok, 1 I/O failure,
-2 validation failure, 3 empty repository, 4 analysis failure.
+Exit codes are stable and machine-friendly: 0 ok, 1 I/O failure (also
+a failed write of the command's output), 2 validation failure, 3 empty
+repository, 4 analysis failure.
 Diagnostics go to stderr; data (rankings, reports, case ids) goes to
 stdout or the requested output files.
 """
@@ -9,6 +10,8 @@ stdout or the requested output files.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import io
 import math
 import os
@@ -29,17 +32,60 @@ _ADD_ATTEMPTS = 10
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    """Process entry: the console script and ``python -m intent_cbr``.
+    Call it once, as the process's entry; in-process callers use `main`.
+
+    Exits with `main`'s status through ``sys.exit``, so a caller's
+    ``finally`` still runs, then the ``atexit`` handlers that the command
+    registered. Last, stdout and stderr are flushed and ``os._exit`` ends
+    the process without the interpreter's teardown: handlers registered
+    before this call, such as coverage's, do not run. If `main` raises,
+    the process exits as Python does. The cyclic GC is off: the records
+    hold no reference cycles, and the process ends with the command.
+    """
+    gc.disable()
+    status: list[int] = []
+    atexit.register(_end_process, status)
+    status.append(main())
+    sys.exit(status[0])
+
+
+def _end_process(status: list[int]) -> None:
+    """`entrypoint`'s ``atexit`` handler: exit with `main`'s status, if it
+    returned one, skipping the interpreter's teardown."""
+    if not status:
+        return
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None:
+                stream.flush()
+        except (OSError, ValueError):
+            # Status 0 is left to Python's exit, which reports the failed
+            # flush as 120; any other status stands.
+            if status[0] == 0:
+                return
+    os._exit(status[0])
 
 
 def main(argv: list[str] | None = None) -> int:
+    """In-process API: run one command and return its exit status.
+
+    Unlike `entrypoint`, it leaves the GC on and registers no exit
+    handler: tests, demos and library callers run it in their own process.
+    """
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        return args.func(Repository.attach(_repo_path(args)), args)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # --help, or a usage error
+            rc = int(exc.code or 0)
+        else:
+            rc = args.func(Repository.attach(_repo_path(args)), args)
+        # Output that cannot be written is an I/O failure, here, and not a
+        # failed flush at exit.
+        if sys.stdout is not None:
+            sys.stdout.flush()
+        return rc
     except IntentCbrError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

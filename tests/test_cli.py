@@ -1,5 +1,8 @@
 """CLI surface: flags, exit codes, stream discipline, idempotence."""
 
+import atexit
+import errno
+import gc
 import json
 import math
 import os
@@ -7,6 +10,7 @@ import random
 import shutil
 import subprocess
 import sys
+from contextlib import suppress
 from dataclasses import replace
 from pathlib import Path
 
@@ -1274,3 +1278,163 @@ def test_ingest_loads_no_inference(workdir):
 
 def test_seed_aia_loads_ingest_and_inference(workdir):
     assert {"intent_cbr.ingest", "intent_cbr.inference"} <= _loaded_by(workdir, "seed-aia")
+
+
+# --- the process entry ---------------------------------------------------------
+# `entrypoint` ends the process when its command is done, so the tests below
+# run it in child processes only: in pytest's own process it would end pytest.
+
+DEV_FULL = Path("/dev/full")
+needs_dev_full = pytest.mark.skipif(not DEV_FULL.exists(), reason="no /dev/full")
+NO_SPACE = f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+
+
+def _child(*argv, **kwargs):
+    """Run a Python child with block-buffered output, as outside a test
+    runner that sets PYTHONUNBUFFERED, which would hide a missing flush."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONUNBUFFERED", None)
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run(
+        [sys.executable, *map(str, argv)],
+        env=env, stderr=subprocess.PIPE, timeout=120, **kwargs,
+    )
+
+
+def _ingest_argv(workdir):
+    return [
+        "ingest", "--input", workdir / "keylog.csv", "--format", "csv",
+        "--repo", workdir / "repo", "--attack-id", "keylogging",
+    ]
+
+
+@needs_dev_full
+def test_failed_output_write_exit_1(workdir, capsys, monkeypatch):
+    full = open(DEV_FULL, "w", encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", full)
+    try:
+        assert run(workdir, *_ingest_argv(workdir)) == 1
+    finally:
+        with suppress(OSError):  # the buffered line still cannot be written
+            full.close()
+    assert capsys.readouterr().err == NO_SPACE
+
+
+@needs_dev_full
+@pytest.mark.parametrize("help_", [False, True])
+def test_failed_output_write_in_a_process_exit_1(workdir, help_):
+    argv = ["--help"] if help_ else _ingest_argv(workdir)
+    with open(DEV_FULL, "w", encoding="utf-8") as full:
+        result = _child("-m", "intent_cbr", *argv, stdout=full)
+    assert (result.returncode, result.stderr.decode()) == (1, NO_SPACE)
+
+
+def test_no_stdout_at_all_is_no_failure(workdir):
+    """Started with stdout closed, as under ``>&-``, Python has no
+    ``sys.stdout`` and drops the output; the command still succeeds."""
+    result = _child(
+        "-m", "intent_cbr", *_ingest_argv(workdir), stdout=None, preexec_fn=lambda: os.close(1)
+    )
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert Repository.attach(workdir / "repo").has_attack("keylogging")
+
+
+def test_buffered_output_is_complete(workdir, capsys):
+    """Each command prints the same bytes, with the same exit code, in its
+    own process as through `main` in process on a copy of the repository."""
+    shutil.copytree(workdir / "repo", workdir / "copy")
+    for argv in (
+        _ingest_argv(workdir),
+        ["analyze", "--repo", workdir / "repo", "--attack-id", "keylogging"],
+    ):
+        result = _child("-m", "intent_cbr", *argv)
+        capsys.readouterr()
+        rc = run(workdir, *[workdir / "copy" if a == workdir / "repo" else a for a in argv])
+        captured = capsys.readouterr()
+        assert (result.returncode, result.stdout, result.stderr) == (
+            rc, captured.out.encode(), captured.err.encode()
+        )
+        assert result.stdout
+
+
+# Runs the console script's entry inside a wrapper, as perfbench/traced_cli.py
+# does, and leaves a marker file from the wrapper's `finally`.
+_WRAPPER = """
+import sys
+from pathlib import Path
+from intent_cbr.cli import entrypoint
+marker = Path(sys.argv.pop(1))
+try:
+    entrypoint()
+finally:
+    marker.write_text("done", encoding="utf-8")
+"""
+
+
+@pytest.mark.parametrize("verdict, expected", [("accept", 0), ("reject", 2)])
+def test_a_wrappers_finally_runs_before_the_process_ends(workdir, verdict, expected):
+    ingest_keylogging(workdir)
+    assert run(workdir, "analyze", "--repo", workdir / "repo", "--attack-id", "keylogging") == 0
+    marker = workdir / "marker"
+    result = _child(
+        "-c", _WRAPPER, marker, "revise", "--repo", workdir / "repo",
+        "--case-id", "keylogging-c1", "--verdict", verdict,
+    )
+    assert result.returncode == expected, result.stderr
+    assert marker.read_text(encoding="utf-8") == "done"
+
+
+def test_python_dash_m_exit_codes(workdir, tmp_path):
+    Repository.open(tmp_path / "empty-repo")
+    argv = _ingest_argv(workdir)
+    argv[argv.index(workdir / "repo")] = tmp_path / "empty-repo"
+    assert _child("-m", "intent_cbr", *argv).returncode == 0
+    empty = _child("-m", "intent_cbr", "analyze", "--repo", tmp_path / "empty-repo",
+                   "--attack-id", "keylogging")
+    assert empty.returncode == 3, empty.stderr
+
+    (workdir / "repo" / "cases" / "botnet-01.json").write_text("{", encoding="utf-8")
+    assert _child("-m", "intent_cbr", *_ingest_argv(workdir)).returncode == 0
+    corrupt = _child("-m", "intent_cbr", "analyze", "--repo", workdir / "repo",
+                     "--attack-id", "keylogging")
+    assert corrupt.returncode == 2
+    assert b"botnet-01" in corrupt.stderr
+
+
+# Registers one atexit handler before `entrypoint` and one while the command
+# runs; each prints its name when it runs.
+_HANDLERS = """
+import atexit
+from intent_cbr import cli
+atexit.register(print, "before")
+def main():
+    atexit.register(print, "during")
+    return {status}
+cli.main = main
+cli.entrypoint()
+"""
+
+
+@pytest.mark.parametrize("status", [0, 4])
+def test_atexit_handlers_of_the_command_run_earlier_ones_do_not(status):
+    result = _child("-c", _HANDLERS.format(status=status))
+    assert (result.returncode, result.stdout, result.stderr) == (status, b"during\n", b"")
+
+
+def test_a_command_that_raises_exits_as_python_does():
+    result = _child("-c", _HANDLERS.replace("return {status}", "raise RuntimeError('boom')"))
+    assert result.returncode == 1
+    assert result.stdout == b"during\nbefore\n"
+    assert result.stderr.endswith(b"RuntimeError: boom\n")
+
+
+@pytest.mark.parametrize("command", ["ingest", "analyze"])
+def test_main_in_process_changes_nothing_global(workdir, command):
+    ingest_keylogging(workdir)
+    handlers = atexit._ncallbacks()
+    argv = _ingest_argv(workdir) if command == "ingest" else [
+        "analyze", "--repo", workdir / "repo", "--attack-id", "keylogging"
+    ]
+    run(workdir, *argv)
+    assert gc.isenabled()
+    assert atexit._ncallbacks() == handlers
