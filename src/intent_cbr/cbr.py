@@ -20,13 +20,7 @@ from dataclasses import dataclass, field, replace
 from operator import itemgetter
 from typing import IO
 
-from .errors import (
-    EmptyRanking,
-    EmptyRepository,
-    IllegalTransition,
-    UnnormalizedWeights,
-    ValidationFailure,
-)
+from .errors import EmptyRanking, EmptyRepository, UnnormalizedWeights, ValidationFailure
 from .model import (
     CONFIRMED_STATUSES,
     SUM_TOLERANCE,
@@ -149,7 +143,8 @@ def retrieve(new_case: Case, repository, k: int | None) -> RetrievalRanking:
     the k-th of them (the threshold algorithm of Fagin, Lotem & Naor).
     The ranking is exactly the one of scoring every precedent. The bounds
     come from rows that a repository handle keeps from its first top-k
-    call on (see :func:`_bound_rows`).
+    call on (see :func:`_bound_rows`), so the handle must be hashable and
+    weakly referenceable, as :class:`~intent_cbr.repository.Repository` is.
     """
     if k is not None and k < 1:
         raise ValidationFailure(f"k must be positive, got {k}")
@@ -181,13 +176,7 @@ def _bounded_scores(
     equals the k-th score is still scored, since it can win that tie on
     its case id.
     """
-    query_columns = {_COLUMN[ev.kind] for ev in new_case.attack.evidence}
-    if len(query_columns) == 1:
-        bounds = map(itemgetter(*query_columns), rows)
-    elif query_columns:
-        bounds = map(math.fsum, map(itemgetter(*query_columns), rows))
-    else:  # a query without evidence aligns with nothing
-        bounds = [0.0] * len(rows)
+    bounds = _bounds(new_case, rows)
     pending = [(-bound, row[0].case_id, row[0]) for bound, row in zip(bounds, rows)]
     heapq.heapify(pending)
     best: list[float] = []  # min-heap of the k highest scores so far
@@ -205,17 +194,32 @@ def _bounded_scores(
     return scored
 
 
+def _bounds(new_case: Case, rows: list[tuple]):
+    """Upper bound on ``similarity(new_case, row[0]).score`` for each
+    bound row, in order.
+
+    Only evidence of a query kind can align, each item aligns at most
+    once, a local similarity is at most 1 and weights are non-negative, so
+    a score is at most the weight of the precedent's evidence of the
+    query's kinds. Each total in a row is at least the exact sum of its
+    weights, so their ``fsum`` is never below the score's.
+    """
+    columns = {_COLUMN[ev.kind] for ev in new_case.attack.evidence}
+    if len(columns) == 1:
+        return map(itemgetter(*columns), rows)
+    if columns:
+        return map(math.fsum, map(itemgetter(*columns), rows))
+    return [0.0] * len(rows)  # a query without evidence aligns with nothing
+
+
 def _bound_rows(repository, precedents: list[Case]) -> list[tuple]:
     """The precedents' bound rows, kept per repository handle.
 
-    A row is rebuilt whenever the handle lists another object under its
-    case id, as after a write. A handle that cannot be weakly referenced
-    or hashed gets fresh rows on every call.
+    The handle keys the rows weakly, so it must be hashable and weakly
+    referenceable. A row is rebuilt whenever the handle lists another
+    object under its case id, as after a write.
     """
-    try:
-        rows = _ROWS.setdefault(repository, {})
-    except TypeError:
-        rows = {}
+    rows = _ROWS.setdefault(repository, {})
     found = []
     for precedent in precedents:
         row = rows.get(precedent.case_id)
@@ -246,20 +250,6 @@ def _bound_row(precedent: Case) -> tuple:
                 total = math.nextafter(total, math.inf)
         row[column] = total
     return tuple(row)
-
-
-def _score_bound(query_kinds, precedent: Case) -> float:
-    """Upper bound on ``similarity(query, precedent).score``.
-
-    `query_kinds` holds the query's evidence kinds. Only evidence of a
-    query kind can align, each item aligns at most once, a local
-    similarity is at most 1 and weights are non-negative, so the score
-    is at most the weight of the precedent's evidence of those kinds.
-    Each kind's total in the bound row is at least the exact sum of its
-    weights, so their ``fsum`` is never below the score's.
-    """
-    row = _bound_row(precedent)
-    return math.fsum(row[_COLUMN[kind]] for kind in set(query_kinds))
 
 
 def _checked_weights(precedent: Case) -> dict[str, float]:
@@ -315,17 +305,11 @@ def initialize_incipient(proposed: Case) -> Case:
     Weights are the attack's :func:`confidence_weights`, and a readable
     summary of the proposal is appended to the provenance.
     """
-    if proposed.status != CaseStatus.PROPOSED:
-        raise IllegalTransition(
-            f"case '{proposed.case_id}': initialize requires status proposed, "
-            f"got {proposed.status.value}"
-        )
-    summary = _incipient_summary(proposed)
     case = transition(proposed, CaseStatus.INCIPIENT)
     return replace(
         case,
         evidence_weights=confidence_weights(proposed.attack),
-        provenance=_extend(case.provenance, summary),
+        provenance=_extend(case.provenance, _incipient_summary(proposed)),
     )
 
 

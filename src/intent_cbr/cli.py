@@ -418,7 +418,7 @@ def _prompt_verdict() -> cbr.ReviseVerdict:
     while True:
         print("accept proposed intention? [accept/reject]: ", file=sys.stderr, end="", flush=True)
         try:
-            answer = input().strip().lower()
+            answer = _answer().lower()
         except EOFError:
             raise ValidationFailure("no verdict given") from None
         if answer in ("accept", "reject"):
@@ -428,8 +428,18 @@ def _prompt_verdict() -> cbr.ReviseVerdict:
     if answer == "reject":
         print("rationale: ", file=sys.stderr, end="", flush=True)
         with suppress(EOFError):
-            rationale = input().strip()
+            rationale = _answer()
     return cbr.ReviseVerdict(verdict=answer, rationale=rationale)
+
+
+def _answer() -> str:
+    """One line of standard input, stripped. Where stdin decodes strictly,
+    an undecodable byte is a ValidationFailure; elsewhere it reaches the
+    record and fails there, as a command-line argument's does."""
+    try:
+        return input().strip()
+    except UnicodeDecodeError:
+        raise ValidationFailure("answer is not UTF-8 text") from None
 
 
 if __name__ == "__main__":

@@ -41,7 +41,7 @@ from .model import (
     validate_attack,
     validate_network,
 )
-from .serialize import network_from_dict
+from .serialize import _num, network_from_dict
 
 logger = logging.getLogger(__name__)
 
@@ -98,11 +98,7 @@ def parse_evidence_file(
     if not attack_id:
         raise MalformedRecord(0, "attack id missing (pass attack_id or set 'id')")
     if detection_state is None:
-        detection_state = meta.get("detection_state", 1.0)
-        if isinstance(detection_state, bool) or not isinstance(
-            detection_state, (int, float)
-        ):
-            raise MalformedRecord(0, "detection_state must be a number")
+        detection_state = _number(meta.get("detection_state", 1.0), "detection_state", 0)
     attack = Attack(
         id=str(attack_id),
         name=str(attack_name or meta.get("name") or attack_id),
@@ -138,9 +134,19 @@ def _read_input(path: Path, format: str):
     if format == "csv":
         return text
     try:
-        return json.loads(text)
+        doc = json.loads(text)
+        # An escape such as "\ud800" reads as text that no UTF-8 file holds.
+        json.dumps(doc, ensure_ascii=False).encode("utf-8")
     except json.JSONDecodeError as exc:
         raise MalformedRecord(exc.lineno, f"invalid JSON: {exc.msg}") from exc
+    except UnicodeEncodeError as exc:
+        bad = exc.object[exc.start : exc.end]
+        raise MalformedRecord(0, f"text {bad!r} cannot be stored as UTF-8") from None
+    except RecursionError:
+        raise MalformedRecord(0, "invalid JSON: nested too deep") from None
+    except ValueError:  # an integer past the interpreter's digit limit
+        raise MalformedRecord(0, "invalid JSON: an integer with too many digits") from None
+    return doc
 
 
 def _parse_csv(text: str) -> tuple[Evidence, ...]:
@@ -195,9 +201,7 @@ def _parse_json(doc) -> tuple[dict, tuple[Evidence, ...]]:
     for index, item in enumerate(items, start=1):
         if not isinstance(item, dict):
             raise MalformedRecord(index, "evidence record must be an object")
-        raw_conf = item.get("confidence", 1.0)
-        if isinstance(raw_conf, bool) or not isinstance(raw_conf, (int, float)):
-            raise MalformedRecord(index, f"confidence must be a number, got {raw_conf!r}")
+        confidence = _number(item.get("confidence", 1.0), "confidence", index)
         attributes = item.get("attributes", {})
         if not isinstance(attributes, dict):
             raise MalformedRecord(index, "attributes must be an object")
@@ -213,7 +217,7 @@ def _parse_json(doc) -> tuple[dict, tuple[Evidence, ...]]:
                 ev_id="" if ev_id is None else str(ev_id).strip(),
                 raw_kind="other" if raw_kind is None else str(raw_kind),
                 description="" if description is None else str(description),
-                confidence=float(raw_conf),
+                confidence=confidence,
                 attributes={str(k): str(v) for k, v in attributes.items()},
             )
         )
@@ -253,6 +257,15 @@ def _checked_evidence(
         description=description,
         confidence=confidence,
     )
+
+
+def _number(value, label: str, line: int) -> float:
+    """`value` as a float by the rule of stored records; a value that
+    breaks it is a MalformedRecord at `line`."""
+    try:
+        return _num(value, label)
+    except ValidationFailure as exc:
+        raise MalformedRecord(line, str(exc)) from None
 
 
 def _parse_confidence(cell: str, line: int) -> float:

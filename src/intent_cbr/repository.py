@@ -112,7 +112,7 @@ class Repository:
                 )
             try:
                 meta = json.loads(meta_path.read_text(encoding="utf-8"))
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise CorruptRecord({"meta.json": f"unparseable: {exc}"}) from exc
             if not isinstance(meta, dict):
                 raise CorruptRecord({"meta.json": "not a JSON object"})
@@ -439,9 +439,15 @@ def _write_temp(path, text: str) -> str:
 
     The name is unique, so concurrent writers never share a temp file,
     and ends in ``.tmp``, which the scan skips. The mode is 0666 less the
-    umask, as for a plain open(). A failed write leaves no file.
+    umask, as for a plain open(). A failed write leaves no file. Text that
+    UTF-8 cannot hold, such as an undecodable byte of a command-line
+    argument, is a ValidationFailure, and no file is made.
     """
-    data = text.encode("utf-8")
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        bad = exc.object[exc.start : exc.end]
+        raise ValidationFailure(f"text {bad!r} cannot be stored as UTF-8") from None
     directory, name = os.path.split(path)
     tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)

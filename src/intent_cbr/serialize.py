@@ -232,12 +232,16 @@ def _req(doc: dict, key: str, expected: type) -> Any:
 
 
 def _num(value: Any, label: str) -> float:
-    """`value` as a ``float``; `label` names it in the error."""
+    """`value` as a ``float``; `label` names it in the error. Stored
+    records and JSON input files read their numbers by this rule."""
     if type(value) is float:
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationFailure(f"field '{label}' must be a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer past float range
+        raise ValidationFailure(f"field '{label}' is beyond float range") from None
 
 
 def _obj(value: Any, label: str) -> dict:

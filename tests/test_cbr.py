@@ -4,7 +4,6 @@ import gc
 import math
 import random
 import weakref
-from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -352,31 +351,37 @@ class TestBoundedRetrieve:
             }
 
     @settings(max_examples=200, deadline=None)
-    @given(case_pair_st())
-    def test_bound_is_never_below_the_score(self, pair):
+    @given(case_pair_st(), st.integers(0, 6))
+    def test_bound_is_never_below_the_score(self, pair, keep):
+        # The query's first `keep` items: of no kind, one kind or several.
         new, old = pair
-        query_kinds = Counter(e.kind for e in new.attack.evidence)
-        assert cbr._score_bound(query_kinds, old) >= similarity(new, old).score
+        new = replace(new, attack=replace(new.attack, evidence=new.attack.evidence[:keep]))
+        [bound] = cbr._bounds(new, [cbr._bound_row(old)])
+        assert bound >= similarity(new, old).score
 
     @pytest.mark.parametrize(
         "query_kinds, precedent_evidence, expected",
         [
+            ([], [(TOOL, 1.0)], 0.0),
             ([TOOL] * 2, [(TOOL, 0.5), (TOOL, 0.5)], 1.0),
             ([TOOL], [(TOOL, 0.3), (TOOL, 0.7)], 1.0),
             ([TOOL] * 2, [(TOOL, 0.25), (TOOL, 0.5), (TOOL, 0.25)], 1.0),
             ([OTHER], [(TOOL, 0.3), (TOOL, 0.7)], 0.0),
             ([TOOL], [(TOOL, 0.3), (OTHER, 0.7)], 0.3),
+            ([TOOL, OTHER], [(TOOL, 0.25), (EvidenceKind.PORT_EXPLOIT, 0.5), (OTHER, 0.25)], 0.5),
+            ([OTHER, TOOL, OTHER], [(TOOL, 0.3), (OTHER, 0.7)], 1.0),
         ],
     )
     def test_bound_is_the_weight_of_the_evidence_of_the_query_kinds(
         self, query_kinds, precedent_evidence, expected
     ):
+        query = case_of("new", [ev(f"q{i}", kind=kind) for i, kind in enumerate(query_kinds)])
         precedent = case_of(
             "p",
             [ev(f"p{i}", kind=kind) for i, (kind, _) in enumerate(precedent_evidence)],
             {f"p{i}": w for i, (_, w) in enumerate(precedent_evidence)},
         )
-        assert cbr._score_bound(set(query_kinds), precedent) == expected
+        assert list(cbr._bounds(query, [cbr._bound_row(precedent)])) == [expected]
 
     def test_two_query_items_of_one_kind_can_lift_a_precedent_to_the_top(self):
         query = case_of("new", [ev("q1"), ev("q2")], status=CaseStatus.PROPOSED)
@@ -531,30 +536,6 @@ class TestBoundRows:
         assert handle() is None
         assert len(cbr._ROWS) < held
 
-    class Unhashable(ListRepository):
-        __hash__ = None
-
-    class Slotted:
-        """No __weakref__ slot, so no weak reference."""
-
-        __slots__ = ("cases",)
-
-        def __init__(self, cases):
-            self.cases = cases
-
-        def list_cases(self, status=None):
-            return list(self.cases)
-
-    @pytest.mark.parametrize("kind", [Unhashable, Slotted])
-    def test_a_handle_that_cannot_key_the_rows_still_ranks(self, kind):
-        rng = random.Random(7)
-        cases = [random_case(rng, f"p{i:02d}") for i in range(20)]
-        query = replace(random_case(rng, "q"), status=CaseStatus.PROPOSED)
-        held = len(cbr._ROWS)
-        full = _top_k_is_the_head_of_the_full_ranking(query, kind(cases))
-        assert full == retrieve(query, ListRepository(cases), k=None).entries
-        assert len(cbr._ROWS) == held
-
     def test_a_query_without_evidence_ranks_every_precedent_at_zero(self):
         query = replace(
             case_of("new", [ev("q1")], status=CaseStatus.PROPOSED),
@@ -568,7 +549,7 @@ class TestBoundRows:
         weights = {"p0": 1.0, "p1": 2.0**-53}
         assert math.fsum(weights.values()) == 1.0
         precedent = case_of("p", [ev("p0"), ev("p1")], weights)
-        bound = cbr._score_bound({TOOL}, precedent)
+        [bound] = cbr._bounds(case_of("new", [ev("q1")]), [cbr._bound_row(precedent)])
         assert Fraction(bound) >= Fraction(1) + Fraction(2.0**-53)
         assert bound == math.nextafter(1.0, 2.0)
 

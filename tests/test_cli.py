@@ -355,8 +355,7 @@ class TestAnalyze:
 
 class TestReviseRetain:
     def prepare_incipient(self, workdir):
-        ingest_keylogging(workdir)
-        run(workdir, "analyze", "--repo", workdir / "repo", "--attack-id", "keylogging")
+        _incipient(workdir)
         return "keylogging-c1"
 
     def test_accept_then_retain(self, workdir, capsys):
@@ -1063,6 +1062,42 @@ def _meta_not_an_object(workdir):
 
 
 SEED_AIA = ["seed-aia", "--network", "{dir}/network.json", "--attack", "{dir}/attack.json"]
+INGEST_JSON = ["ingest", "--input", "{dir}/attack.json", "--format", "json", "--attack-id", "x"]
+REVISE = ["revise", "--case-id", "keylogging-c1", "--verdict", "reject", "--rationale", "r"]
+
+# Input that no record can hold: JSON nested too deep, an integer past float
+# range or past the interpreter's digit limit, and text that UTF-8 cannot hold.
+DEEP = "[" * 200_000
+HUGE = "1" + "0" * 400
+LONG = "1" + "0" * 5000
+# An undecodable byte of a command-line argument, as Python reads it under a
+# UTF-8 locale: a lone surrogate.
+UNDECODABLE = b"\xff".decode("utf-8", "surrogateescape")
+
+
+def _edit(file_name, old, new):
+    """A `prepare` that replaces the first `old` in a file of the work
+    directory by `new`, or, when `old` is None, the whole file."""
+
+    def prepare(workdir):
+        path = workdir / file_name
+        text = path.read_text(encoding="utf-8")
+        assert old is None or old in text
+        path.write_text(new if old is None else text.replace(old, new, 1), encoding="utf-8")
+
+    return prepare
+
+
+def _incipient(workdir):
+    """Ingest the keylogging attack and store its incipient case."""
+    ingest_keylogging(workdir)
+    run(workdir, "analyze", "--repo", workdir / "repo", "--attack-id", "keylogging")
+
+
+def _stored(workdir):
+    """Every file of the repository, by path, with its bytes."""
+    root = workdir / "repo"
+    return {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
 
 
 @pytest.mark.parametrize(
@@ -1124,6 +1159,39 @@ SEED_AIA = ["seed-aia", "--network", "{dir}/network.json", "--attack", "{dir}/at
             ["analyze", "--attack-id", "keylogging"],
             "corrupt records: meta.json",
         ),
+        (_edit("repo/meta.json", None, DEEP), ["analyze", "--attack-id", "keylogging"],
+         "corrupt records: meta.json"),
+        (_edit("attack.json", None, DEEP), INGEST_JSON, "line 0: invalid JSON: nested too deep"),
+        (_edit("network.json", None, DEEP), SEED_AIA, "line 0: invalid JSON: nested too deep"),
+        (_edit("attack.json", None, DEEP), SEED_AIA, "line 0: invalid JSON: nested too deep"),
+        (_edit("attack.json", '"confidence": 0.9', f'"confidence": {HUGE}'), INGEST_JSON,
+         "line 1: field 'confidence' is beyond float range"),
+        (_edit("attack.json", '"detection_state": 0.9', f'"detection_state": {HUGE}'),
+         INGEST_JSON, "line 0: field 'detection_state' is beyond float range"),
+        (_edit("attack.json", '"confidence": 0.8', f'"confidence": {LONG}'), INGEST_JSON,
+         "line 0: invalid JSON: an integer with too many digits"),
+        (_edit("network.json", '"int-recon": 0.5\n  }', f'"int-recon": {HUGE}\n  }}'), SEED_AIA,
+         "field 'priors[int-recon]' is beyond float range"),
+        (_edit("network.json", '"int-recon": 0.4', f'"int-recon": {HUGE}'), SEED_AIA,
+         "field 'likelihoods[dev01][int-recon]' is beyond float range"),
+        (_edit("network.json", '"int-exfil": 0.7', f'"int-exfil": {LONG}'), SEED_AIA,
+         "line 0: invalid JSON: an integer with too many digits"),
+        (_edit("attack.json", '"name": "Demo', '"name": "\\ud800Demo'), INGEST_JSON,
+         "line 0: text '\\ud800' cannot be stored as UTF-8"),
+        (_edit("attack.json", '"Archive', '"\\udfffArchive'), SEED_AIA,
+         "line 0: text '\\udfff' cannot be stored as UTF-8"),
+        # The label of the intention that is not selected reaches only the
+        # network's record, which seed-aia writes after the case.
+        (_edit("network.json", '"To map', '"\\ud800To map'), SEED_AIA,
+         "line 0: text '\\ud800' cannot be stored as UTF-8"),
+        (None, ["ingest", "--input", "{dir}/keylog.csv", "--format", "csv",
+                "--attack-id", "x", "--attack-name", UNDECODABLE],
+         "text '\\udcff' cannot be stored as UTF-8"),
+        (_incipient, [*REVISE[:-1], UNDECODABLE], "text '\\udcff' cannot be stored as UTF-8"),
+        (_incipient, [*REVISE, "--crime-type", UNDECODABLE],
+         "text '\\udcff' cannot be stored as UTF-8"),
+        (_incipient, [*REVISE, "--damage-note", UNDECODABLE],
+         "text '\\udcff' cannot be stored as UTF-8"),
     ],
     ids=[
         "ingest-detection-state-above-1",
@@ -1137,14 +1205,34 @@ SEED_AIA = ["seed-aia", "--network", "{dir}/network.json", "--attack", "{dir}/at
         "seed-aia-missing-likelihood-entry",
         "seed-aia-likelihood-1.5",
         "meta-not-an-object",
+        "meta-nested-too-deep",
+        "ingest-nested-too-deep",
+        "seed-aia-network-nested-too-deep",
+        "seed-aia-attack-nested-too-deep",
+        "ingest-confidence-past-float-range",
+        "ingest-detection-state-past-float-range",
+        "ingest-confidence-past-digit-limit",
+        "seed-aia-prior-past-float-range",
+        "seed-aia-likelihood-past-float-range",
+        "seed-aia-likelihood-past-digit-limit",
+        "ingest-name-surrogate",
+        "seed-aia-attack-surrogate",
+        "seed-aia-network-surrogate",
+        "ingest-undecodable-attack-name",
+        "revise-undecodable-rationale",
+        "revise-undecodable-crime-type",
+        "revise-undecodable-damage-note",
     ],
 )
 def test_invalid_input_exit_2_names_the_fault(workdir, capsys, prepare, argv, message):
     if prepare is not None:
         prepare(workdir)
+    before = _stored(workdir)
+    capsys.readouterr()
     rc = main([*(a.format(dir=workdir) for a in argv), "--repo", str(workdir / "repo")])
     assert rc == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert _stored(workdir) == before
 
 
 @pytest.mark.parametrize(
@@ -1438,3 +1526,58 @@ def test_main_in_process_changes_nothing_global(workdir, command):
     run(workdir, *argv)
     assert gc.isenabled()
     assert atexit._ncallbacks() == handlers
+
+
+# The recursion and digit limits, and the decoding of arguments and stdin,
+# are the interpreter's: each kind of input that no record can hold also
+# runs in a child process.
+@pytest.mark.parametrize(
+    "prepare, argv, message",
+    [
+        (_edit("attack.json", None, DEEP), INGEST_JSON, "line 0: invalid JSON: nested too deep"),
+        (_edit("repo/meta.json", None, DEEP), ["analyze", "--attack-id", "keylogging"],
+         "corrupt records: meta.json"),
+        (_edit("network.json", '"int-recon": 0.4', f'"int-recon": {HUGE}'), SEED_AIA,
+         "field 'likelihoods[dev01][int-recon]' is beyond float range"),
+        (_edit("attack.json", '"confidence": 0.8', f'"confidence": {LONG}'), INGEST_JSON,
+         "line 0: invalid JSON: an integer with too many digits"),
+        (_edit("network.json", '"To map', '"\\ud800To map'), SEED_AIA,
+         "line 0: text '\\ud800' cannot be stored as UTF-8"),
+        (_incipient, [*REVISE[:-1], UNDECODABLE], "text '\\udcff' cannot be stored as UTF-8"),
+    ],
+    ids=["ingest-nested-too-deep", "meta-nested-too-deep", "seed-aia-likelihood-past-float-range",
+         "ingest-confidence-past-digit-limit", "seed-aia-network-surrogate",
+         "revise-undecodable-rationale"],
+)
+def test_input_no_record_can_hold_exit_2_in_a_process(workdir, prepare, argv, message):
+    prepare(workdir)
+    before = _stored(workdir)
+    result = _child("-m", "intent_cbr", *(a.format(dir=workdir) for a in argv),
+                    "--repo", workdir / "repo")
+    assert (result.returncode, result.stdout, result.stderr.decode()) == (
+        2, b"", f"error: {message}\n"
+    )
+    assert _stored(workdir) == before
+
+
+@pytest.mark.parametrize(
+    "stdin_encoding, message",
+    [
+        ("utf-8:surrogateescape", b"error: text '\\udcff' cannot be stored as UTF-8\n"),
+        ("utf-8:strict", b"error: answer is not UTF-8 text\n"),
+    ],
+    ids=["surrogateescape", "strict"],
+)
+def test_an_undecodable_interactive_rationale_exit_2_in_a_process(
+    workdir, monkeypatch, stdin_encoding, message
+):
+    ingest_keylogging(workdir)
+    before = _stored(workdir)
+    monkeypatch.setenv("PYTHONIOENCODING", stdin_encoding)
+    result = _child(
+        "-m", "intent_cbr", "analyze", "--repo", workdir / "repo",
+        "--attack-id", "keylogging", "--interactive", input=b"reject\n\xff\n",
+    )
+    assert result.returncode == 2
+    assert result.stderr.endswith(message), result.stderr
+    assert _stored(workdir) == before

@@ -245,10 +245,10 @@ class TestJsonParsing:
         (5, "top level must be an object or an array"),
         ({"id": "a1", "evidence": {}}, "attack document needs an 'evidence' array"),
         (["e1"], "evidence record must be an object"),
-        ([{"id": "e1", "confidence": "high"}], "confidence must be a number, got 'high'"),
+        ([{"id": "e1", "confidence": "high"}], "field 'confidence' must be a number"),
         ([{"id": "e1", "attributes": [1]}], "attributes must be an object"),
         ({"id": "a1", "detection_state": "x", "evidence": [{"id": "e1"}]},
-         "detection_state must be a number"),
+         "field 'detection_state' must be a number"),
         ([{"id": " "}], "evidence id must be non-empty"),
         ([{"id": None}], "evidence id must be non-empty"),
         ([{"id": "e1", "attributes": {"host": None}}], "attribute 'host' has a null value"),

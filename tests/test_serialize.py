@@ -100,6 +100,10 @@ class _Id(str):
          "field 'priors[int-exfil]' must be a number"),
         (lambda doc: doc["likelihoods"]["dev01"].update({"int-recon": None}),
          "field 'likelihoods[dev01][int-recon]' must be a number"),
+        (lambda doc: doc["priors"].update({"int-recon": 10**400}),
+         "field 'priors[int-recon]' is beyond float range"),
+        (lambda doc: doc["likelihoods"]["dev02"].update({"int-exfil": -(10**400)}),
+         "field 'likelihoods[dev02][int-exfil]' is beyond float range"),
         (lambda doc: doc["intentions"][0].pop("label"), "missing required field 'label'"),
         (lambda doc: doc.update(intentions={}), "field 'intentions' has wrong type dict"),
         (lambda doc: doc["intentions"][0].update(id=_Id("int-exfil")), None),
@@ -110,7 +114,8 @@ class _Id(str):
         (lambda doc: doc["likelihoods"].update(dev01=[0.8, 0.4]),
          "field 'likelihoods[dev01]' has wrong type list"),
     ],
-    ids=["prior", "likelihood", "no-label", "intentions-not-a-list", "str-subclass-id",
+    ids=["prior", "likelihood", "prior-past-float-range", "likelihood-past-float-range",
+         "no-label", "intentions-not-a-list", "str-subclass-id",
          "intention-int", "intention-str", "priors-list", "likelihood-row-list"],
 )
 def test_network_decoder_through_both_readers(tmp_path, monkeypatch, mutate, message):
