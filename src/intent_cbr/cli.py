@@ -300,7 +300,7 @@ def cmd_seed_aia(repo: Repository, args) -> int:
         created_at=now_utc(),
     )
     repo.add_case(case)
-    repo.save_network(network, overwrite=True)
+    repo.save_network(network)
     # An attack already stored, also by another handle meanwhile, is kept.
     with suppress(DuplicateCaseId):
         repo.save_attack(attack)

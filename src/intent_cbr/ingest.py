@@ -15,7 +15,10 @@ evidence). Unknown kind strings map to ``other`` with a warning.
 
 JSON: either a full attack document (``id``, ``name``,
 ``detection_state``, ``evidence`` array) or a bare array of evidence
-documents with the attack metadata supplied by the caller.
+documents with the attack metadata supplied by the caller. Text fields
+follow one rule, ``serialize._text``: a string stays, an integer becomes
+its decimal text as in a CSV cell, and any other value is a MalformedRecord
+here and makes a stored record corrupt.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .model import (
     validate_attack,
     validate_network,
 )
-from .serialize import _num, network_from_dict
+from .serialize import _num, _optional_text, _text, _typed, network_from_dict
 
 logger = logging.getLogger(__name__)
 
@@ -94,14 +97,15 @@ def parse_evidence_file(
         meta, evidence = {"id": path.stem}, _parse_csv(content)
     else:
         meta, evidence = _parse_json(content)
-    attack_id = attack_id or meta.get("id")
+    meta_id, meta_name = (_field(0, _optional_text, meta, key, None) for key in ("id", "name"))
+    attack_id = attack_id or meta_id
     if not attack_id:
         raise MalformedRecord(0, "attack id missing (pass attack_id or set 'id')")
     if detection_state is None:
-        detection_state = _number(meta.get("detection_state", 1.0), "detection_state", 0)
+        detection_state = _field(0, _num, meta.get("detection_state", 1.0), "detection_state")
     attack = Attack(
-        id=str(attack_id),
-        name=str(attack_name or meta.get("name") or attack_id),
+        id=attack_id,
+        name=attack_name or meta_name or attack_id,
         detection_state=float(detection_state),
         evidence=evidence,
     )
@@ -123,7 +127,8 @@ def parse_network_file(path) -> CausalNetwork:
 def _read_input(path: Path, format: str):
     """The text of a CSV input file, or the decoded document of a JSON one."""
     try:
-        text = path.read_text(encoding="utf-8-sig")
+        # Untranslated: a carriage return in a quoted CSV cell is text.
+        text = path.read_bytes().decode("utf-8-sig")
     except FileNotFoundError as exc:
         raise IoFailure(f"no such file: {path}") from exc
     except UnicodeDecodeError as exc:
@@ -150,7 +155,14 @@ def _read_input(path: Path, format: str):
 
 
 def _parse_csv(text: str) -> tuple[Evidence, ...]:
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        return _csv_evidence(reader)
+    except csv.Error as exc:  # a cell past the csv module's size limit, say
+        raise MalformedRecord(reader.line_num, f"invalid CSV: {exc}") from None
+
+
+def _csv_evidence(reader) -> tuple[Evidence, ...]:
     header = next(reader, None)
     if header is None:
         raise MalformedRecord(1, "empty file; at least one evidence record required")
@@ -201,24 +213,19 @@ def _parse_json(doc) -> tuple[dict, tuple[Evidence, ...]]:
     for index, item in enumerate(items, start=1):
         if not isinstance(item, dict):
             raise MalformedRecord(index, "evidence record must be an object")
-        confidence = _number(item.get("confidence", 1.0), "confidence", index)
+        confidence = _field(index, _num, item.get("confidence", 1.0), "confidence")
         attributes = item.get("attributes", {})
         if not isinstance(attributes, dict):
             raise MalformedRecord(index, "attributes must be an object")
-        for key, value in attributes.items():
-            if value is None:
-                raise MalformedRecord(index, f"attribute '{key}' has a null value")
-        # A null field is an absent one, never the text "None".
-        ev_id, raw_kind, description = map(item.get, ("id", "kind", "description"))
         evidence.append(
             _checked_evidence(
                 index,
                 seen,
-                ev_id="" if ev_id is None else str(ev_id).strip(),
-                raw_kind="other" if raw_kind is None else str(raw_kind),
-                description="" if description is None else str(description),
+                ev_id=_field(index, _optional_text, item, "id", "").strip(),
+                raw_kind=_field(index, _optional_text, item, "kind", "other"),
+                description=_field(index, _optional_text, item, "description", ""),
                 confidence=confidence,
-                attributes={str(k): str(v) for k, v in attributes.items()},
+                attributes=_field(index, _typed, attributes, str, _text, "attributes"),
             )
         )
     if not evidence:
@@ -259,11 +266,11 @@ def _checked_evidence(
     )
 
 
-def _number(value, label: str, line: int) -> float:
-    """`value` as a float by the rule of stored records; a value that
-    breaks it is a MalformedRecord at `line`."""
+def _field(line: int, read, *args):
+    """``read(*args)``, where `read` reads a field of stored records, such
+    as `_num`; a value that breaks its rule is a MalformedRecord at `line`."""
     try:
-        return _num(value, label)
+        return read(*args)
     except ValidationFailure as exc:
         raise MalformedRecord(line, str(exc)) from None
 

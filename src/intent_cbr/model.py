@@ -278,6 +278,11 @@ def validate_attack(attack: Attack) -> list[str]:
             violations.append(f"{where}: kind {ev.kind!r} not a known kind")
         if not _is_finite_unit(ev.confidence):
             violations.append(f"{where}: confidence {ev.confidence!r} outside [0,1]")
+        if not isinstance(ev.description, str):
+            violations.append(f"{where}: description {ev.description!r} is not text")
+        for key, value in ev.attributes.items():
+            if not isinstance(value, str):
+                violations.append(f"{where}: attribute '{key}' value {value!r} is not text")
     return violations
 
 

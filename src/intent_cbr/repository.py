@@ -25,9 +25,10 @@ stored, so reads treat it as not stored without touching the disk.
 
 Concurrency: single writer, many readers. Mutating operations take an
 exclusive advisory flock on ``meta.json`` and decide under it whether a
-record already exists, so two handles never overwrite each other's case,
-attack or network. An update is decided there too, from the stored
-status, so a case another handle has moved on is never replaced.
+case or attack already exists, so two handles never overwrite each other's
+case or attack; a network is always replaced. An update is decided there
+too, from the stored status, so a case another handle has moved on is never
+replaced.
 """
 
 from __future__ import annotations
@@ -223,14 +224,14 @@ class Repository:
 
     # -- attacks ---------------------------------------------------------------
 
-    def save_attack(self, attack: Attack, overwrite: bool = False) -> None:
+    def save_attack(self, attack: Attack) -> None:
         _check_id(attack.id, "attack")
         violations = validate_attack(attack)
         if violations:
             raise ValidationFailure("; ".join(violations))
         path = self._path("attacks", attack.id)
         with self._writer_lock():
-            if os.path.exists(path) and not overwrite:
+            if os.path.exists(path):
                 raise DuplicateCaseId(f"attack '{attack.id}' already stored")
             _atomic_write(path, canonical_dumps(attack_to_dict(attack)))
 
@@ -248,15 +249,13 @@ class Repository:
 
     # -- networks ----------------------------------------------------------------
 
-    def save_network(self, network: CausalNetwork, overwrite: bool = False) -> None:
+    def save_network(self, network: CausalNetwork) -> None:
         _check_id(network.attack_id, "network attack_id")
         violations = validate_network(network)
         if violations:
             raise ValidationFailure("; ".join(violations))
         path = self._path("networks", network.attack_id)
         with self._writer_lock():
-            if os.path.exists(path) and not overwrite:
-                raise DuplicateCaseId(f"network for '{network.attack_id}' already stored")
             _atomic_write(path, canonical_dumps(network_to_dict(network)))
 
     def load_network(self, attack_id: str) -> CausalNetwork:
@@ -375,7 +374,7 @@ class Repository:
                 reversed(cases), ""
             )
             # Cache what the disk now holds: decoding turns a caller's types,
-            # such as an int attribute value, into the stored ones.
+            # such as an int weight or confidence, into the stored ones.
             cases[case.case_id] = case_from_dict(json.loads(doc))
             if out_of_order:
                 self._cases = dict(sorted(cases.items()))

@@ -8,7 +8,9 @@ golden-file tests and repository round-trips stable.
 
 A record's document is exactly its dataclass fields, by name: one walker
 writes every record, an enum member as its value and a tuple as a list.
-Each record type has its own decoder, which checks what it reads.
+Each record type has its own decoder, which checks what it reads. A
+decoder keeps the dicts of the document it is given where their values
+already have the stored type, so the record shares them with it.
 """
 
 from __future__ import annotations
@@ -94,26 +96,20 @@ def evidence_from_dict(doc: dict) -> Evidence:
     attributes = doc.get("attributes", {})
     if type(attributes) is not dict:
         attributes = _obj(attributes, "attributes")
-    if None in attributes.values():
-        key = next(k for k, v in attributes.items() if v is None)
-        raise ValidationFailure(f"attribute '{key}' has a null value")
-    # A null field is an absent one, never the text "None".
-    description = doc.get("description")
     return _build_evidence(
         ev_id,
         kind,
-        {str(k): str(v) for k, v in attributes.items()},
-        "" if description is None else str(description),
+        _typed(attributes, str, _text, "attributes"),
+        _optional_text(doc, "description", ""),
         _num(doc.get("confidence", 1.0), "confidence"),
     )
 
 
 def attack_from_dict(doc: dict) -> Attack:
     attack_id = _req(doc, "id", str)
-    name = doc.get("name")
     return _build_attack(
         attack_id,
-        attack_id if name is None else str(name),
+        _optional_text(doc, "name", attack_id),
         _num(doc.get("detection_state", 1.0), "detection_state"),
         tuple([
             evidence_from_dict(item if type(item) is dict else _obj(item, f"evidence[{i}]"))
@@ -126,7 +122,7 @@ def intention_from_dict(doc: dict) -> Intention:
     return _build_intention(
         _req(doc, "id", str),
         _req(doc, "label", str),
-        None if doc.get("category") is None else str(doc["category"]),
+        _optional_text(doc, "category", None),
     )
 
 
@@ -143,13 +139,12 @@ def network_from_dict(doc: dict) -> CausalNetwork:
     return CausalNetwork(
         attack_id=_req(doc, "attack_id", str),
         intentions=intentions,
-        evidence_ids=tuple(str(e) for e in _req(doc, "evidence_ids", list)),
-        priors={str(k): _num(v, f"priors[{k}]") for k, v in _obj(priors, "priors").items()},
+        evidence_ids=tuple(
+            _text(e, f"evidence_ids[{i}]") for i, e in enumerate(_req(doc, "evidence_ids", list))
+        ),
+        priors=_typed(_obj(priors, "priors"), float, _num, "priors"),
         likelihoods={
-            str(ev): {
-                str(i): _num(p, f"likelihoods[{ev}][{i}]")
-                for i, p in _obj(row, f"likelihoods[{ev}]").items()
-            }
+            ev: _typed(_obj(row, f"likelihoods[{ev}]"), float, _num, f"likelihoods[{ev}]")
             for ev, row in _req(doc, "likelihoods", dict).items()
         },
     )
@@ -163,19 +158,14 @@ def case_from_dict(doc: dict) -> Case:
         intention = intention_from_dict(
             intention if type(intention) is dict else _obj(intention, "intention")
         )
-    provenance, created_at = doc.get("provenance"), doc.get("created_at")
     return _build_case(
         case_id,
         attack,
         intention,
-        # Inline: a label and a call per weight would slow the scan.
-        {
-            str(k): v if type(v) is float else _num(v, f"evidence_weights[{k}]")
-            for k, v in _req(doc, "evidence_weights", dict).items()
-        },
+        _typed(_req(doc, "evidence_weights", dict), float, _num, "evidence_weights"),
         _member(doc, "status", _STATUSES, CaseStatus),
-        "" if provenance is None else str(provenance),
-        "" if created_at is None else str(created_at),
+        _optional_text(doc, "provenance", ""),
+        _optional_text(doc, "created_at", ""),
     )
 
 
@@ -242,6 +232,35 @@ def _num(value: Any, label: str) -> float:
         return float(value)
     except OverflowError:  # an integer past float range
         raise ValidationFailure(f"field '{label}' is beyond float range") from None
+
+
+def _text(value: Any, label: str) -> str:
+    """`value` as record text: a string as it is, an integer as its decimal
+    text, as in a CSV cell. Stored records and JSON input files read their
+    text by this rule; `label` names the field in the error."""
+    if type(value) is str:
+        return value
+    if type(value) is not int:  # a bool is an int, but not exactly one
+        raise ValidationFailure(f"field '{label}' has wrong type {type(value).__name__}")
+    return f"{value:d}"
+
+
+def _optional_text(doc: dict, key: str, default: Any) -> Any:
+    """``doc[key]`` by `_text`, or `default` where the field is absent or
+    null: a null field is an absent one, never the text "None"."""
+    value = doc.get(key)
+    if type(value) is str:
+        return value
+    return default if value is None else _text(value, key)
+
+
+def _typed(values: dict, kind: type, read, label: str) -> dict:
+    """`values` itself when each value is exactly a `kind`, else a copy
+    with each value read by `read` (`_num` or `_text`) as ``label[key]``."""
+    for value in values.values():
+        if type(value) is not kind:
+            return {key: read(item, f"{label}[{key}]") for key, item in values.items()}
+    return values
 
 
 def _obj(value: Any, label: str) -> dict:

@@ -437,9 +437,9 @@ class TestSeedAia:
         theirs = replace(demo.demo_attack(), name="stored by another handle")
         save_attack = Repository.save_attack
 
-        def other_handle_first(self, attack, overwrite=False):
+        def other_handle_first(self, attack):
             save_attack(other, theirs)
-            return save_attack(self, attack, overwrite)
+            return save_attack(self, attack)
 
         monkeypatch.setattr(Repository, "save_attack", other_handle_first)
         rc = main([
@@ -1063,6 +1063,7 @@ def _meta_not_an_object(workdir):
 
 SEED_AIA = ["seed-aia", "--network", "{dir}/network.json", "--attack", "{dir}/attack.json"]
 INGEST_JSON = ["ingest", "--input", "{dir}/attack.json", "--format", "json", "--attack-id", "x"]
+INGEST_CSV = ["ingest", "--input", "{dir}/keylog.csv", "--format", "csv", "--attack-id", "x"]
 REVISE = ["revise", "--case-id", "keylogging-c1", "--verdict", "reject", "--rationale", "r"]
 
 # Input that no record can hold: JSON nested too deep, an integer past float
@@ -1192,6 +1193,29 @@ def _stored(workdir):
          "text '\\udcff' cannot be stored as UTF-8"),
         (_incipient, [*REVISE, "--damage-note", UNDECODABLE],
          "text '\\udcff' cannot be stored as UTF-8"),
+        # A text field holds a string or an integer, nothing else.
+        (_edit("attack.json", '"id": "dev01"', '"id": true'), INGEST_JSON,
+         "line 1: field 'id' has wrong type bool"),
+        (_edit("attack.json", '"Archive and copy commands observed on the host."', "1e400"),
+         INGEST_JSON, "line 1: field 'description' has wrong type float"),
+        (_edit("attack.json", '"tar,scp"', '{"b": true, "c": null}'), INGEST_JSON,
+         "line 1: field 'attributes[commands]' has wrong type dict"),
+        (_edit("attack.json", '"tar,scp"', '"tar,scp", "flag": true'), INGEST_JSON,
+         "line 1: field 'attributes[flag]' has wrong type bool"),
+        (_edit("attack.json", '"tar,scp"', '"tar,scp", "n": 1.0'), INGEST_JSON,
+         "line 1: field 'attributes[n]' has wrong type float"),
+        (_edit("attack.json", '"kind": "command-usage"', '"kind": ["tool"]'), INGEST_JSON,
+         "line 1: field 'kind' has wrong type list"),
+        (_edit("attack.json", '"id": "demo-attack"', '"id": true'), INGEST_JSON,
+         "line 0: field 'id' has wrong type bool"),
+        (_edit("attack.json", '"Demo exfiltration incident"', "false"), INGEST_JSON,
+         "line 0: field 'name' has wrong type bool"),
+        (_edit("network.json", '"dev01",', "true,"), SEED_AIA,
+         "field 'evidence_ids[0]' has wrong type bool"),
+        (_edit("network.json", '"category": "demo"', '"category": 0.5'), SEED_AIA,
+         "field 'category' has wrong type float"),
+        (_edit("keylog.csv", "Using W32/Agobot.", "d" * 200_000), INGEST_CSV,
+         "line 5: invalid CSV: field larger than field limit (131072)"),
     ],
     ids=[
         "ingest-detection-state-above-1",
@@ -1222,6 +1246,17 @@ def _stored(workdir):
         "revise-undecodable-rationale",
         "revise-undecodable-crime-type",
         "revise-undecodable-damage-note",
+        "ingest-evidence-id-true",
+        "ingest-description-past-float-range",
+        "ingest-attribute-an-object",
+        "ingest-attribute-true",
+        "ingest-attribute-a-float",
+        "ingest-kind-an-array",
+        "ingest-attack-id-true",
+        "ingest-attack-name-false",
+        "seed-aia-evidence-id-true",
+        "seed-aia-category-a-float",
+        "ingest-csv-cell-past-size-limit",
     ],
 )
 def test_invalid_input_exit_2_names_the_fault(workdir, capsys, prepare, argv, message):
@@ -1528,9 +1563,9 @@ def test_main_in_process_changes_nothing_global(workdir, command):
     assert atexit._ncallbacks() == handlers
 
 
-# The recursion and digit limits, and the decoding of arguments and stdin,
-# are the interpreter's: each kind of input that no record can hold also
-# runs in a child process.
+# The recursion and digit limits, the csv module's cell limit, and the
+# decoding of arguments and stdin are the interpreter's: each kind of input
+# that no record can hold also runs in a child process.
 @pytest.mark.parametrize(
     "prepare, argv, message",
     [
@@ -1544,10 +1579,12 @@ def test_main_in_process_changes_nothing_global(workdir, command):
         (_edit("network.json", '"To map', '"\\ud800To map'), SEED_AIA,
          "line 0: text '\\ud800' cannot be stored as UTF-8"),
         (_incipient, [*REVISE[:-1], UNDECODABLE], "text '\\udcff' cannot be stored as UTF-8"),
+        (_edit("keylog.csv", "Using W32/Agobot.", "d" * 200_000), INGEST_CSV,
+         "line 5: invalid CSV: field larger than field limit (131072)"),
     ],
     ids=["ingest-nested-too-deep", "meta-nested-too-deep", "seed-aia-likelihood-past-float-range",
          "ingest-confidence-past-digit-limit", "seed-aia-network-surrogate",
-         "revise-undecodable-rationale"],
+         "revise-undecodable-rationale", "ingest-csv-cell-past-size-limit"],
 )
 def test_input_no_record_can_hold_exit_2_in_a_process(workdir, prepare, argv, message):
     prepare(workdir)

@@ -2,6 +2,7 @@
 
 import json
 import logging
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -176,6 +177,43 @@ class TestCsvParsing:
         with pytest.raises(IoFailure):
             parse_evidence_file(tmp_path / "nope.csv", "csv", attack_id="a1")
 
+    def test_line_ends_in_a_quoted_cell_are_kept(self, tmp_path):
+        path = tmp_path / "cells.csv"
+        path.write_bytes(
+            b'id,kind,description,confidence,attr1\r\nev01,tool,"a\rb\r\nc",1,"k=x\ry"\r\n'
+        )
+        ev = parse_evidence_file(path, "csv", attack_id="a1").evidence[0]
+        assert (ev.description, ev.attributes) == ("a\rb\r\nc", {"k": "x\ry"})
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_each_line_end_ends_a_row(self, tmp_path, end):
+        path = tmp_path / "ends.csv"
+        rows = ["id,kind,description,confidence", "ev01,tool,x,1", "ev02,tool,y,high"]
+        path.write_bytes(end.join(rows).encode())
+        with pytest.raises(MalformedRecord) as excinfo:
+            parse_evidence_file(path, "csv", attack_id="a1")
+        assert (excinfo.value.line, excinfo.value.reason) == (3, "confidence 'high' is not a number")
+
+    def test_a_cell_past_the_csv_size_limit_is_malformed(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text(f"id,kind,description,confidence\nev01,tool,{'d' * 200_000},1\n",
+                        encoding="utf-8")
+        with pytest.raises(MalformedRecord) as excinfo:
+            parse_evidence_file(path, "csv", attack_id="a1")
+        assert (excinfo.value.line, excinfo.value.reason) == (
+            2, "invalid CSV: field larger than field limit (131072)"
+        )
+
+    def test_a_nul_character_is_text_or_malformed_as_the_csv_module_reads_it(self, tmp_path):
+        path = tmp_path / "nul.csv"
+        path.write_text("id,kind,description,confidence\nev01,tool,a\x00b,1\n", encoding="utf-8")
+        if sys.version_info >= (3, 11):  # the csv module reads NUL since 3.11
+            assert parse_evidence_file(path, "csv", attack_id="a1").evidence[0].description == "a\x00b"
+            return
+        with pytest.raises(MalformedRecord) as excinfo:
+            parse_evidence_file(path, "csv", attack_id="a1")
+        assert (excinfo.value.line, excinfo.value.reason) == (2, "invalid CSV: line contains NUL")
+
 
 class TestJsonParsing:
     def test_null_kind_and_description_take_their_defaults(self, caplog):
@@ -251,7 +289,8 @@ class TestJsonParsing:
          "field 'detection_state' must be a number"),
         ([{"id": " "}], "evidence id must be non-empty"),
         ([{"id": None}], "evidence id must be non-empty"),
-        ([{"id": "e1", "attributes": {"host": None}}], "attribute 'host' has a null value"),
+        ([{"id": "e1", "attributes": {"host": None}}],
+         "field 'attributes[host]' has wrong type NoneType"),
     ],
     ids=[
         "top-level-number",
@@ -323,3 +362,22 @@ def parse_evidence_file_from_text(text: str, fmt: str = "json"):
 def test_unknown_format_is_refused(keylog_csv):
     with pytest.raises(ValueError, match="format must be csv or json, got 'xml'"):
         parse_evidence_file(keylog_csv, "xml", attack_id="a1")
+
+
+# One text rule for both formats: a JSON string stays as it is and a JSON
+# integer reads as the CSV cell of its decimal text.
+@pytest.mark.parametrize("value", ["443", 443, -1, 0, 10**30], ids=str)
+def test_a_json_integer_reads_as_its_csv_cell(tmp_path, value):
+    csv_path = tmp_path / "e.csv"
+    csv_path.write_text(
+        f"id,kind,description,confidence,attr1\n{value},{value},{value},1,port={value}\n",
+        encoding="utf-8",
+    )
+    json_path = tmp_path / "e.json"
+    json_path.write_text(json.dumps({"name": value, "evidence": [
+        {"id": value, "kind": value, "description": value, "attributes": {"port": value}}
+    ]}), encoding="utf-8")
+    from_csv = parse_evidence_file(csv_path, "csv", attack_id="a1", attack_name=str(value))
+    from_json = parse_evidence_file(json_path, "json", attack_id="a1")
+    assert from_json == from_csv
+    assert from_json.name == from_json.evidence[0].attributes["port"] == str(value)

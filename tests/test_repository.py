@@ -31,7 +31,6 @@ from intent_cbr.serialize import (
     canonical_dumps,
     case_from_dict,
     case_to_dict,
-    network_to_dict,
 )
 
 
@@ -345,7 +344,6 @@ def test_attack_round_trip_and_duplicate(repo):
     assert repo.load_attack(attack.id) == attack
     with pytest.raises(DuplicateCaseId):
         repo.save_attack(attack)
-    repo.save_attack(attack, overwrite=True)
 
 
 def test_network_round_trip(repo):
@@ -354,6 +352,15 @@ def test_network_round_trip(repo):
     assert repo.load_network(network.attack_id) == network
     with pytest.raises(UnknownCaseId):
         repo.load_network("ghost")
+
+
+def test_save_network_replaces_a_stored_network(tmp_path):
+    first = Repository.attach(tmp_path / "repo")
+    network = demo.demo_network()
+    first.save_network(network)
+    second = replace(network, priors={"int-exfil": 0.25, "int-recon": 0.75})
+    Repository.attach(tmp_path / "repo").save_network(second)
+    assert first.load_network(network.attack_id) == second
 
 
 def _edit_network(**fields):
@@ -416,19 +423,13 @@ def _second_attack(attack):
     return replace(attack, name="second handle")
 
 
-def _second_network(network):
-    return replace(network, priors={"int-exfil": 0.25, "int-recon": 0.75})
-
-
 @pytest.mark.parametrize(
     "first, second, to_dict, record, save",
     [
         (demo.keylogging_attack(), _second_attack(demo.keylogging_attack()),
          attack_to_dict, "attacks/keylogging.json", "save_attack"),
-        (demo.demo_network(), _second_network(demo.demo_network()),
-         network_to_dict, "networks/demo-attack.json", "save_network"),
     ],
-    ids=["attack", "network"],
+    ids=["attack"],
 )
 def test_save_decides_existence_under_the_writer_lock(
     tmp_path, monkeypatch, first, second, to_dict, record, save
@@ -717,7 +718,7 @@ _EV = ("attack", "evidence", 0)
         (lambda doc: [doc], ValidationFailure,
          "unparseable: document has wrong type list"),
         (_set(*_EV, "attributes", value={"tool": None}), ValidationFailure,
-         "unparseable: attribute 'tool' has a null value"),
+         "unparseable: field 'attributes[tool]' has wrong type NoneType"),
         (_set("evidence_weights", "e1", value=float("nan")), None,
          "evidence_weights['e1']: nan is not finite"),
         (_set("evidence_weights", "e1", value=float("inf")), None,
@@ -854,3 +855,31 @@ def test_save_attack_refuses_an_invalid_attack(repo):
     with pytest.raises(ValidationFailure, match=r"detection_state: 1.5 outside \[0,1\]"):
         repo.save_attack(attack)
     assert os.listdir(repo.root / "attacks") == []
+
+
+def _first_evidence(**changes):
+    def mutate(case):
+        ev = replace(case.attack.evidence[0], **changes)
+        return replace(case, attack=replace(case.attack, evidence=(ev, *case.attack.evidence[1:])))
+
+    return mutate
+
+
+# A stored value that is not text reads back as a corrupt record, so a write
+# refuses it as a read would.
+@pytest.mark.parametrize(
+    "mutate, reason",
+    [
+        (_first_evidence(attributes={"x": 1.5}), "attribute 'x' value 1.5 is not text"),
+        (_first_evidence(attributes={"x": 443}), "attribute 'x' value 443 is not text"),
+        (_first_evidence(attributes={"x": None}), "attribute 'x' value None is not text"),
+        (_first_evidence(description=True), "description True is not text"),
+    ],
+    ids=["float-attribute", "int-attribute", "null-attribute", "bool-description"],
+)
+def test_add_case_refuses_a_value_that_is_not_text(repo, mutate, reason):
+    case = mutate(demo.precedent_cases()[0])
+    with pytest.raises(ValidationFailure, match=reason):
+        repo.add_case(case)
+    assert os.listdir(repo.root / "cases") == []
+    assert repo.list_cases() == []
