@@ -16,9 +16,7 @@ import csv
 import heapq
 import math
 import weakref
-from dataclasses import dataclass, field, replace
 from operator import itemgetter
-from typing import IO
 
 from .errors import EmptyRanking, EmptyRepository, UnnormalizedWeights, ValidationFailure
 from .model import (
@@ -30,8 +28,11 @@ from .model import (
     Evidence,
     EvidenceKind,
     Intention,
+    Record,
     SimilarityResult,
+    _setters,
     fsum_or_nan,
+    replace,
     transition,
 )
 
@@ -44,31 +45,50 @@ _ZERO_TOTALS = (0.0,) * len(_COLUMN)
 _ROWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-@dataclass(frozen=True)
-class RetrievalRanking:
+class RetrievalRanking(Record):
     """Precedents ordered by descending score, ties by ascending case id."""
 
-    new_case_id: str
-    entries: tuple[SimilarityResult, ...]
-    # Intention of each ranked precedent, so reuse and report need no
-    # repository handle of their own.
-    precedent_intentions: dict[str, Intention] = field(default_factory=dict)
+    __slots__ = ("new_case_id", "entries", "precedent_intentions")
+
+    def __init__(
+        self,
+        new_case_id: str,
+        entries: tuple[SimilarityResult, ...],
+        # Intention of each ranked precedent, so reuse and report need no
+        # repository handle of their own. None: a new {}.
+        precedent_intentions: dict[str, Intention] | None = None,
+    ):
+        _rank_new_case_id(self, new_case_id)
+        _rank_entries(self, entries)
+        _rank_intentions(self, {} if precedent_intentions is None else precedent_intentions)
 
 
-@dataclass(frozen=True)
-class ReviseVerdict:
+_rank_new_case_id, _rank_entries, _rank_intentions = _setters(RetrievalRanking)
+
+
+class ReviseVerdict(Record):
     """Investigator judgment on an incipient intention."""
 
-    verdict: str  # "accept" | "reject"
-    rationale: str = ""
-    crime_type: str = ""
-    damage_note: str = ""
+    __slots__ = ("verdict", "rationale", "crime_type", "damage_note")
 
-    def __post_init__(self):
-        if self.verdict not in ("accept", "reject"):
-            raise ValidationFailure(f"verdict must be accept or reject, got {self.verdict!r}")
-        if self.verdict == "reject" and not self.rationale.strip():
+    def __init__(
+        self,
+        verdict: str,  # "accept" | "reject"
+        rationale: str = "",
+        crime_type: str = "",
+        damage_note: str = "",
+    ):
+        if verdict not in ("accept", "reject"):
+            raise ValidationFailure(f"verdict must be accept or reject, got {verdict!r}")
+        if verdict == "reject" and not rationale.strip():
             raise ValidationFailure("a reject verdict requires a rationale")
+        _rv_verdict(self, verdict)
+        _rv_rationale(self, rationale)
+        _rv_crime_type(self, crime_type)
+        _rv_damage_note(self, damage_note)
+
+
+_rv_verdict, _rv_rationale, _rv_crime_type, _rv_damage_note = _setters(ReviseVerdict)
 
 
 def local_similarity(n_ev: Evidence, p_ev: Evidence) -> float:
@@ -343,9 +363,9 @@ def retain(case: Case, repository) -> Case:
     return retained
 
 
-def write_ranking_csv(ranking: RetrievalRanking, out: IO[str]) -> None:
+def write_ranking_csv(ranking: RetrievalRanking, out) -> None:
     """Ranking as CSV rows (rank, precedent_case_id, intention_label, score),
-    scores at 2 decimals."""
+    scores at 2 decimals, written to the text stream `out`."""
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["rank", "precedent_case_id", "intention_label", "score"])
     for rank, entry in enumerate(ranking.entries, start=1):

@@ -17,18 +17,21 @@ import math
 import os
 import sys
 from contextlib import suppress
-from dataclasses import replace
 from pathlib import Path
 
 from . import cbr
 from .errors import DuplicateCaseId, IntentCbrError, ValidationFailure
-from .model import Attack, Case, CaseStatus, now_utc, transition
+from .model import Attack, Case, CaseStatus, now_utc, replace, transition
 from .repository import Repository, _atomic_write, _check_id
 from .serialize import canonical_dumps
 
 _REPO_ENV = "INTENT_CBR_REPO"
 # How many ids `analyze` tries for its new case before DuplicateCaseId stands.
 _ADD_ATTEMPTS = 10
+# Each character that str.splitlines ends a line at, to its escape as repr writes it.
+_LINE_BREAKS = str.maketrans(
+    {c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+)
 
 
 def entrypoint() -> None:
@@ -87,11 +90,18 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.flush()
         return rc
     except IntentCbrError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(exc)
         return exc.exit_code
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(exc)
         return 1
+
+
+def _print_error(exc: Exception) -> None:
+    """``error: <exc>`` on stderr as one line: a message may quote input
+    text, and each character that ``str.splitlines`` ends a line at is
+    printed as its escape."""
+    print(f"error: {str(exc).translate(_LINE_BREAKS)}", file=sys.stderr)
 
 
 def build_parser() -> argparse.ArgumentParser:

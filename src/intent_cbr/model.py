@@ -3,20 +3,21 @@
 Evidence, attacks, candidate intentions, cases moving through the
 reasoning life cycle, and the belief-mass structures used by the
 intention-inference engine. All types are immutable value objects; a
-"mutation" is a copy with the change applied (``dataclasses.replace``),
-so instances are safe to share across threads.
+"mutation" is a copy with the change applied (:func:`replace`), so
+instances are safe to share across threads.
 
 Records take their fields as given, with no copy or conversion: a field
 typed as a tuple must be passed a tuple. Only ``MassFunction`` and
 ``BeliefReport`` check what they are built from.
 
-The records built once per stored case or per scored precedent
-(``Evidence``, ``Attack``, ``Intention``, ``Case`` and
-``SimilarityResult``) are slotted: they have no ``__dict__``, so each is
-smaller and quicker to build, which a full scan of the repository repeats
-thousands of times. The stored-record decoders build the first four slot
-by slot (``serialize._builder``), skipping ``__init__``, so none of them
-may gain a ``__post_init__``; ``_builder`` refuses such a class.
+Every record is a plain class on one base, :class:`Record`. Its fields,
+in order, are its ``__slots__``, and its ``__init__`` takes them in that
+order. The base gives each record equality, hash, repr, pickling and
+copying over those fields, and refuses writes. A record has no
+``__dict__``, so it is small and quick to build, which a full scan of the
+repository repeats thousands of times. These are not dataclasses: the
+``dataclasses`` import and the methods it generates cost each CLI process
+about 20 ms of start-up.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 import math
 import re
 import time
-from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .errors import IllegalTransition, ValidationFailure
@@ -92,54 +92,141 @@ def now_utc() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
-@dataclass(frozen=True, slots=True)
-class Evidence:
+class Record:
+    """Base of the records: equality, hash, repr, pickling and copying over
+    the fields, which are the class's ``__slots__``; a write raises
+    AttributeError.
+
+    A record class sets its slots in ``__init__`` through their setters
+    (see :func:`_setters`), since its own ``__setattr__`` refuses.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        # A TypeError for a record that holds a dict, as for any tuple.
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # Unpickling and copying build the record again through __init__.
+        return self.__class__, self._values()
+
+
+def replace(record: Record, /, **changes) -> Record:
+    """A copy of `record` with the fields named in `changes` set to their
+    values. The copy is built by the class's ``__init__``, so its checks
+    run again; a name that is not a field is a TypeError."""
+    return record.__class__(**dict(zip(record.__slots__, record._values()), **changes))
+
+
+def _setters(cls: type) -> list:
+    """The setter of each of `cls`'s slots, in ``__slots__`` order.
+
+    A slot's own setter writes past the refusing ``__setattr__``, in about
+    two thirds of the time of ``object.__setattr__``, which a full scan
+    pays for each field of each record.
+    """
+    return [vars(cls)[name].__set__ for name in cls.__slots__]
+
+
+class Evidence(Record):
     """One observable artifact of an attack."""
 
-    id: str
-    kind: EvidenceKind
-    attributes: dict[str, str] = field(default_factory=dict)  # ordered
-    description: str = ""
-    confidence: float = 1.0  # detection confidence in [0, 1]
+    __slots__ = ("id", "kind", "attributes", "description", "confidence")
+
+    def __init__(
+        self,
+        id: str,
+        kind: EvidenceKind,
+        attributes: dict[str, str] | None = None,  # ordered; None: a new {}
+        description: str = "",
+        confidence: float = 1.0,  # detection confidence in [0, 1]
+    ):
+        _ev_id(self, id)
+        _ev_kind(self, kind)
+        _ev_attributes(self, {} if attributes is None else attributes)
+        _ev_description(self, description)
+        _ev_confidence(self, confidence)
 
 
-@dataclass(frozen=True, slots=True)
-class Attack:
+_ev_id, _ev_kind, _ev_attributes, _ev_description, _ev_confidence = _setters(Evidence)
+
+
+class Attack(Record):
     """A detected attack and the evidence collected for it."""
 
-    id: str
-    name: str
-    detection_state: float  # detection accuracy ratio in [0, 1]
-    evidence: tuple[Evidence, ...]
+    __slots__ = ("id", "name", "detection_state", "evidence")
+
+    def __init__(
+        self,
+        id: str,
+        name: str,
+        detection_state: float,  # detection accuracy ratio in [0, 1]
+        evidence: tuple[Evidence, ...],
+    ):
+        _atk_id(self, id)
+        _atk_name(self, name)
+        _atk_detection_state(self, detection_state)
+        _atk_evidence(self, evidence)
 
     def evidence_ids(self) -> list[str]:
         return [ev.id for ev in self.evidence]
 
 
-@dataclass(frozen=True, slots=True)
-class Intention:
+_atk_id, _atk_name, _atk_detection_state, _atk_evidence = _setters(Attack)
+
+
+class Intention(Record):
     """A candidate attacker goal."""
 
-    id: str
-    label: str
-    category: str | None = None
+    __slots__ = ("id", "label", "category")
+
+    def __init__(self, id: str, label: str, category: str | None = None):
+        _int_id(self, id)
+        _int_label(self, label)
+        _int_category(self, category)
 
 
-@dataclass(frozen=True)
-class Hypothesis:
+_int_id, _int_label, _int_category = _setters(Intention)
+
+
+class Hypothesis(Record):
     """Reliability of detection/collection, used to discount masses.
 
     ``applies_to`` is either a specific intention id or ``"*"`` for a
     wildcard that covers every intention without a closer match.
     """
 
-    id: str
-    accuracy: float
-    applies_to: str = "*"
+    __slots__ = ("id", "accuracy", "applies_to")
+
+    def __init__(self, id: str, accuracy: float, applies_to: str = "*"):
+        _hyp_id(self, id)
+        _hyp_accuracy(self, accuracy)
+        _hyp_applies_to(self, applies_to)
 
 
-@dataclass(frozen=True)
-class CausalNetwork:
+_hyp_id, _hyp_accuracy, _hyp_applies_to = _setters(Hypothesis)
+
+
+class CausalNetwork(Record):
     """Attack, evidence and intention structure with the probabilities.
 
     ``likelihoods`` is a dense table: one row per evidence id, one entry
@@ -147,11 +234,21 @@ class CausalNetwork:
     1 - p, derived on demand and never stored.
     """
 
-    attack_id: str
-    intentions: tuple[Intention, ...]
-    evidence_ids: tuple[str, ...]
-    priors: dict[str, float]  # intention id -> P(intention)
-    likelihoods: dict[str, dict[str, float]]  # evidence id -> intention id -> p
+    __slots__ = ("attack_id", "intentions", "evidence_ids", "priors", "likelihoods")
+
+    def __init__(
+        self,
+        attack_id: str,
+        intentions: tuple[Intention, ...],
+        evidence_ids: tuple[str, ...],
+        priors: dict[str, float],  # intention id -> P(intention)
+        likelihoods: dict[str, dict[str, float]],  # evidence id -> intention id -> p
+    ):
+        _net_attack_id(self, attack_id)
+        _net_intentions(self, intentions)
+        _net_evidence_ids(self, evidence_ids)
+        _net_priors(self, priors)
+        _net_likelihoods(self, likelihoods)
 
     def intention_ids(self) -> list[str]:
         return [it.id for it in self.intentions]
@@ -163,21 +260,49 @@ class CausalNetwork:
         raise ValidationFailure(f"intention '{intention_id}' not in network")
 
 
-@dataclass(frozen=True, slots=True)
-class Case:
+_net_attack_id, _net_intentions, _net_evidence_ids, _net_priors, _net_likelihoods = _setters(
+    CausalNetwork
+)
+
+
+class Case(Record):
     """An attack paired with an (eventual) intention and evidence weights."""
 
-    case_id: str
-    attack: Attack
-    intention: Intention | None
-    evidence_weights: dict[str, float]  # evidence id -> weight
-    status: CaseStatus
-    provenance: str = "analyst"
-    created_at: str = field(default_factory=now_utc)
+    __slots__ = (
+        "case_id", "attack", "intention", "evidence_weights", "status", "provenance", "created_at"
+    )
+
+    def __init__(
+        self,
+        case_id: str,
+        attack: Attack,
+        intention: Intention | None,
+        evidence_weights: dict[str, float],  # evidence id -> weight
+        status: CaseStatus,
+        provenance: str = "analyst",
+        created_at: str | None = None,  # None: now_utc()
+    ):
+        _case_id(self, case_id)
+        _case_attack(self, attack)
+        _case_intention(self, intention)
+        _case_weights(self, evidence_weights)
+        _case_status(self, status)
+        _case_provenance(self, provenance)
+        _case_created_at(self, now_utc() if created_at is None else created_at)
 
 
-@dataclass(frozen=True)
-class MassFunction:
+(
+    _case_id,
+    _case_attack,
+    _case_intention,
+    _case_weights,
+    _case_status,
+    _case_provenance,
+    _case_created_at,
+) = _setters(Case)
+
+
+class MassFunction(Record):
     """Basic probability assignment over subsets of an intention frame.
 
     Construction normalizes and checks the invariants: masses are
@@ -186,16 +311,15 @@ class MassFunction:
     entries are dropped so equal assignments compare equal.
     """
 
-    frame: tuple[str, ...]
-    masses: dict[frozenset[str], float]
+    __slots__ = ("frame", "masses")
 
-    def __post_init__(self):
-        frame = tuple(self.frame)
+    def __init__(self, frame: tuple[str, ...], masses: dict[frozenset[str], float]):
+        frame = tuple(frame)
         frame_set = frozenset(frame)
         if len(frame_set) != len(frame) or not frame:
             raise ValidationFailure("frame must be a non-empty set of unique ids")
         cleaned: dict[frozenset[str], float] = {}
-        for subset, mass in self.masses.items():
+        for subset, mass in masses.items():
             key = frozenset(subset)
             if mass < 0:
                 raise ValidationFailure(f"negative mass {mass!r} on {sorted(key)}")
@@ -211,45 +335,63 @@ class MassFunction:
         total = fsum_or_nan(cleaned.values())
         if not abs(total - 1.0) <= SUM_TOLERANCE:
             raise ValidationFailure(f"masses sum to {total!r}, expected 1")
-        object.__setattr__(self, "frame", frame)
-        object.__setattr__(self, "masses", cleaned)
+        _mf_frame(self, frame)
+        _mf_masses(self, cleaned)
 
     def mass(self, subset) -> float:
         return self.masses.get(frozenset(subset), 0.0)
 
 
-@dataclass(frozen=True)
-class BeliefReport:
+_mf_frame, _mf_masses = _setters(MassFunction)
+
+
+class BeliefReport(Record):
     """Belief/plausibility per intention plus the selected one."""
 
-    per_intention: dict[str, tuple[float, float]]  # id -> (belief, plausibility)
-    selected: str
-    mass: MassFunction
+    __slots__ = ("per_intention", "selected", "mass")
 
-    def __post_init__(self):
-        for iid, (bel, pl) in self.per_intention.items():
+    def __init__(
+        self,
+        per_intention: dict[str, tuple[float, float]],  # id -> (belief, plausibility)
+        selected: str,
+        mass: MassFunction,
+    ):
+        for iid, (bel, pl) in per_intention.items():
             if not (0.0 <= bel <= pl <= 1.0 + SUM_TOLERANCE):
                 raise ValidationFailure(
                     f"intention '{iid}': belief {bel!r} / plausibility {pl!r} out of order"
                 )
-        best = min(
-            self.per_intention, key=lambda iid: (-self.per_intention[iid][0], iid)
-        )
-        if self.selected != best:
-            raise ValidationFailure(
-                f"selected '{self.selected}' is not the belief argmax '{best}'"
-            )
+        best = min(per_intention, key=lambda iid: (-per_intention[iid][0], iid))
+        if selected != best:
+            raise ValidationFailure(f"selected '{selected}' is not the belief argmax '{best}'")
+        _br_per_intention(self, per_intention)
+        _br_selected(self, selected)
+        _br_mass(self, mass)
 
 
-@dataclass(frozen=True, slots=True)
-class SimilarityResult:
+_br_per_intention, _br_selected, _br_mass = _setters(BeliefReport)
+
+
+class SimilarityResult(Record):
     """Outcome of scoring a new case against one precedent."""
 
-    new_case_id: str
-    precedent_case_id: str
-    # (new evidence id, precedent evidence id, local similarity)
-    alignment: tuple[tuple[str, str, float], ...]
-    score: float
+    __slots__ = ("new_case_id", "precedent_case_id", "alignment", "score")
+
+    def __init__(
+        self,
+        new_case_id: str,
+        precedent_case_id: str,
+        # (new evidence id, precedent evidence id, local similarity)
+        alignment: tuple[tuple[str, str, float], ...],
+        score: float,
+    ):
+        _sim_new_case_id(self, new_case_id)
+        _sim_precedent_case_id(self, precedent_case_id)
+        _sim_alignment(self, alignment)
+        _sim_score(self, score)
+
+
+_sim_new_case_id, _sim_precedent_case_id, _sim_alignment, _sim_score = _setters(SimilarityResult)
 
 
 # --- validation -----------------------------------------------------------
@@ -258,8 +400,12 @@ class SimilarityResult:
 def validate_attack(attack: Attack) -> list[str]:
     """Check Attack/Evidence invariants; returns violation messages."""
     violations: list[str] = []
-    if not attack.id:
+    if not isinstance(attack.id, str):
+        violations.append(f"attack.id: {attack.id!r} is not text")
+    elif not attack.id:
         violations.append("attack.id: must be non-empty")
+    if not isinstance(attack.name, str):
+        violations.append(f"attack.name: {attack.name!r} is not text")
     if not _is_finite_unit(attack.detection_state):
         violations.append(
             f"attack.detection_state: {attack.detection_state!r} outside [0,1]"
@@ -269,11 +415,14 @@ def validate_attack(attack: Attack) -> list[str]:
     seen: set[str] = set()
     for ev in attack.evidence:
         where = f"evidence '{ev.id}'" if ev.id else "evidence with empty id"
-        if not ev.id:
+        if not isinstance(ev.id, str):
+            violations.append(f"{where}: id {ev.id!r} is not text")
+        elif not ev.id:
             violations.append(f"{where}: id must be non-empty")
         elif ev.id in seen:
             violations.append(f"{where}: duplicate id within attack")
-        seen.add(ev.id)
+        else:
+            seen.add(ev.id)
         if not isinstance(ev.kind, EvidenceKind):
             violations.append(f"{where}: kind {ev.kind!r} not a known kind")
         if not _is_finite_unit(ev.confidence):
@@ -295,8 +444,20 @@ def validate_case(case: Case) -> list[str]:
     if not case.case_id:
         violations.append("case_id: must be non-empty")
     violations.extend(validate_attack(case.attack))
-    if case.intention is not None and not case.intention.label:
-        violations.append("intention.label: must be non-empty")
+    intention = case.intention
+    if intention is not None:
+        if not isinstance(intention.id, str):
+            violations.append(f"intention.id: {intention.id!r} is not text")
+        if not isinstance(intention.label, str):
+            violations.append(f"intention.label: {intention.label!r} is not text")
+        elif not intention.label:
+            violations.append("intention.label: must be non-empty")
+        if not isinstance(intention.category, (str, type(None))):
+            violations.append(f"intention.category: {intention.category!r} is not text")
+    if not isinstance(case.provenance, str):
+        violations.append(f"provenance: {case.provenance!r} is not text")
+    if not isinstance(case.created_at, str):
+        violations.append(f"created_at: {case.created_at!r} is not text")
     evidence_ids = set(case.attack.evidence_ids())
     finite = True
     for ev_id, weight in case.evidence_weights.items():
@@ -379,9 +540,13 @@ def transition(case: Case, target: CaseStatus) -> Case:
 
 
 def is_safe_id(record_id: str) -> bool:
-    """True when the id is usable as a file name (no separators, no dots-only,
-    and short enough for the temp name of a write)."""
-    return len(record_id) <= _MAX_ID_LENGTH and bool(_ID_PATTERN.fullmatch(record_id))
+    """True when the id is text usable as a file name (no separators, no
+    dots-only, and short enough for the temp name of a write)."""
+    return (
+        isinstance(record_id, str)
+        and len(record_id) <= _MAX_ID_LENGTH
+        and bool(_ID_PATTERN.fullmatch(record_id))
+    )
 
 
 def fsum_or_nan(values) -> float:

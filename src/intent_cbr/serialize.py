@@ -6,8 +6,9 @@ float (as in RFC 8785). Equal values therefore always serialize to
 identical bytes, and a record reads back exactly as written, which keeps
 golden-file tests and repository round-trips stable.
 
-A record's document is exactly its dataclass fields, by name: one walker
-writes every record, an enum member as its value and a tuple as a list.
+A record's document is exactly its fields, by name: those of its class's
+``__slots__`` (see ``model.Record``). One walker writes every record, an
+enum member as its value and a tuple as a list.
 Each record type has its own decoder, which checks what it reads. A
 decoder keeps the dicts of the document it is given where their values
 already have the stored type, so the record shares them with it.
@@ -16,10 +17,7 @@ already have the stored type, so the record shares them with it.
 from __future__ import annotations
 
 import json
-from dataclasses import fields, is_dataclass
 from enum import Enum
-from types import MemberDescriptorType
-from typing import Any
 
 from .errors import ValidationFailure
 from .model import (
@@ -30,10 +28,11 @@ from .model import (
     Evidence,
     EvidenceKind,
     Intention,
+    Record,
 )
 
 
-def canonical_dumps(data: Any) -> str:
+def canonical_dumps(data: object) -> str:
     """Serialize to the canonical byte form (trailing newline included)."""
     return (
         json.dumps(
@@ -47,7 +46,7 @@ def canonical_dumps(data: Any) -> str:
     )
 
 
-def _walk(value: Any) -> Any:
+def _walk(value: object) -> object:
     """`value` as JSON data: a record as its document (a dict of its fields
     by name), an enum member as its value, a tuple as a list."""
     # Strings, floats, dicts and records, most of the nodes, come first and
@@ -58,23 +57,15 @@ def _walk(value: Any) -> Any:
         return value
     if isinstance(value, dict):
         return {key: _walk(item) for key, item in value.items()}
-    names = _FIELD_NAMES.get(kind)
-    if names is not None:
-        return {name: _walk(getattr(value, name)) for name in names}
+    if isinstance(value, Record):
+        return {name: _walk(getattr(value, name)) for name in kind.__slots__}
     if isinstance(value, Enum):
         return _walk(value.value)
     if isinstance(value, (str, int)):  # a bool is an int
         return value
     if isinstance(value, (list, tuple)):
         return [_walk(item) for item in value]
-    if is_dataclass(value) and not isinstance(value, type):
-        _FIELD_NAMES[kind] = tuple(f.name for f in fields(value))
-        return _walk(value)
     raise TypeError(f"cannot serialize {kind.__name__}")
-
-
-# Field names by record type, filled as each type is first walked.
-_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
 
 
 evidence_to_dict = attack_to_dict = intention_to_dict = _walk
@@ -86,8 +77,8 @@ network_to_dict = case_to_dict = _walk
 # Each field is read by one call to the readers at the end of this
 # module, which hold the type rule and its messages. On the scan's path a
 # nested object is tested for its exact type inline, which costs no call,
-# and goes to `_obj` only when that test fails. Records are built by
-# `_builder`'s functions, which take the field values by position.
+# and goes to `_obj` only when that test fails. Each record is built by
+# its class, from the field values by position.
 
 
 def evidence_from_dict(doc: dict) -> Evidence:
@@ -96,7 +87,7 @@ def evidence_from_dict(doc: dict) -> Evidence:
     attributes = doc.get("attributes", {})
     if type(attributes) is not dict:
         attributes = _obj(attributes, "attributes")
-    return _build_evidence(
+    return Evidence(
         ev_id,
         kind,
         _typed(attributes, str, _text, "attributes"),
@@ -107,7 +98,7 @@ def evidence_from_dict(doc: dict) -> Evidence:
 
 def attack_from_dict(doc: dict) -> Attack:
     attack_id = _req(doc, "id", str)
-    return _build_attack(
+    return Attack(
         attack_id,
         _optional_text(doc, "name", attack_id),
         _num(doc.get("detection_state", 1.0), "detection_state"),
@@ -119,7 +110,7 @@ def attack_from_dict(doc: dict) -> Attack:
 
 
 def intention_from_dict(doc: dict) -> Intention:
-    return _build_intention(
+    return Intention(
         _req(doc, "id", str),
         _req(doc, "label", str),
         _optional_text(doc, "category", None),
@@ -158,7 +149,7 @@ def case_from_dict(doc: dict) -> Case:
         intention = intention_from_dict(
             intention if type(intention) is dict else _obj(intention, "intention")
         )
-    return _build_case(
+    return Case(
         case_id,
         attack,
         intention,
@@ -175,38 +166,7 @@ _KINDS = {kind.value: kind for kind in EvidenceKind}
 _STATUSES = {status.value: status for status in CaseStatus}
 
 
-def _builder(cls: type):
-    """A function that builds a `cls` from its field values, given by
-    position in ``dataclasses.fields(cls)`` order.
-
-    It does what the frozen ``__init__`` does, with no keyword call: a
-    new instance, then each slot set through its member descriptor. It
-    skips ``__post_init__``, so `cls` must have none, and it needs the
-    slots of ``@dataclass(slots=True)``.
-    """
-    names = [f.name for f in fields(cls)]
-    slots = [vars(cls).get(name) for name in names]
-    if hasattr(cls, "__post_init__") or not all(
-        isinstance(slot, MemberDescriptorType) for slot in slots
-    ):
-        raise TypeError(f"{cls.__name__} cannot be built slot by slot")
-    # One unrolled function per class: about half the cost of a loop over
-    # the setters, and a wrong number of values is a TypeError.
-    env = {"_new": object.__new__, "_cls": cls}
-    env.update({f"_set_{name}": slot.__set__ for name, slot in zip(names, slots)})
-    params = ", ".join(names)
-    body = "".join(f"    _set_{name}(_obj, {name})\n" for name in names)
-    exec(f"def build({params}):\n    _obj = _new(_cls)\n{body}    return _obj\n", env)
-    return env["build"]
-
-
-_build_evidence = _builder(Evidence)
-_build_attack = _builder(Attack)
-_build_intention = _builder(Intention)
-_build_case = _builder(Case)
-
-
-def _req(doc: dict, key: str, expected: type) -> Any:
+def _req(doc: dict, key: str, expected: type) -> object:
     """``doc[key]``, which must be an `expected`."""
     value = doc.get(key) if type(doc) is dict else None
     if type(value) is expected:
@@ -221,7 +181,7 @@ def _req(doc: dict, key: str, expected: type) -> Any:
     return value
 
 
-def _num(value: Any, label: str) -> float:
+def _num(value: object, label: str) -> float:
     """`value` as a ``float``; `label` names it in the error. Stored
     records and JSON input files read their numbers by this rule."""
     if type(value) is float:
@@ -234,7 +194,7 @@ def _num(value: Any, label: str) -> float:
         raise ValidationFailure(f"field '{label}' is beyond float range") from None
 
 
-def _text(value: Any, label: str) -> str:
+def _text(value: object, label: str) -> str:
     """`value` as record text: a string as it is, an integer as its decimal
     text, as in a CSV cell. Stored records and JSON input files read their
     text by this rule; `label` names the field in the error."""
@@ -245,7 +205,7 @@ def _text(value: Any, label: str) -> str:
     return f"{value:d}"
 
 
-def _optional_text(doc: dict, key: str, default: Any) -> Any:
+def _optional_text(doc: dict, key: str, default: object) -> object:
     """``doc[key]`` by `_text`, or `default` where the field is absent or
     null: a null field is an absent one, never the text "None"."""
     value = doc.get(key)
@@ -263,14 +223,14 @@ def _typed(values: dict, kind: type, read, label: str) -> dict:
     return values
 
 
-def _obj(value: Any, label: str) -> dict:
+def _obj(value: object, label: str) -> dict:
     """`value`, which must be a JSON object; `label` names it in the error."""
     if isinstance(value, dict):
         return value
     raise ValidationFailure(f"field '{label}' has wrong type {type(value).__name__}")
 
 
-def _member(doc: dict, key: str, members: dict, enum: type) -> Any:
+def _member(doc: dict, key: str, members: dict, enum: type) -> object:
     """The `enum` member named by the string ``doc[key]``."""
     value = doc.get(key) if type(doc) is dict else None
     member = members.get(value) if type(value) is str else None

@@ -10,7 +10,6 @@ import math
 import random
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -37,6 +36,7 @@ from intent_cbr.model import (
     EvidenceKind,
     Hypothesis,
     Intention,
+    replace,
 )
 from intent_cbr.repository import Repository
 from intent_cbr.serialize import canonical_dumps, case_to_dict, network_to_dict

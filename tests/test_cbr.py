@@ -4,7 +4,6 @@ import gc
 import math
 import random
 import weakref
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -41,6 +40,7 @@ from intent_cbr.model import (
     Evidence,
     EvidenceKind,
     Intention,
+    replace,
 )
 from intent_cbr.repository import Repository
 from oracles import resum_similarity

@@ -11,7 +11,6 @@ import shutil
 import subprocess
 import sys
 from contextlib import suppress
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -21,7 +20,7 @@ from intent_cbr import cbr, cli
 from intent_cbr import fixtures as demo
 from intent_cbr.cli import main
 from intent_cbr.errors import DuplicateCaseId
-from intent_cbr.model import Attack, Case, CaseStatus, Evidence, EvidenceKind, Intention
+from intent_cbr.model import Attack, Case, CaseStatus, Evidence, EvidenceKind, Intention, replace
 from intent_cbr.repository import Repository
 from intent_cbr.serialize import attack_to_dict, canonical_dumps, network_to_dict
 

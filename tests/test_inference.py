@@ -2,7 +2,6 @@
 
 import math
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +38,7 @@ from intent_cbr.model import (
     Hypothesis,
     Intention,
     MassFunction,
+    replace,
 )
 from oracles import dense_belief, dense_combine, dense_plausibility, exact_fusion
 

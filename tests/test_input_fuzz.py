@@ -14,11 +14,11 @@ import csv
 import io
 import json
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -112,6 +112,14 @@ def _stored(root: Path) -> dict:
     return {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
 
 
+def _one_error_line(stderr: str) -> bool:
+    """True when `stderr` ends in one ``error:`` line, and any line before
+    it is a ``WARNING:`` that ingest logged: a message that quotes a line
+    break holds it escaped."""
+    *warnings, last = stderr.splitlines() or [""]
+    return last.startswith("error: ") and all(w.startswith("WARNING: ") for w in warnings)
+
+
 def _ingest(workdir: Path, name: str, text: str, fmt: str, *argv: str):
     """Ingest `text` through `main` into the new repository ``workdir/name``.
 
@@ -133,8 +141,7 @@ def _ingest(workdir: Path, name: str, text: str, fmt: str, *argv: str):
     assert rc in (0, 2), err.getvalue()
     if rc == 2:
         assert _stored(root) == before
-        # A message may quote text that holds a line end of its own.
-        assert re.search("^error: ", err.getvalue(), re.MULTILINE)
+        assert _one_error_line(err.getvalue()), err.getvalue()
     stored = root / "attacks" / "a1.json"
     return rc, stored.read_bytes() if stored.exists() else None, root
 
@@ -312,4 +319,21 @@ def test_deeply_nested_json_exits_0_or_2_in_a_process(tmp_path_factory, text):
     assert b"Traceback" not in result.stderr
     if result.returncode == 2:
         assert _stored(root) == before
-        assert re.search(b"^error: ", result.stderr, re.MULTILINE)
+        assert _one_error_line(result.stderr.decode("utf-8")), result.stderr
+
+
+@pytest.mark.parametrize("key, escaped", [("a\nb", "a\\nb"), ("0\u00850", "0\\x850")])
+def test_an_error_that_quotes_a_line_break_stays_one_line(tmp_path, key, escaped):
+    doc = [{"id": "e1", "kind": "tool", "attributes": {key: [1]}}]
+    rc, stored, _ = _ingest(tmp_path, "repo", json.dumps(doc), "json")
+    assert (rc, stored) == (2, None)
+    (tmp_path / "doc.json").write_text(json.dumps(doc), encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-m", "intent_cbr", "ingest", "--input", str(tmp_path / "doc.json"),
+         "--format", "json", "--repo", str(tmp_path / "repo"), "--attack-id", "a1"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, timeout=120,
+    )
+    assert result.returncode == 2
+    assert result.stderr.decode("utf-8") == (
+        f"error: line 1: field 'attributes[{escaped}]' has wrong type list\n"
+    )

@@ -1,7 +1,9 @@
-"""Core model invariants: validation, transitions, mass-function checks."""
+"""Core model invariants: validation, transitions, mass-function checks,
+and the behaviour every record shares."""
 
+import copy
 import math
-from dataclasses import replace
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -16,12 +18,16 @@ from intent_cbr.model import (
     BeliefReport,
     Case,
     CaseStatus,
+    CausalNetwork,
     Evidence,
     EvidenceKind,
+    Hypothesis,
     Intention,
     MassFunction,
+    SimilarityResult,
     is_safe_id,
     now_utc,
+    replace,
     transition,
     validate_attack,
     validate_case,
@@ -341,3 +347,162 @@ def test_validate_case_names_an_empty_case_id():
     assert validate_case(replace(make_case({"ev01": 1.0}), case_id="")) == [
         "case_id: must be non-empty"
     ]
+
+
+# --- records -------------------------------------------------------------------
+
+_EVIDENCE = Evidence("ev1", EvidenceKind.TOOL_USAGE, {"tool": "nc"}, "netcat", 0.5)
+_ATTACK = Attack("a1", "Attack one", 0.75, (_EVIDENCE,))
+_INTENTION = Intention("int-1", "Steal data.", "theft")
+_MASS = MassFunction(("int-1",), {frozenset({"int-1"}): 1.0})
+_RESULT = SimilarityResult("q", "c1", (("ev1", "ev1", 1.0),), 0.5)
+
+# One of each record and its exact repr, in the form `Name(field=value, ...)`.
+_EV_REPR = (
+    "Evidence(id='ev1', kind=<EvidenceKind.TOOL_USAGE: 'tool-usage'>, "
+    "attributes={'tool': 'nc'}, description='netcat', confidence=0.5)"
+)
+_ATTACK_REPR = (
+    f"Attack(id='a1', name='Attack one', detection_state=0.75, evidence=({_EV_REPR},))"
+)
+_INTENTION_REPR = "Intention(id='int-1', label='Steal data.', category='theft')"
+_MASS_REPR = "MassFunction(frame=('int-1',), masses={frozenset({'int-1'}): 1.0})"
+_RESULT_REPR = (
+    "SimilarityResult(new_case_id='q', precedent_case_id='c1', "
+    "alignment=(('ev1', 'ev1', 1.0),), score=0.5)"
+)
+_RECORDS = [
+    (_EVIDENCE, _EV_REPR),
+    (_ATTACK, _ATTACK_REPR),
+    (_INTENTION, _INTENTION_REPR),
+    (Hypothesis("h1", 0.9, "int-1"), "Hypothesis(id='h1', accuracy=0.9, applies_to='int-1')"),
+    (
+        CausalNetwork("a1", (_INTENTION,), ("ev1",), {"int-1": 1.0}, {"ev1": {"int-1": 0.5}}),
+        f"CausalNetwork(attack_id='a1', intentions=({_INTENTION_REPR},), "
+        "evidence_ids=('ev1',), priors={'int-1': 1.0}, likelihoods={'ev1': {'int-1': 0.5}})",
+    ),
+    (
+        Case(
+            "c1", _ATTACK, _INTENTION, {"ev1": 1.0}, CaseStatus.RETAINED, "analyst",
+            "2020-01-02T03:04:05Z",
+        ),
+        f"Case(case_id='c1', attack={_ATTACK_REPR}, intention={_INTENTION_REPR}, "
+        "evidence_weights={'ev1': 1.0}, status=<CaseStatus.RETAINED: 'retained'>, "
+        "provenance='analyst', created_at='2020-01-02T03:04:05Z')",
+    ),
+    (_MASS, _MASS_REPR),
+    (
+        BeliefReport({"int-1": (1.0, 1.0)}, "int-1", _MASS),
+        "BeliefReport(per_intention={'int-1': (1.0, 1.0)}, selected='int-1', "
+        f"mass={_MASS_REPR})",
+    ),
+    (_RESULT, _RESULT_REPR),
+    (
+        cbr.RetrievalRanking("q", (_RESULT,), {"c1": _INTENTION}),
+        f"RetrievalRanking(new_case_id='q', entries=({_RESULT_REPR},), "
+        f"precedent_intentions={{'c1': {_INTENTION_REPR}}})",
+    ),
+    (
+        cbr.ReviseVerdict("reject", "wrong goal", "fraud", "none"),
+        "ReviseVerdict(verdict='reject', rationale='wrong goal', crime_type='fraud', "
+        "damage_note='none')",
+    ),
+]
+_IDS = [type(record).__name__ for record, _ in _RECORDS]
+# The records with no dict among their values, which therefore hash.
+_HASHABLE = {"Intention", "Hypothesis", "SimilarityResult", "ReviseVerdict"}
+
+
+def _fields(record) -> tuple:
+    return tuple(getattr(record, name) for name in type(record).__slots__)
+
+
+@pytest.mark.parametrize("record, text", _RECORDS, ids=_IDS)
+def test_record_repr(record, text):
+    assert repr(record) == text
+
+
+@pytest.mark.parametrize("record, text", _RECORDS, ids=_IDS)
+def test_record_equality_is_by_class_and_fields(record, text):
+    twin = type(record)(*_fields(record))
+    assert twin is not record
+    assert twin == record and not twin != record
+    assert record.__eq__(object()) is NotImplemented
+    assert record != _fields(record)
+    # Another value of one field: the last, which no record checks but
+    # MassFunction, whose frame may grow instead.
+    if isinstance(record, MassFunction):
+        assert replace(record, frame=("int-1", "int-2")) != record
+    else:
+        assert replace(record, **{type(record).__slots__[-1]: "other"}) != record
+
+
+@pytest.mark.parametrize("record, text", _RECORDS, ids=_IDS)
+def test_record_hash_is_the_hash_of_its_fields(record, text):
+    if type(record).__name__ in _HASHABLE:
+        assert hash(record) == hash(_fields(record)) == hash(type(record)(*_fields(record)))
+    else:
+        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+            hash(record)
+
+
+@pytest.mark.parametrize("record, text", _RECORDS, ids=_IDS)
+def test_record_refuses_writes(record, text):
+    assert not hasattr(record, "__dict__")
+    for name in (*type(record).__slots__, "extra"):
+        before = getattr(record, name, None)
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            setattr(record, name, "x")
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+            delattr(record, name)
+        assert getattr(record, name, None) is before
+    assert repr(record) == text
+
+
+@pytest.mark.parametrize("record, text", _RECORDS, ids=_IDS)
+def test_record_pickles_and_copies(record, text):
+    for again in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record), copy.copy(record)):
+        assert type(again) is type(record)
+        assert again == record
+        assert repr(again) == text
+
+
+def test_replace_sets_the_named_fields_and_keeps_the_rest():
+    changed = replace(_EVIDENCE, description="nc", confidence=1.0)
+    assert changed == Evidence("ev1", EvidenceKind.TOOL_USAGE, {"tool": "nc"}, "nc", 1.0)
+    assert changed.attributes is _EVIDENCE.attributes
+    assert replace(_EVIDENCE) == _EVIDENCE
+    with pytest.raises(TypeError, match="colour"):
+        replace(_EVIDENCE, colour="red")
+
+
+def test_replace_runs_the_checks_again():
+    with pytest.raises(ValidationFailure, match="a reject verdict requires a rationale"):
+        replace(cbr.ReviseVerdict("accept"), verdict="reject")
+    both = frozenset({"int-1", "int-2"})
+    halves = replace(
+        _MASS,
+        frame=("int-1", "int-2"),
+        masses={frozenset({"int-1"}): 0.5, frozenset({"int-2"}): 0.5, both: 0.0},
+    )
+    assert halves.masses == {frozenset({"int-1"}): 0.5, frozenset({"int-2"}): 0.5}
+    with pytest.raises(ValidationFailure, match="masses sum to 0.5, expected 1"):
+        replace(halves, masses={frozenset({"int-1"}): 0.5})
+    report = BeliefReport({"int-1": (1.0, 1.0)}, "int-1", _MASS)
+    with pytest.raises(ValidationFailure, match="not the belief argmax"):
+        replace(report, per_intention={"int-1": (0.0, 1.0), "int-0": (0.5, 1.0)})
+
+
+def test_record_defaults():
+    bare = Evidence("e", EvidenceKind.OTHER)
+    assert bare == Evidence("e", EvidenceKind.OTHER, {}, "", 1.0)
+    assert bare.attributes is not Evidence("e", EvidenceKind.OTHER).attributes
+    assert Intention("i", "goal").category is None
+    assert Hypothesis("h", 0.9).applies_to == "*"
+    case = Case("c", _ATTACK, None, {}, CaseStatus.PROPOSED)
+    assert case.provenance == "analyst"
+    assert len(case.created_at) == 20 and case.created_at.endswith("Z")
+    ranking = cbr.RetrievalRanking("q", ())
+    assert ranking.precedent_intentions == {}
+    assert ranking.precedent_intentions is not cbr.RetrievalRanking("q", ()).precedent_intentions
+    assert cbr.ReviseVerdict("accept") == cbr.ReviseVerdict("accept", "", "", "")

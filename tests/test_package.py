@@ -86,3 +86,18 @@ def test_importing_the_package_loads_no_submodule():
         "print('\\n'.join(sorted(set(sys.modules) - before)))"
     ).split()
     assert [name for name in loaded if name.startswith("intent_cbr.")] == []
+
+
+def test_no_command_loads_the_modules_that_generate_code():
+    # dataclasses and the inspect it imports cost each CLI process about
+    # 20 ms of start-up. The site module may load typing before this runs
+    # (a .pth file can), and then typing is not newly loaded here.
+    loaded = _python(
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import intent_cbr.cli\n"
+        "import intent_cbr.ingest, intent_cbr.inference\n"
+        "print('\\n'.join(sorted(set(sys.modules) - before)))"
+    ).split()
+    assert "intent_cbr.inference" in loaded
+    assert [name for name in ("dataclasses", "inspect", "typing") if name in loaded] == []

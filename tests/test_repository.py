@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -24,7 +23,7 @@ from intent_cbr.errors import (
     ValidationFailure,
 )
 from intent_cbr import repository as repository_module
-from intent_cbr.model import CaseStatus, Intention
+from intent_cbr.model import CaseStatus, Intention, replace
 from intent_cbr.repository import Repository
 from intent_cbr.serialize import (
     attack_to_dict,
@@ -883,3 +882,74 @@ def test_add_case_refuses_a_value_that_is_not_text(repo, mutate, reason):
         repo.add_case(case)
     assert os.listdir(repo.root / "cases") == []
     assert repo.list_cases() == []
+
+
+def _attack(**changes):
+    return lambda case: replace(case, attack=replace(case.attack, **changes))
+
+
+def _intention(**changes):
+    return lambda case: replace(case, intention=replace(case.intention, **changes))
+
+
+# Each text field of a stored case, holding a float: every write refuses it,
+# since a read would report the record corrupt.
+_NOT_TEXT = {
+    "attack-id": (_attack(id=1.5), "attack.id: 1.5 is not text"),
+    "attack-name": (_attack(name=1.5), "attack.name: 1.5 is not text"),
+    "evidence-id": (_first_evidence(id=1.5), "evidence '1.5': id 1.5 is not text"),
+    "intention-id": (_intention(id=1.5), "intention.id: 1.5 is not text"),
+    "intention-label": (_intention(label=1.5), "intention.label: 1.5 is not text"),
+    "intention-category": (_intention(category=1.5), "intention.category: 1.5 is not text"),
+    "provenance": (lambda case: replace(case, provenance=1.5), "provenance: 1.5 is not text"),
+    "created-at": (lambda case: replace(case, created_at=1.5), "created_at: 1.5 is not text"),
+}
+
+
+def _records(root):
+    return {
+        path: path.read_bytes()
+        for sub in ("cases", "attacks")
+        for path in (root / sub).iterdir()
+    }
+
+
+@pytest.mark.parametrize("handle", [Repository.open, Repository.attach], ids=["open", "attach"])
+@pytest.mark.parametrize("mutate, reason", _NOT_TEXT.values(), ids=_NOT_TEXT)
+def test_no_case_write_stores_a_field_that_is_not_text(tmp_path, handle, mutate, reason):
+    root = tmp_path / "repo"
+    demo.install_demo_repository(root)
+    repo = handle(root)
+    in_flight = replace(demo.precedent_cases()[0], case_id="x1", status=CaseStatus.INCIPIENT)
+    repo.add_case(in_flight)
+    before = _records(root)
+    bad = mutate(in_flight)
+    writes = [
+        lambda: repo.add_case(replace(bad, case_id="x2")),
+        lambda: repo.update_case(replace(bad, status=CaseStatus.REVISED_ACCEPTED)),
+        lambda: repo.store_confirmed(replace(bad, status=CaseStatus.RETAINED)),
+    ]
+    for write in writes:
+        with pytest.raises(ValidationFailure, match=reason):
+            write()
+    assert _records(root) == before
+    assert repo.get_case("x1") == in_flight
+    assert Repository.open(root).case_count() == 12
+
+
+@pytest.mark.parametrize(
+    "changes, reason",
+    [
+        ({"id": 1.5}, "attack id 1.5 not usable as a file name"),
+        ({"name": 1.5}, "attack.name: 1.5 is not text"),
+        (
+            {"evidence": (replace(demo.keylogging_attack().evidence[0], id=1.5),)},
+            "evidence '1.5': id 1.5 is not text",
+        ),
+    ],
+    ids=["id", "name", "evidence-id"],
+)
+def test_save_attack_refuses_a_field_that_is_not_text(repo, changes, reason):
+    with pytest.raises(ValidationFailure, match=reason):
+        repo.save_attack(replace(demo.keylogging_attack(), **changes))
+    assert _records(repo.root) == {}
