@@ -327,7 +327,7 @@ def cmd_report(repo: Repository, args) -> int:
     out = Path(args.out)
     csv_text = io.StringIO()
     cbr.write_ranking_csv(ranking, csv_text)
-    _atomic_write(out, csv_text.getvalue())
+    _atomic_write(out, csv_text.getvalue().encode("utf-8"))
     print(f"wrote {out}", file=sys.stderr)
     if args.chart_data:
         rows = [
@@ -337,7 +337,7 @@ def cmd_report(repo: Repository, args) -> int:
             }
             for e in ranking.entries
         ]
-        _atomic_write(Path(args.chart_data), canonical_dumps(rows))
+        _atomic_write(Path(args.chart_data), canonical_dumps(rows).encode("utf-8"))
         print(f"wrote {args.chart_data}", file=sys.stderr)
     return 0
 

@@ -11,7 +11,8 @@ CSV dialect: comma separated, double-quote escaping, header row
 required. Columns are ``id, kind, description, confidence`` followed by
 any number of attribute cells, each holding one ``key=value`` token.
 A blank confidence cell defaults to 1.0 (the analyst asserted the
-evidence). Unknown kind strings map to ``other`` with a warning.
+evidence). Unknown kind strings map to ``other`` with a warning. Both
+formats trim each evidence id, description, attribute key and value.
 
 JSON: either a full attack document (``id``, ``name``,
 ``detection_state``, ``evidence`` array) or a bare array of evidence
@@ -88,6 +89,8 @@ def parse_evidence_file(
 
     The optional attack metadata arguments override whatever the file
     carries (they are the only source for CSV, which has no metadata).
+    They are read by the rules of the document's own fields: the id and
+    name as text, the detection state as a number.
     """
     path = Path(path)
     if format not in ("csv", "json"):
@@ -98,15 +101,17 @@ def parse_evidence_file(
     else:
         meta, evidence = _parse_json(content)
     meta_id, meta_name = (_field(0, _optional_text, meta, key, None) for key in ("id", "name"))
+    given = {"attack_id": attack_id, "attack_name": attack_name}
+    attack_id, attack_name = (_field(0, _optional_text, given, key, None) for key in given)
     attack_id = attack_id or meta_id
     if not attack_id:
         raise MalformedRecord(0, "attack id missing (pass attack_id or set 'id')")
     if detection_state is None:
-        detection_state = _field(0, _num, meta.get("detection_state", 1.0), "detection_state")
+        detection_state = meta.get("detection_state", 1.0)
     attack = Attack(
         id=attack_id,
         name=attack_name or meta_name or attack_id,
-        detection_state=float(detection_state),
+        detection_state=_field(0, _num, detection_state, "detection_state"),
         evidence=evidence,
     )
     violations = validate_attack(attack)
@@ -183,9 +188,9 @@ def _csv_evidence(reader) -> tuple[Evidence, ...]:
             _checked_evidence(
                 line,
                 seen,
-                ev_id=row[0].strip(),
-                raw_kind=row[1].strip(),
-                description=row[2].strip() if len(row) > 2 else "",
+                ev_id=row[0],
+                raw_kind=row[1],
+                description=row[2] if len(row) > 2 else "",
                 confidence=_parse_confidence(row[3] if len(row) > 3 else "", line),
                 attributes=_parse_attribute_cells(row[4:], line),
             )
@@ -221,11 +226,11 @@ def _parse_json(doc) -> tuple[dict, tuple[Evidence, ...]]:
             _checked_evidence(
                 index,
                 seen,
-                ev_id=_field(index, _optional_text, item, "id", "").strip(),
+                ev_id=_field(index, _optional_text, item, "id", ""),
                 raw_kind=_field(index, _optional_text, item, "kind", "other"),
                 description=_field(index, _optional_text, item, "description", ""),
                 confidence=confidence,
-                attributes=_field(index, _typed, attributes, str, _text, "attributes"),
+                attributes=_field(index, _typed, attributes, str, _text, "attributes").items(),
             )
         )
     if not evidence:
@@ -240,13 +245,16 @@ def _checked_evidence(
     raw_kind: str,
     description: str,
     confidence: float,
-    attributes: dict[str, str],
+    attributes,
 ) -> Evidence:
     """One decoded record after the checks both formats share.
 
-    ``line`` is the record's position (CSV line, 1-based JSON index) and
-    becomes the ``.line`` of any error; ``seen`` collects the ids so far.
+    Both formats trim the id, the description, and each attribute key and
+    value; `attributes` is the record's ``(key, value)`` pairs. ``line`` is
+    the record's position (CSV line, 1-based JSON index) and becomes the
+    ``.line`` of any error; ``seen`` collects the ids so far.
     """
+    ev_id = ev_id.strip()
     if not ev_id:
         raise MalformedRecord(line, "evidence id must be non-empty")
     if ev_id in seen:
@@ -257,11 +265,19 @@ def _checked_evidence(
         logger.warning("line %d: unknown kind %r mapped to 'other'", line, raw_kind)
     if not 0.0 <= confidence <= 1.0:
         raise ConfidenceOutOfRange(line, f"confidence {confidence!r} outside [0,1]")
+    trimmed: dict[str, str] = {}
+    for raw_key, value in attributes:
+        key = raw_key.strip()
+        if not key:
+            raise MalformedRecord(line, f"attribute {raw_key + '=' + value!r} has an empty key")
+        if key in trimmed:
+            raise MalformedRecord(line, f"duplicate attribute key '{key}'")
+        trimmed[key] = value.strip()
     return Evidence(
         id=ev_id,
         kind=kind,
-        attributes=attributes,
-        description=description,
+        attributes=trimmed,
+        description=description.strip(),
         confidence=confidence,
     )
 
@@ -285,21 +301,15 @@ def _parse_confidence(cell: str, line: int) -> float:
         raise MalformedRecord(line, f"confidence {cell!r} is not a number") from None
 
 
-def _parse_attribute_cells(cells: list[str], line: int) -> dict[str, str]:
-    attributes: dict[str, str] = {}
+def _parse_attribute_cells(cells: list[str], line: int) -> list[tuple[str, str]]:
+    """The ``(key, value)`` pair of each non-blank ``key=value`` cell."""
+    pairs = []
     for cell in cells:
-        token = cell.strip()
-        if not token:
+        if not cell.strip():
             continue
-        if "=" not in token:
+        if "=" not in cell:
             raise MalformedRecord(
-                line, f"attribute cell {token!r} must look like key=value"
+                line, f"attribute cell {cell.strip()!r} must look like key=value"
             )
-        key, value = token.split("=", 1)
-        key = key.strip()
-        if not key:
-            raise MalformedRecord(line, f"attribute cell {token!r} has an empty key")
-        if key in attributes:
-            raise MalformedRecord(line, f"duplicate attribute key '{key}'")
-        attributes[key] = value.strip()
-    return attributes
+        pairs.append(tuple(cell.split("=", 1)))
+    return pairs

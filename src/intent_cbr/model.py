@@ -398,15 +398,15 @@ _sim_new_case_id, _sim_precedent_case_id, _sim_alignment, _sim_score = _setters(
 
 
 def validate_attack(attack: Attack) -> list[str]:
-    """Check Attack/Evidence invariants; returns violation messages."""
+    """Check the invariants of an attack and its evidence; returns violation
+    messages. Each field must already have its stored type: the types are
+    the rule of the decoders in ``serialize``, which each read and write of
+    a stored record applies first."""
     violations: list[str] = []
-    if not isinstance(attack.id, str):
-        violations.append(f"attack.id: {attack.id!r} is not text")
-    elif not attack.id:
+    if not attack.id:
         violations.append("attack.id: must be non-empty")
-    if not isinstance(attack.name, str):
-        violations.append(f"attack.name: {attack.name!r} is not text")
-    if not _is_finite_unit(attack.detection_state):
+    # NaN fails every comparison, and an infinity is outside [0, 1].
+    if not 0.0 <= attack.detection_state <= 1.0:
         violations.append(
             f"attack.detection_state: {attack.detection_state!r} outside [0,1]"
         )
@@ -415,9 +415,7 @@ def validate_attack(attack: Attack) -> list[str]:
     seen: set[str] = set()
     for ev in attack.evidence:
         where = f"evidence '{ev.id}'" if ev.id else "evidence with empty id"
-        if not isinstance(ev.id, str):
-            violations.append(f"{where}: id {ev.id!r} is not text")
-        elif not ev.id:
+        if not ev.id:
             violations.append(f"{where}: id must be non-empty")
         elif ev.id in seen:
             violations.append(f"{where}: duplicate id within attack")
@@ -425,39 +423,23 @@ def validate_attack(attack: Attack) -> list[str]:
             seen.add(ev.id)
         if not isinstance(ev.kind, EvidenceKind):
             violations.append(f"{where}: kind {ev.kind!r} not a known kind")
-        if not _is_finite_unit(ev.confidence):
+        if not 0.0 <= ev.confidence <= 1.0:
             violations.append(f"{where}: confidence {ev.confidence!r} outside [0,1]")
-        if not isinstance(ev.description, str):
-            violations.append(f"{where}: description {ev.description!r} is not text")
-        for key, value in ev.attributes.items():
-            if not isinstance(value, str):
-                violations.append(f"{where}: attribute '{key}' value {value!r} is not text")
     return violations
 
 
 def validate_case(case: Case) -> list[str]:
     """Check every Case invariant; violations are data, not exceptions.
 
-    Total over well-formed inputs: always returns a list, never raises.
+    As for :func:`validate_attack`, each field must already have its
+    stored type; over such a case it always returns a list, never raises.
     """
     violations: list[str] = []
     if not case.case_id:
         violations.append("case_id: must be non-empty")
     violations.extend(validate_attack(case.attack))
-    intention = case.intention
-    if intention is not None:
-        if not isinstance(intention.id, str):
-            violations.append(f"intention.id: {intention.id!r} is not text")
-        if not isinstance(intention.label, str):
-            violations.append(f"intention.label: {intention.label!r} is not text")
-        elif not intention.label:
-            violations.append("intention.label: must be non-empty")
-        if not isinstance(intention.category, (str, type(None))):
-            violations.append(f"intention.category: {intention.category!r} is not text")
-    if not isinstance(case.provenance, str):
-        violations.append(f"provenance: {case.provenance!r} is not text")
-    if not isinstance(case.created_at, str):
-        violations.append(f"created_at: {case.created_at!r} is not text")
+    if case.intention is not None and not case.intention.label:
+        violations.append("intention.label: must be non-empty")
     evidence_ids = set(case.attack.evidence_ids())
     finite = True
     for ev_id, weight in case.evidence_weights.items():
@@ -522,7 +504,7 @@ def validate_network(network: CausalNetwork) -> list[str]:
                 violations.append(
                     f"likelihoods['{ev_id}']: missing entry for intention '{iid}'"
                 )
-            elif not _is_finite_unit(p):
+            elif not 0.0 <= p <= 1.0:
                 violations.append(
                     f"likelihoods['{ev_id}']['{iid}']: {p!r} outside [0,1]"
                 )
@@ -560,7 +542,3 @@ def fsum_or_nan(values) -> float:
         return math.fsum(values)
     except (ValueError, OverflowError):
         return math.nan
-
-
-def _is_finite_unit(x: float) -> bool:
-    return isinstance(x, (int, float)) and math.isfinite(x) and 0.0 <= x <= 1.0

@@ -19,6 +19,9 @@ is ``attach`` plus that scan.
 Every case, attack and network read is strict UTF-8 JSON, validated, and
 its own id must match its file name; a record that fails is CorruptRecord,
 keyed by the bare id for a case, ``attacks/<id>`` or ``networks/<id>``.
+A write stores a record only if its document, taken through that read's
+decoder and validator, gives back an equal record; anything else is a
+ValidationFailure, and nothing is written.
 
 An id that is not a safe file name (see ``model.is_safe_id``) is never
 stored, so reads treat it as not stored without touching the disk.
@@ -62,13 +65,11 @@ from .model import (
     validate_network,
 )
 from .serialize import (
+    _walk,
     attack_from_dict,
-    attack_to_dict,
     canonical_dumps,
     case_from_dict,
-    case_to_dict,
     network_from_dict,
-    network_to_dict,
 )
 
 SCHEMA_VERSION = 1
@@ -109,7 +110,7 @@ class Repository:
                 # file's own creation: create it exclusively instead. When
                 # another process got there first, its file is checked below.
                 _create_exclusive(
-                    meta_path, canonical_dumps({"schema_version": SCHEMA_VERSION})
+                    meta_path, canonical_dumps({"schema_version": SCHEMA_VERSION}).encode()
                 )
             try:
                 meta = json.loads(meta_path.read_text(encoding="utf-8"))
@@ -143,12 +144,12 @@ class Repository:
 
     def add_case(self, case: Case) -> None:
         """Store a new case; atomic, validated, id must be unused on disk."""
-        self._check_case(case)
+        case, data = _as_stored(case, "case", case.case_id, case_from_dict, validate_case)
         path = self._path("cases", case.case_id)
         with self._writer_lock():
             if os.path.exists(path):
                 raise DuplicateCaseId(f"case '{case.case_id}' already stored")
-            self._write_case(path, case)
+            self._write_case(path, case, data)
 
     def update_case(self, case: Case) -> None:
         """Replace an existing case record; atomic, validated.
@@ -156,15 +157,15 @@ class Repository:
         The stored status must be able to move to the new one, so an
         update made from a stale read raises IllegalTransition.
         """
-        self._check_case(case)
+        case, data = _as_stored(case, "case", case.case_id, case_from_dict, validate_case)
         path = self._path("cases", case.case_id)
         with self._writer_lock():
             transition(self.get_case(case.case_id), case.status)
-            self._write_case(path, case)
+            self._write_case(path, case, data)
 
     def store_confirmed(self, case: Case) -> None:
         """Store a retained case, replacing only its own in-flight record."""
-        self._check_case(case)
+        case, data = _as_stored(case, "case", case.case_id, case_from_dict, validate_case)
         path = self._path("cases", case.case_id)
         with self._writer_lock():
             if os.path.exists(path):
@@ -174,7 +175,7 @@ class Repository:
                         f"case '{case.case_id}' already stored with status "
                         f"'{existing.status.value}'"
                     )
-            self._write_case(path, case)
+            self._write_case(path, case, data)
 
     def get_case(self, case_id: str) -> Case:
         """Exact stored value, read and validated from ``cases/<id>.json``.
@@ -225,15 +226,12 @@ class Repository:
     # -- attacks ---------------------------------------------------------------
 
     def save_attack(self, attack: Attack) -> None:
-        _check_id(attack.id, "attack")
-        violations = validate_attack(attack)
-        if violations:
-            raise ValidationFailure("; ".join(violations))
+        _, data = _as_stored(attack, "attack", attack.id, attack_from_dict, validate_attack)
         path = self._path("attacks", attack.id)
         with self._writer_lock():
             if os.path.exists(path):
                 raise DuplicateCaseId(f"attack '{attack.id}' already stored")
-            _atomic_write(path, canonical_dumps(attack_to_dict(attack)))
+            _atomic_write(path, data)
 
     def load_attack(self, attack_id: str) -> Attack:
         """Stored attack, read and validated like a case."""
@@ -250,13 +248,12 @@ class Repository:
     # -- networks ----------------------------------------------------------------
 
     def save_network(self, network: CausalNetwork) -> None:
-        _check_id(network.attack_id, "network attack_id")
-        violations = validate_network(network)
-        if violations:
-            raise ValidationFailure("; ".join(violations))
+        _, data = _as_stored(
+            network, "network attack_id", network.attack_id, network_from_dict, validate_network
+        )
         path = self._path("networks", network.attack_id)
         with self._writer_lock():
-            _atomic_write(path, canonical_dumps(network_to_dict(network)))
+            _atomic_write(path, data)
 
     def load_network(self, attack_id: str) -> CausalNetwork:
         """Stored network for an attack, read and validated like a case."""
@@ -355,27 +352,16 @@ class Repository:
         path = self._path(sub, record_id)
         return path if os.path.exists(path) else None
 
-    def _check_case(self, case: Case) -> None:
-        _check_id(case.case_id, "case")
-        violations = validate_case(case)
-        if violations:
-            raise ValidationFailure(
-                f"case '{case.case_id}': " + "; ".join(violations)
-            )
-
-    def _write_case(self, path: str, case: Case) -> None:
+    def _write_case(self, path: str, case: Case, data: bytes) -> None:
         """Write under the caller's writer lock; keep a loaded scan current."""
-        doc = canonical_dumps(case_to_dict(case))
-        _atomic_write(path, doc)
+        _atomic_write(path, data)
         cases = self._cases
         if cases is not None:
             # A new id that sorts before the last one breaks case-id order.
             out_of_order = case.case_id not in cases and case.case_id < next(
                 reversed(cases), ""
             )
-            # Cache what the disk now holds: decoding turns a caller's types,
-            # such as an int weight or confidence, into the stored ones.
-            cases[case.case_id] = case_from_dict(json.loads(doc))
+            cases[case.case_id] = case
             if out_of_order:
                 self._cases = dict(sorted(cases.items()))
 
@@ -408,10 +394,36 @@ def _check_id(record_id: str, label: str) -> None:
         )
 
 
-def _atomic_write(path, text: str) -> None:
+def _as_stored(record, kind: str, record_id, from_dict, validate) -> tuple:
+    """`record` as a read gives it back, by its kind's `from_dict` and
+    `validate`, and the UTF-8 bytes of its canonical document; or one
+    ValidationFailure that names it. The read must give an equal record.
+    The document holds no key that is not text, nor a NaN or infinity, so
+    its bytes read back as it does.
+    """
+    _check_id(record_id, kind)
+    try:
+        doc = _walk(record)
+        stored = from_dict(doc)
+        violations = validate(stored)
+        if not violations and stored != record:
+            name = next(
+                (n for n in record.__slots__ if getattr(record, n) != getattr(stored, n)), ""
+            )
+            violations = [f"field '{name}' does not read back as written"]
+        if not violations:
+            return stored, canonical_dumps(doc).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        violations = [f"text {exc.object[exc.start : exc.end]!r} cannot be stored as UTF-8"]
+    except (TypeError, ValueError) as exc:  # a ValidationFailure is a ValueError
+        violations = [str(exc)]
+    raise ValidationFailure(f"{kind} '{record_id}': " + "; ".join(violations))
+
+
+def _atomic_write(path, data: bytes) -> None:
     """Write-temp-then-rename so readers never see a partial document."""
     try:
-        tmp = _write_temp(path, text)
+        tmp = _write_temp(path, data)
         try:
             os.replace(tmp, path)
         except OSError:
@@ -422,9 +434,9 @@ def _atomic_write(path, text: str) -> None:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
-def _create_exclusive(path: Path, text: str) -> None:
-    """Create `path` holding `text`, complete, unless it already exists."""
-    tmp = _write_temp(path, text)
+def _create_exclusive(path: Path, data: bytes) -> None:
+    """Create `path` holding `data`, complete, unless it already exists."""
+    tmp = _write_temp(path, data)
     try:
         os.link(tmp, path)
     except FileExistsError:
@@ -433,20 +445,13 @@ def _create_exclusive(path: Path, text: str) -> None:
         os.unlink(tmp)
 
 
-def _write_temp(path, text: str) -> str:
-    """A new file beside `path` holding `text`; returns its name.
+def _write_temp(path, data: bytes) -> str:
+    """A new file beside `path` holding `data`; returns its name.
 
     The name is unique, so concurrent writers never share a temp file,
     and ends in ``.tmp``, which the scan skips. The mode is 0666 less the
-    umask, as for a plain open(). A failed write leaves no file. Text that
-    UTF-8 cannot hold, such as an undecodable byte of a command-line
-    argument, is a ValidationFailure, and no file is made.
+    umask, as for a plain open(). A failed write leaves no file.
     """
-    try:
-        data = text.encode("utf-8")
-    except UnicodeEncodeError as exc:
-        bad = exc.object[exc.start : exc.end]
-        raise ValidationFailure(f"text {bad!r} cannot be stored as UTF-8") from None
     directory, name = os.path.split(path)
     tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)

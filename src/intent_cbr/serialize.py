@@ -8,7 +8,7 @@ golden-file tests and repository round-trips stable.
 
 A record's document is exactly its fields, by name: those of its class's
 ``__slots__`` (see ``model.Record``). One walker writes every record, an
-enum member as its value and a tuple as a list.
+enum member as its value and a tuple as a list; a dict key must be text.
 Each record type has its own decoder, which checks what it reads. A
 decoder keeps the dicts of the document it is given where their values
 already have the stored type, so the record shares them with it.
@@ -48,7 +48,8 @@ def canonical_dumps(data: object) -> str:
 
 def _walk(value: object) -> object:
     """`value` as JSON data: a record as its document (a dict of its fields
-    by name), an enum member as its value, a tuple as a list."""
+    by name), an enum member as its value, a tuple as a list. A dict key
+    must be text: JSON would store a key 1 as "1", and cannot sort it."""
     # Strings, floats, dicts and records, most of the nodes, come first and
     # pay for no test meant for another type. A str-valued enum member is
     # a str, but not exactly one; an enum must not subclass float or dict.
@@ -56,6 +57,9 @@ def _walk(value: object) -> object:
     if kind is str or value is None or isinstance(value, float):
         return value
     if isinstance(value, dict):
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"key {key!r} is not text")
         return {key: _walk(item) for key, item in value.items()}
     if isinstance(value, Record):
         return {name: _walk(getattr(value, name)) for name in kind.__slots__}

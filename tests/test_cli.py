@@ -1186,12 +1186,13 @@ def _stored(workdir):
          "line 0: text '\\ud800' cannot be stored as UTF-8"),
         (None, ["ingest", "--input", "{dir}/keylog.csv", "--format", "csv",
                 "--attack-id", "x", "--attack-name", UNDECODABLE],
-         "text '\\udcff' cannot be stored as UTF-8"),
-        (_incipient, [*REVISE[:-1], UNDECODABLE], "text '\\udcff' cannot be stored as UTF-8"),
+         "attack 'x': text '\\udcff' cannot be stored as UTF-8"),
+        (_incipient, [*REVISE[:-1], UNDECODABLE],
+         "case 'keylogging-c1': text '\\udcff' cannot be stored as UTF-8"),
         (_incipient, [*REVISE, "--crime-type", UNDECODABLE],
-         "text '\\udcff' cannot be stored as UTF-8"),
+         "case 'keylogging-c1': text '\\udcff' cannot be stored as UTF-8"),
         (_incipient, [*REVISE, "--damage-note", UNDECODABLE],
-         "text '\\udcff' cannot be stored as UTF-8"),
+         "case 'keylogging-c1': text '\\udcff' cannot be stored as UTF-8"),
         # A text field holds a string or an integer, nothing else.
         (_edit("attack.json", '"id": "dev01"', '"id": true'), INGEST_JSON,
          "line 1: field 'id' has wrong type bool"),
@@ -1577,7 +1578,8 @@ def test_main_in_process_changes_nothing_global(workdir, command):
          "line 0: invalid JSON: an integer with too many digits"),
         (_edit("network.json", '"To map', '"\\ud800To map'), SEED_AIA,
          "line 0: text '\\ud800' cannot be stored as UTF-8"),
-        (_incipient, [*REVISE[:-1], UNDECODABLE], "text '\\udcff' cannot be stored as UTF-8"),
+        (_incipient, [*REVISE[:-1], UNDECODABLE],
+         "case 'keylogging-c1': text '\\udcff' cannot be stored as UTF-8"),
         (_edit("keylog.csv", "Using W32/Agobot.", "d" * 200_000), INGEST_CSV,
          "line 5: invalid CSV: field larger than field limit (131072)"),
     ],
@@ -1599,7 +1601,8 @@ def test_input_no_record_can_hold_exit_2_in_a_process(workdir, prepare, argv, me
 @pytest.mark.parametrize(
     "stdin_encoding, message",
     [
-        ("utf-8:surrogateescape", b"error: text '\\udcff' cannot be stored as UTF-8\n"),
+        ("utf-8:surrogateescape",
+         b"error: case 'keylogging-c1': text '\\udcff' cannot be stored as UTF-8\n"),
         ("utf-8:strict", b"error: answer is not UTF-8 text\n"),
     ],
     ids=["surrogateescape", "strict"],

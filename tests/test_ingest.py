@@ -154,7 +154,7 @@ class TestCsvParsing:
         "row, reason",
         [
             ("ev01\n", "expected at least id and kind columns"),
-            ("ev01,tool,x,1,=v\n", "attribute cell '=v' has an empty key"),
+            ("ev01,tool,x,1,=v\n", "attribute '=v' has an empty key"),
         ],
         ids=["one-column", "attribute-without-key"],
     )
@@ -381,3 +381,67 @@ def test_a_json_integer_reads_as_its_csv_cell(tmp_path, value):
     from_json = parse_evidence_file(json_path, "json", attack_id="a1")
     assert from_json == from_csv
     assert from_json.name == from_json.evidence[0].attributes["port"] == str(value)
+
+
+# Both formats trim the evidence id, description, attribute keys and values,
+# and refuse a blank or repeated attribute key.
+def test_csv_and_json_trim_evidence_text_alike(tmp_path):
+    csv_path = tmp_path / "e.csv"
+    csv_path.write_text("id,kind,description,confidence,attr1\n e1 ,tool, x ,1,k= v \n",
+                        encoding="utf-8")
+    json_path = tmp_path / "e.json"
+    json_path.write_text(json.dumps([
+        {"id": " e1 ", "kind": "tool", "description": " x ", "attributes": {" k ": " v "}}
+    ]), encoding="utf-8")
+    from_csv = parse_evidence_file(csv_path, "csv", attack_id="a1")
+    from_json = parse_evidence_file(json_path, "json", attack_id="a1")
+    assert from_json == from_csv
+    assert (from_json.evidence[0].description, from_json.evidence[0].attributes) == (
+        "x", {"k": "v"}
+    )
+
+
+@pytest.mark.parametrize(
+    "cells, attributes, reason",
+    [
+        (" =v", {" ": "v"}, "has an empty key"),
+        ("k=1,k =2", {"k": "1", "k ": "2"}, "duplicate attribute key 'k'"),
+    ],
+    ids=["blank-key", "repeated-key"],
+)
+def test_csv_and_json_refuse_an_attribute_key_alike(tmp_path, cells, attributes, reason):
+    csv_path = tmp_path / "e.csv"
+    csv_path.write_text(f"id,kind,description,confidence,a1,a2\ne1,tool,x,1,{cells}\n",
+                        encoding="utf-8")
+    json_path = tmp_path / "e.json"
+    json_path.write_text(json.dumps([{"id": "e1", "kind": "tool", "attributes": attributes}]),
+                         encoding="utf-8")
+    for path, fmt in ((csv_path, "csv"), (json_path, "json")):
+        with pytest.raises(MalformedRecord, match=reason):
+            parse_evidence_file(path, fmt, attack_id="a1")
+
+
+# The caller's attack metadata is read by the rules of the document's own
+# fields: text for the id and name, a number for the detection state.
+@pytest.mark.parametrize(
+    "changes, reason",
+    [
+        ({"attack_id": 1.5}, "field 'attack_id' has wrong type float"),
+        ({"attack_id": True}, "field 'attack_id' has wrong type bool"),
+        ({"attack_name": 1.5}, "field 'attack_name' has wrong type float"),
+        ({"attack_name": ["x"]}, "field 'attack_name' has wrong type list"),
+        ({"detection_state": True}, "field 'detection_state' must be a number"),
+        ({"detection_state": "0.5"}, "field 'detection_state' must be a number"),
+    ],
+    ids=["id-float", "id-bool", "name-float", "name-list", "state-bool", "state-text"],
+)
+def test_caller_metadata_is_read_by_the_documents_rules(keylog_csv, changes, reason):
+    with pytest.raises(MalformedRecord) as excinfo:
+        parse_evidence_file(keylog_csv, "csv", **{"attack_id": "a1", **changes})
+    assert (excinfo.value.line, excinfo.value.reason) == (0, reason)
+
+
+def test_caller_metadata_converts_as_a_document_field_does(keylog_csv):
+    attack = parse_evidence_file(keylog_csv, "csv", attack_id=7, attack_name=8, detection_state=1)
+    assert (attack.id, attack.name, attack.detection_state) == ("7", "8", 1.0)
+    assert type(attack.detection_state) is float

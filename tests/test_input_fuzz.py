@@ -35,23 +35,23 @@ FUZZ = settings(deadline=None)
 
 # --- both formats ---------------------------------------------------------------
 
-# Text both formats hold alike. A CSV cell is trimmed, so the text is too;
-# no lone surrogate, which a UTF-8 file cannot hold; no NUL, which the csv
-# module of Python 3.10 refuses. Line ends and the characters of CSV
-# quoting and of attribute cells are drawn often.
+# Text both formats hold alike: no lone surrogate, which a UTF-8 file cannot
+# hold; no NUL, which the csv module of Python 3.10 refuses. Line ends and
+# the characters of CSV quoting and of attribute cells are drawn often.
 _text = st.text(
     st.one_of(
         st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
         st.sampled_from("\r\n\t ,\"'="),
     ),
     max_size=8,
-).map(str.strip)
+)
 # JSON text fields also take an integer, which reads as a CSV cell would.
 _scalar = st.one_of(_text, _text, st.integers(-(10**18), 10**18))
 _number = st.one_of(
     st.floats(0.0, 1.0), st.floats(allow_nan=True, allow_infinity=True), st.integers(-1, 2)
 )
-_kind = st.one_of(st.sampled_from(sorted(KIND_ALIASES)), _text.filter(bool))
+# Never blank: CSV skips a row whose every cell is blank.
+_kind = st.one_of(st.sampled_from(sorted(KIND_ALIASES)), _text.filter(str.strip))
 
 
 @st.composite
@@ -291,10 +291,11 @@ def test_mutated_json_exits_0_or_2_and_stores_nothing_on_2(tmp_path_factory, tex
     items = _items(doc)
     assert [ev.id for ev in attack.evidence] == [_as_text(i.get("id")).strip() for i in items]
     assert [ev.description for ev in attack.evidence] == [
-        _as_text(i.get("description"), "") for i in items
+        _as_text(i.get("description"), "").strip() for i in items
     ]
     assert [ev.attributes for ev in attack.evidence] == [
-        {key: _as_text(value) for key, value in i.get("attributes", {}).items()} for i in items
+        {key.strip(): _as_text(value).strip() for key, value in i.get("attributes", {}).items()}
+        for i in items
     ]
     name = doc.get("name") if isinstance(doc, dict) else None
     assert attack.name == (_as_text(name, "") or "a1")

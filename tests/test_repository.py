@@ -3,12 +3,15 @@
 import fcntl
 import json
 import os
+import re
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intent_cbr import cbr
 from intent_cbr import fixtures as demo
@@ -864,26 +867,6 @@ def _first_evidence(**changes):
     return mutate
 
 
-# A stored value that is not text reads back as a corrupt record, so a write
-# refuses it as a read would.
-@pytest.mark.parametrize(
-    "mutate, reason",
-    [
-        (_first_evidence(attributes={"x": 1.5}), "attribute 'x' value 1.5 is not text"),
-        (_first_evidence(attributes={"x": 443}), "attribute 'x' value 443 is not text"),
-        (_first_evidence(attributes={"x": None}), "attribute 'x' value None is not text"),
-        (_first_evidence(description=True), "description True is not text"),
-    ],
-    ids=["float-attribute", "int-attribute", "null-attribute", "bool-description"],
-)
-def test_add_case_refuses_a_value_that_is_not_text(repo, mutate, reason):
-    case = mutate(demo.precedent_cases()[0])
-    with pytest.raises(ValidationFailure, match=reason):
-        repo.add_case(case)
-    assert os.listdir(repo.root / "cases") == []
-    assert repo.list_cases() == []
-
-
 def _attack(**changes):
     return lambda case: replace(case, attack=replace(case.attack, **changes))
 
@@ -892,59 +875,284 @@ def _intention(**changes):
     return lambda case: replace(case, intention=replace(case.intention, **changes))
 
 
-# Each text field of a stored case, holding a float: every write refuses it,
-# since a read would report the record corrupt.
-_NOT_TEXT = {
-    "attack-id": (_attack(id=1.5), "attack.id: 1.5 is not text"),
-    "attack-name": (_attack(name=1.5), "attack.name: 1.5 is not text"),
-    "evidence-id": (_first_evidence(id=1.5), "evidence '1.5': id 1.5 is not text"),
-    "intention-id": (_intention(id=1.5), "intention.id: 1.5 is not text"),
-    "intention-label": (_intention(label=1.5), "intention.label: 1.5 is not text"),
-    "intention-category": (_intention(category=1.5), "intention.category: 1.5 is not text"),
-    "provenance": (lambda case: replace(case, provenance=1.5), "provenance: 1.5 is not text"),
-    "created-at": (lambda case: replace(case, created_at=1.5), "created_at: 1.5 is not text"),
-}
-
-
 def _records(root):
     return {
         path: path.read_bytes()
-        for sub in ("cases", "attacks")
+        for sub in ("cases", "attacks", "networks")
         for path in (root / sub).iterdir()
     }
 
 
-@pytest.mark.parametrize("handle", [Repository.open, Repository.attach], ids=["open", "attach"])
-@pytest.mark.parametrize("mutate, reason", _NOT_TEXT.values(), ids=_NOT_TEXT)
-def test_no_case_write_stores_a_field_that_is_not_text(tmp_path, handle, mutate, reason):
+# --- the write rule: a write stores only what a read gives back -----------------
+#
+# Each write decodes and validates its record's document as every later read
+# does. A record that a read would report corrupt, or read back unequal, is
+# refused with one ValidationFailure, and nothing is written.
+
+
+def _case_writes(mutate):
+    """The three case writes of the in-flight case 'x1' changed by `mutate`."""
+
+    def writes(repo, in_flight):
+        bad = mutate(in_flight)
+        return [
+            lambda: repo.add_case(replace(bad, case_id="x2")),
+            lambda: repo.update_case(replace(bad, status=CaseStatus.REVISED_ACCEPTED)),
+            lambda: repo.store_confirmed(replace(bad, status=CaseStatus.RETAINED)),
+        ]
+
+    return writes
+
+
+def _case_and_attack_writes(mutate):
+    """The case writes, and save_attack of the changed case's attack."""
+
+    def writes(repo, in_flight):
+        attack = replace(mutate(in_flight).attack, id="x-attack")
+        return [*_case_writes(mutate)(repo, in_flight), lambda: repo.save_attack(attack)]
+
+    return writes
+
+
+def _network_write(**changes):
+    """save_network of the demo network, under a new id, changed by `changes`."""
+    network = replace(demo.demo_network(), attack_id="x-net", **changes)
+    return lambda repo, in_flight: [lambda: repo.save_network(network)]
+
+
+def _assert_refused(tmp_path, handle, *writes, reason=None):
+    """Each write raises a ValidationFailure (matching `reason`), the stored
+    files are unchanged, and the repository still opens."""
     root = tmp_path / "repo"
     demo.install_demo_repository(root)
     repo = handle(root)
     in_flight = replace(demo.precedent_cases()[0], case_id="x1", status=CaseStatus.INCIPIENT)
     repo.add_case(in_flight)
     before = _records(root)
-    bad = mutate(in_flight)
-    writes = [
-        lambda: repo.add_case(replace(bad, case_id="x2")),
-        lambda: repo.update_case(replace(bad, status=CaseStatus.REVISED_ACCEPTED)),
-        lambda: repo.store_confirmed(replace(bad, status=CaseStatus.RETAINED)),
-    ]
-    for write in writes:
-        with pytest.raises(ValidationFailure, match=reason):
-            write()
+    for make in writes:
+        for write in make(repo, in_flight):
+            with pytest.raises(ValidationFailure, match=reason):
+                write()
     assert _records(root) == before
     assert repo.get_case("x1") == in_flight
     assert Repository.open(root).case_count() == 12
+
+
+_HANDLES = pytest.mark.parametrize(
+    "handle", [Repository.open, Repository.attach], ids=["open", "attach"]
+)
+
+
+def _intentions(**changes):
+    first, second = demo.demo_network().intentions
+    return (replace(first, **changes), second)
+
+
+@_HANDLES
+def test_a_bool_confidence_is_never_stored(tmp_path, handle):
+    # A bool is an int, so a range check alone passed True; the read refuses it.
+    _assert_refused(
+        tmp_path, handle, _case_and_attack_writes(_first_evidence(confidence=True)),
+        reason="field 'confidence' must be a number",
+    )
+
+
+@_HANDLES
+def test_a_bool_detection_state_is_never_stored(tmp_path, handle):
+    _assert_refused(
+        tmp_path, handle, _case_and_attack_writes(_attack(detection_state=True)),
+        reason="field 'detection_state' must be a number",
+    )
+
+
+@_HANDLES
+def test_an_intention_category_that_is_not_text_is_never_stored(tmp_path, handle):
+    _assert_refused(
+        tmp_path, handle,
+        _case_writes(_intention(category=2.5)),
+        _network_write(intentions=_intentions(category=2.5)),
+        reason="field 'category' has wrong type float",
+    )
+
+
+@_HANDLES
+def test_an_attribute_key_that_is_not_text_is_never_stored(tmp_path, handle):
+    # JSON would store the key 1 as "1", which reads back unequal.
+    _assert_refused(
+        tmp_path, handle, _case_and_attack_writes(_first_evidence(attributes={1: "x"})),
+        reason="key 1 is not text",
+    )
+
+
+def _network_keyed_by(iid="int-exfil", eid="dev01"):
+    """The network write with intention id `iid` and evidence id `eid`."""
+    return _network_write(
+        intentions=_intentions(id=iid),
+        evidence_ids=(eid, "dev02"),
+        priors={iid: 0.5, "int-recon": 0.5},
+        likelihoods={eid: {iid: 0.8, "int-recon": 0.4}, "dev02": {iid: 0.7, "int-recon": 0.5}},
+    )
+
+
+@_HANDLES
+@pytest.mark.parametrize(
+    "writes, key",
+    [
+        (_case_and_attack_writes(_first_evidence(attributes={1: "x", "a": "y"})), "1"),
+        (_network_keyed_by(iid=1), "1"),
+        (_network_keyed_by(eid=2.5), "2.5"),
+    ],
+    ids=["attribute", "network-intention-id", "network-evidence-id"],
+)
+def test_a_mixed_key_is_refused_as_not_text_not_by_the_key_sort(tmp_path, handle, writes, key):
+    _assert_refused(tmp_path, handle, writes, reason=f"key {key} is not text")
+
+
+@_HANDLES
+def test_a_weight_that_is_text_is_never_stored(tmp_path, handle):
+    def mutate(case):
+        weights = dict(case.evidence_weights)
+        weights[next(iter(weights))] = "0.5"
+        return replace(case, evidence_weights=weights)
+
+    _assert_refused(
+        tmp_path, handle, _case_writes(mutate), reason=r"field 'evidence_weights\[.*\]' must be a number"
+    )
+
+
+@_HANDLES
+def test_tuple_valued_attributes_are_never_stored(tmp_path, handle):
+    _assert_refused(
+        tmp_path, handle,
+        _case_and_attack_writes(_first_evidence(attributes=(("tool", "agobot"),))),
+        reason="field 'attributes' has wrong type list",
+    )
+
+
+@_HANDLES
+def test_a_list_of_evidence_is_never_stored(tmp_path, handle):
+    # A list is stored as a JSON array, which reads back as a tuple: unequal.
+    def mutate(case):
+        return _attack(evidence=list(case.attack.evidence))(case)
+
+    _assert_refused(
+        tmp_path, handle, _case_and_attack_writes(mutate), reason="does not read back as written"
+    )
+
+
+def _with(record, path, value):
+    """A copy of `record` with the field at `path` (names, and indices into
+    tuples) set to `value`."""
+    name, rest = path[0], path[1:]
+    if not rest:
+        return replace(record, **{name: value})
+    inner = getattr(record, name)
+    if isinstance(inner, tuple):
+        index, rest = rest[0], rest[1:]
+        changed = (*inner[:index], _with(inner[index], rest, value), *inner[index + 1:])
+        return replace(record, **{name: changed})
+    return replace(record, **{name: _with(inner, rest, value)})
+
+
+_EV0 = ("attack", "evidence", 0)
+_CASE_FIELDS = [
+    ("case_id",), ("status",), ("provenance",), ("created_at",), ("evidence_weights",),
+    ("intention",), ("intention", "id"), ("intention", "label"), ("intention", "category"),
+    ("attack", "id"), ("attack", "name"), ("attack", "detection_state"), ("attack", "evidence"),
+    (*_EV0, "id"), (*_EV0, "kind"), (*_EV0, "attributes"), (*_EV0, "description"),
+    (*_EV0, "confidence"),
+]
+_SCALARS = st.one_of(
+    st.booleans(), st.integers(), st.floats(), st.just(float("nan")), st.text(max_size=4),
+    st.none(),
+)
+_VALUES = st.one_of(
+    _SCALARS,
+    st.lists(_SCALARS, max_size=2),
+    st.lists(_SCALARS, max_size=2).map(tuple),
+    st.dictionaries(st.one_of(st.integers(), st.text(max_size=2)), _SCALARS, max_size=2),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(path=st.sampled_from(_CASE_FIELDS), value=_VALUES)
+def test_add_case_stores_a_record_only_if_it_reads_back_equal(tmp_path_factory, path, value):
+    root = tmp_path_factory.mktemp("write-rule")
+    repo = Repository.attach(root)
+    case = _with(demo.precedent_cases()[0], path, value)
+    try:
+        repo.add_case(case)
+    except ValidationFailure:
+        assert os.listdir(root / "cases") == []
+    else:
+        assert Repository.open(root).get_case(case.case_id) == case
+
+
+# A number JSON cannot hold keeps the validator's message, which names it.
+@pytest.mark.parametrize(
+    "writes, reason",
+    [
+        (_case_writes(_first_evidence(confidence=float("nan"))), "confidence nan outside [0,1]"),
+        (_case_writes(lambda case: replace(case, evidence_weights={
+            key: float("inf") for key in case.evidence_weights
+        })), "evidence_weights['botnet-01-ev01']: inf is not finite"),
+        (_network_write(priors={"int-exfil": float("nan"), "int-recon": 0.5}),
+         "priors['int-exfil']: nan is not finite"),
+    ],
+    ids=["confidence", "weight", "prior"],
+)
+def test_a_number_that_is_not_finite_is_named_by_the_validator(tmp_path, writes, reason):
+    _assert_refused(tmp_path, Repository.attach, writes, reason=re.escape(reason))
+
+
+# A stored value that is not text reads back as a corrupt record, so a write
+# refuses it as a read would.
+@pytest.mark.parametrize(
+    "mutate, reason",
+    [
+        (_first_evidence(attributes={"x": 1.5}), "field 'attributes[x]' has wrong type float"),
+        (_first_evidence(attributes={"x": 443}), "field 'attack' does not read back as written"),
+        (_first_evidence(attributes={"x": None}), "field 'attributes[x]' has wrong type NoneType"),
+        (_first_evidence(description=True), "field 'description' has wrong type bool"),
+    ],
+    ids=["float-attribute", "int-attribute", "null-attribute", "bool-description"],
+)
+def test_add_case_refuses_a_value_that_is_not_text(repo, mutate, reason):
+    case = mutate(demo.precedent_cases()[0])
+    with pytest.raises(ValidationFailure, match=re.escape(reason)):
+        repo.add_case(case)
+    assert os.listdir(repo.root / "cases") == []
+    assert repo.list_cases() == []
+
+
+# Each text field of a stored case, holding a float: every write refuses it,
+# since a read would report the record corrupt.
+_NOT_TEXT = {
+    "attack-id": (_attack(id=1.5), "field 'id' has wrong type float"),
+    "attack-name": (_attack(name=1.5), "field 'name' has wrong type float"),
+    "evidence-id": (_first_evidence(id=1.5), "field 'id' has wrong type float"),
+    "intention-id": (_intention(id=1.5), "field 'id' has wrong type float"),
+    "intention-label": (_intention(label=1.5), "field 'label' has wrong type float"),
+    "intention-category": (_intention(category=1.5), "field 'category' has wrong type float"),
+    "provenance": (lambda case: replace(case, provenance=1.5), "field 'provenance' has wrong type float"),
+    "created-at": (lambda case: replace(case, created_at=1.5), "field 'created_at' has wrong type float"),
+}
+
+
+@_HANDLES
+@pytest.mark.parametrize("mutate, reason", _NOT_TEXT.values(), ids=_NOT_TEXT)
+def test_no_case_write_stores_a_field_that_is_not_text(tmp_path, handle, mutate, reason):
+    _assert_refused(tmp_path, handle, _case_writes(mutate), reason=reason)
 
 
 @pytest.mark.parametrize(
     "changes, reason",
     [
         ({"id": 1.5}, "attack id 1.5 not usable as a file name"),
-        ({"name": 1.5}, "attack.name: 1.5 is not text"),
+        ({"name": 1.5}, "field 'name' has wrong type float"),
         (
             {"evidence": (replace(demo.keylogging_attack().evidence[0], id=1.5),)},
-            "evidence '1.5': id 1.5 is not text",
+            "field 'id' has wrong type float",
         ),
     ],
     ids=["id", "name", "evidence-id"],
