@@ -35,6 +35,7 @@ from .model import (
     replace,
     transition,
 )
+from .repository import Repository
 
 # Column of each evidence kind in a bound row (see _bound_row).
 _COLUMN = {kind: column for column, kind in enumerate(EvidenceKind, start=1)}
@@ -162,19 +163,21 @@ def retrieve(new_case: Case, repository, k: int | None) -> RetrievalRanking:
     score and stops once k scores are held and the next bound is below
     the k-th of them (the threshold algorithm of Fagin, Lotem & Naor).
     The ranking is exactly the one of scoring every precedent. The bounds
-    come from rows that a repository handle keeps from its first top-k
-    call on (see :func:`_bound_rows`), so the handle must be hashable and
-    weakly referenceable, as :class:`~intent_cbr.repository.Repository` is.
+    come from bound rows (see :func:`_bound_rows`): a
+    :class:`~intent_cbr.repository.Repository` handle that has not scanned
+    its cases takes them from its case summary and decodes only the
+    precedents visited; any other handle keeps rows from its first top-k
+    call on, so it must be hashable and weakly referenceable.
     """
     if k is not None and k < 1:
         raise ValidationFailure(f"k must be positive, got {k}")
-    precedents = repository.list_cases(status=CONFIRMED_STATUSES)
-    if not precedents:
-        raise EmptyRepository("no precedent or retained cases stored")
     if k is None:
+        precedents = repository.list_cases(status=CONFIRMED_STATUSES)
         scored = [(similarity(new_case, p), p) for p in precedents]
     else:
-        scored = _bounded_scores(new_case, _bound_rows(repository, precedents), k)
+        scored = _bounded_scores(new_case, *_bound_rows(repository), k)
+    if not scored:
+        raise EmptyRepository("no precedent or retained cases stored")
     scored.sort(key=lambda item: (-item[0].score, item[0].precedent_case_id))
     top = scored[:k]
     return RetrievalRanking(
@@ -187,17 +190,22 @@ def retrieve(new_case: Case, repository, k: int | None) -> RetrievalRanking:
 
 
 def _bounded_scores(
-    new_case: Case, rows: list[tuple], k: int
+    new_case: Case, rows: list, load, k: int
 ) -> list[tuple[SimilarityResult, Case]]:
     """Scores of the precedents that can still reach the top k.
 
-    `rows` holds the precedents' bound rows. Visits precedents by
-    descending bound, ties by ascending case id. A precedent whose bound
+    `rows` holds the precedents' bound rows. A row's first item is its
+    precedent or, when `load` is given, the precedent's case id, which
+    `load` turns into the precedent when it is visited. Visits precedents
+    by descending bound, ties by ascending case id. A precedent whose bound
     equals the k-th score is still scored, since it can win that tie on
     its case id.
     """
     bounds = _bounds(new_case, rows)
-    pending = [(-bound, row[0].case_id, row[0]) for bound, row in zip(bounds, rows)]
+    if load is None:
+        pending = [(-bound, row[0].case_id, row[0]) for bound, row in zip(bounds, rows)]
+    else:
+        pending = [(-bound, row[0], row[0]) for bound, row in zip(bounds, rows)]
     heapq.heapify(pending)
     best: list[float] = []  # min-heap of the k highest scores so far
     scored: list[tuple[SimilarityResult, Case]] = []
@@ -205,6 +213,8 @@ def _bounded_scores(
         neg_bound, _, precedent = heapq.heappop(pending)
         if len(best) == k and -neg_bound < best[0]:
             break
+        if load is not None:
+            precedent = load(precedent)
         result = similarity(new_case, precedent)
         scored.append((result, precedent))
         if len(best) < k:
@@ -232,21 +242,29 @@ def _bounds(new_case: Case, rows: list[tuple]):
     return [0.0] * len(rows)  # a query without evidence aligns with nothing
 
 
-def _bound_rows(repository, precedents: list[Case]) -> list[tuple]:
-    """The precedents' bound rows, kept per repository handle.
+def _bound_rows(repository) -> tuple[list, object]:
+    """The confirmed precedents' bound rows, and how to load a row's
+    precedent (see :func:`_bounded_scores`).
 
-    The handle keys the rows weakly, so it must be hashable and weakly
-    referenceable. A row is rebuilt whenever the handle lists another
-    object under its case id, as after a write.
+    A :class:`~intent_cbr.repository.Repository` handle that has not
+    scanned gives its case summary's rows, each headed by a case id, and
+    loads a precedent when it is visited. Any other handle's rows are
+    built from its listed precedents and kept, weakly keyed by the handle;
+    a row is rebuilt whenever the handle lists another object under its
+    case id, as after a write.
     """
+    if isinstance(repository, Repository):
+        summarized = repository._summary_rows(_bound_row)
+        if summarized is not None:
+            return summarized
     rows = _ROWS.setdefault(repository, {})
     found = []
-    for precedent in precedents:
+    for precedent in repository.list_cases(status=CONFIRMED_STATUSES):
         row = rows.get(precedent.case_id)
         if row is None or row[0] is not precedent:
             row = rows[precedent.case_id] = _bound_row(precedent)
         found.append(row)
-    return found
+    return found, None
 
 
 def _bound_row(precedent: Case) -> tuple:

@@ -21,9 +21,18 @@ from pathlib import Path
 
 from . import cbr
 from .errors import DuplicateCaseId, IntentCbrError, ValidationFailure
-from .model import Attack, Case, CaseStatus, now_utc, replace, transition
-from .repository import Repository, _atomic_write, _check_id
-from .serialize import canonical_dumps
+from .model import (
+    Attack,
+    Case,
+    CaseStatus,
+    now_utc,
+    replace,
+    transition,
+    validate_attack,
+    validate_network,
+)
+from .repository import Repository, _as_stored, _atomic_write, _check_id
+from .serialize import attack_from_dict, canonical_dumps, network_from_dict
 
 _REPO_ENV = "INTENT_CBR_REPO"
 # How many ids `analyze` tries for its new case before DuplicateCaseId stands.
@@ -250,6 +259,8 @@ def cmd_analyze(repo: Repository, args) -> int:
         incipient = _add_new_case(repo, incipient)
         print(f"incipient case {incipient.case_id} written; revise it with:")
         print(f"  intent-cbr revise --case-id {incipient.case_id} --verdict accept")
+    # Last, so only a run that succeeds refreshes the derived case summary.
+    repo._write_summary()
     return 0
 
 
@@ -281,9 +292,6 @@ def cmd_seed_aia(repo: Repository, args) -> int:
     _log_warnings()
     network = parse_network_file(args.network)
     attack = parse_evidence_file(args.attack, "json")
-    # Both are stored after the case: a bad id must fail before that write.
-    _check_id(attack.id, "attack")
-    _check_id(network.attack_id, "network attack_id")
     if args.priors == "uniform":
         ids = network.intention_ids()
         network = replace(network, priors={iid: 1.0 / len(ids) for iid in ids})
@@ -296,12 +304,18 @@ def cmd_seed_aia(repo: Repository, args) -> int:
                 "repository frequencies cover none of the network's intentions"
             )
         network = replace(network, priors={i: v / total for i, v in priors.items()})
+    # Each record that no write could store fails before any write and
+    # before the report is printed; the attack and network are stored last.
+    _as_stored(attack, "attack", attack.id, attack_from_dict, validate_attack)
+    _as_stored(network, "network attack_id", network.attack_id, network_from_dict, validate_network)
+    case_id = f"aia-{attack.id}"
+    _check_id(case_id, "case")
 
     report = analyze_attack(attack, network)
     _print_belief_report(report)
 
     case = Case(
-        case_id=f"aia-{attack.id}",
+        case_id=case_id,
         attack=attack,
         intention=network.find_intention(report.selected),
         evidence_weights=cbr.confidence_weights(attack),

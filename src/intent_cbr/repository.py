@@ -16,6 +16,16 @@ need every case (``list_cases``, ``case_count``,
 result; the handle's own writes keep it current. :meth:`Repository.open`
 is ``attach`` plus that scan.
 
+A top-k retrieve on a handle that has not scanned reads a case summary,
+``summary.json``, instead: one row per case file with its status,
+intention id, per-kind weight totals and stat key. It stats ``cases/``,
+trusts a row only while its file's stat key is unchanged, reads and
+validates every other case file as the scan does, and decodes only the
+precedents the score bound visits (see :meth:`Repository._summary_rows`).
+The summary is derived and safe to delete: a missing, unreadable or
+foreign one means every case file is read. Record writes leave it alone;
+``analyze`` rewrites it after a successful run in which a row changed.
+
 Every case, attack and network read is strict UTF-8 JSON, validated, and
 its own id must match its file name; a record that fails is CorruptRecord,
 keyed by the bare id for a case, ``attacks/<id>`` or ``networks/<id>``.
@@ -57,6 +67,7 @@ from .model import (
     CaseStatus,
     CausalNetwork,
     CONFIRMED_STATUSES,
+    EvidenceKind,
     IN_FLIGHT_STATUSES,
     is_safe_id,
     transition,
@@ -78,6 +89,20 @@ SCHEMA_VERSION = 1
 # file (about 1.5 KB), so one read takes all of it.
 _READ_SIZE = 65536
 
+# The case summary (see Repository._summary_rows). A row is
+# [case_id, *totals, status, intention_id, *stat_key]: one weight total per
+# EvidenceKind, in _KINDS order, then the stat key of the case file.
+_SUMMARY = "summary.json"
+_SUMMARY_SCHEMA = "intent-cbr case summary 1"
+_KINDS = [kind.value for kind in EvidenceKind]
+_STATUS_AT = 1 + len(_KINDS)
+_KEY_AT = _STATUS_AT + 2
+_ROW_TYPES = [str, *[float] * len(_KINDS), str, str, int, int, int, int]
+_STATUSES = frozenset(status.value for status in CaseStatus)
+_CONFIRMED = frozenset(status.value for status in CONFIRMED_STATUSES)
+# Totals of a case that is no precedent: its row is never ranked.
+_NO_TOTALS = (0.0,) * len(_KINDS)
+
 
 class Repository:
     """Handle over a repository directory.
@@ -90,6 +115,10 @@ class Repository:
         self.root = Path(root)
         # Every stored case by id, filled by the first full scan.
         self._cases: dict[str, Case] | None = None
+        # The summary's rows by case id, as read or as last brought up to
+        # date, and whether they differ from the file.
+        self._summary: dict[str, list] | None = None
+        self._summary_changed = False
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -276,8 +305,6 @@ class Repository:
         """
         if self._cases is not None:
             return self._cases
-        # A plain str path per record: building a Path for each costs about
-        # as much as reading the file.
         cases_dir = os.path.join(self.root, "cases")
         try:
             # Sort ids, not file names: "a-b.json" sorts before "a.json".
@@ -288,22 +315,118 @@ class Repository:
             )
         except OSError as exc:
             raise IoFailure(f"cannot list {cases_dir}: {exc}") from exc
+        self._cases = self._read_cases(record_ids)
+        return self._cases
+
+    def _read_cases(self, case_ids) -> dict[str, Case]:
+        """The stored cases of `case_ids` by id, read and validated in that
+        order; all corrupt records are reported together via CorruptRecord."""
+        # A plain str path per record: building a Path for each costs about
+        # as much as reading the file.
+        cases_dir = os.path.join(self.root, "cases")
         cases: dict[str, Case] = {}
         corrupt: dict[str, str] = {}
-        for record_id in record_ids:
+        for case_id in case_ids:
             try:
-                case = self._read(
-                    os.path.join(cases_dir, f"{record_id}.json"), record_id, record_id,
+                cases[case_id] = self._read(
+                    os.path.join(cases_dir, f"{case_id}.json"), case_id, case_id,
                     case_from_dict, validate_case, "case_id",
                 )
             except CorruptRecord as exc:
                 corrupt.update(exc.details)
-                continue
-            cases[case.case_id] = case
         if corrupt:
             raise CorruptRecord(corrupt)
-        self._cases = cases
         return cases
+
+    def _summary_rows(self, row_of) -> tuple[list[list], object] | None:
+        """For a top-k retrieve on a handle that has not scanned: the
+        summary row of each confirmed case, in no set order, and a function
+        from a row's case id to its case. None on a handle that has
+        scanned, whose rows the caller keeps itself.
+
+        Stats ``cases/`` once. A row of the summary is used while the stat
+        key (``st_ino``, ``st_size``, ``st_mtime_ns``, ``st_ctime_ns``) of
+        its file is unchanged. Every other case file is read and validated
+        as the scan reads it, all corrupt ones reported together via
+        CorruptRecord, and `row_of` (``cbr._bound_row``) gives the totals
+        of each precedent among them. The function gives a case so read as
+        it is, and reads any other with :meth:`get_case`.
+
+        A new row is kept for the summary only when its file's ctime is
+        before a file-system time taken before any file was stat-ed (git's
+        racy-git rule): any later change of that file, even one of the same
+        size with its mtime set back, then changes its key.
+        """
+        if self._cases is not None:
+            return None
+        summary = self._summary
+        if summary is None:
+            summary = _load_summary(os.path.join(self.root, _SUMMARY))
+        since = _file_system_time(self.root)
+        cases_dir = os.path.join(self.root, "cases")
+        kept: dict[str, list] = {}
+        changed: dict[str, list] = {}  # stat key of each other case file
+        try:
+            with os.scandir(cases_dir) as entries:
+                for entry in entries:
+                    case_id = entry.name[: -len(".json")]
+                    if not (entry.name.endswith(".json") and is_safe_id(case_id)):
+                        continue
+                    st = entry.stat()
+                    key = [st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns]
+                    row = summary.get(case_id)
+                    if row is not None and row[_KEY_AT:] == key:
+                        kept[case_id] = row
+                    else:
+                        changed[case_id] = key
+        except OSError as exc:
+            raise IoFailure(f"cannot list {cases_dir}: {exc}") from exc
+        decoded = self._read_cases(sorted(changed))
+        if len(kept) < len(summary):
+            self._summary_changed = True
+        rows = list(kept.values())
+        for case_id, case in decoded.items():
+            key = changed[case_id]
+            row = [
+                case_id,
+                *(row_of(case)[1:] if case.status in CONFIRMED_STATUSES else _NO_TOTALS),
+                case.status.value,
+                "" if case.intention is None else case.intention.id,
+                *key,
+            ]
+            rows.append(row)
+            if since is not None and key[3] < since:
+                kept[case_id] = row
+                self._summary_changed = True
+        self._summary = kept
+
+        def load(case_id: str) -> Case:
+            return decoded.get(case_id) or self.get_case(case_id)
+
+        return [row for row in rows if row[_STATUS_AT] in _CONFIRMED], load
+
+    def _write_summary(self) -> None:
+        """Store the summary rows that the last :meth:`_summary_rows` brought
+        up to date, if one changed.
+
+        The summary is derived and each row checks itself against its
+        file, so no writer lock is taken, and a write that fails is no
+        error: the next listing reads the case files instead.
+        """
+        if not self._summary_changed:
+            return
+        rows = self._summary
+        doc = {
+            "schema": _SUMMARY_SCHEMA,
+            "kinds": _KINDS,
+            "rows": [rows[case_id] for case_id in sorted(rows)],
+        }
+        with suppress(IoFailure):
+            _atomic_write(
+                os.path.join(self.root, _SUMMARY),
+                json.dumps(doc, separators=(",", ":")).encode("utf-8"),
+            )
+        self._summary_changed = False
 
     def _read(self, path: str, key: str, record_id: str, from_dict, validate, id_field: str):
         """Read, decode and validate the stored record at `path`.
@@ -418,6 +541,45 @@ def _as_stored(record, kind: str, record_id, from_dict, validate) -> tuple:
     except (TypeError, ValueError) as exc:  # a ValidationFailure is a ValueError
         violations = [str(exc)]
     raise ValidationFailure(f"{kind} '{record_id}': " + "; ".join(violations))
+
+
+def _load_summary(path: str) -> dict[str, list]:
+    """The rows of the summary at `path` by case id, each of the right
+    types and a known status; none when the file is missing, unreadable,
+    not JSON, or of another schema or kind order."""
+    try:
+        with open(path, "rb") as fh:
+            doc = json.loads(fh.read(), parse_constant=_no_constant)
+        if doc["schema"] != _SUMMARY_SCHEMA or doc["kinds"] != _KINDS:
+            return {}
+        return {
+            row[0]: row
+            for row in doc["rows"]
+            if list(map(type, row)) == _ROW_TYPES and row[_STATUS_AT] in _STATUSES
+        }
+    except (OSError, ValueError, TypeError, KeyError, RecursionError):
+        return {}
+
+
+def _no_constant(name: str):
+    """Refuse a NaN or infinite total: the summary never holds one."""
+    raise ValueError(f"{name} in the case summary")
+
+
+def _file_system_time(root) -> int | None:
+    """The file system's current time, as the ctime in ns of a new file in
+    `root` that is then removed; None when no file can be made there."""
+    try:
+        tmp = _write_temp(os.path.join(root, _SUMMARY), b"")
+    except OSError:
+        return None
+    try:
+        return os.stat(tmp).st_ctime_ns
+    except OSError:
+        return None
+    finally:
+        with suppress(OSError):
+            os.unlink(tmp)
 
 
 def _atomic_write(path, data: bytes) -> None:

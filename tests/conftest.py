@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
 from intent_cbr import fixtures as demo
+from intent_cbr import repository
 from intent_cbr.model import (
     Attack,
     Case,
@@ -200,3 +203,12 @@ def random_network(
             for ev in evidence_ids
         },
     )
+
+
+def settle(root) -> None:
+    """Wait until the file system's clock has passed the ctime of every
+    case file at `root`, so that a case summary made now can hold a row
+    for each (git's racy-git rule)."""
+    newest = max(path.stat().st_ctime_ns for path in (Path(root) / "cases").iterdir())
+    while repository._file_system_time(root) <= newest:
+        time.sleep(0.001)

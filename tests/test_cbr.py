@@ -3,14 +3,16 @@
 import gc
 import math
 import random
+import tempfile
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import case_pair_st, case_st, random_case
+from conftest import case_pair_st, case_st, random_case, settle
 from intent_cbr import cbr
 from intent_cbr import fixtures as demo
 from intent_cbr.cbr import (
@@ -350,6 +352,17 @@ class TestBoundedRetrieve:
                 if case_id in head
             }
 
+    @settings(max_examples=25, deadline=None)
+    @given(retrieval_st())
+    def test_top_k_of_a_stored_repository_is_the_head_of_the_full_ranking(self, drawn):
+        query, listed = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            repository = Repository.open(Path(tmp) / "repo")
+            for case in listed.cases:
+                # A stored precedent carries an intention.
+                repository.add_case(replace(case, intention=Intention("int-x", "goal")))
+            _top_k_is_the_head_of_the_full_ranking(query, repository)
+
     @settings(max_examples=200, deadline=None)
     @given(case_pair_st(), st.integers(0, 6))
     def test_bound_is_never_below_the_score(self, pair, keep):
@@ -468,9 +481,18 @@ class TestBoundedRetrieve:
 
 
 def _top_k_is_the_head_of_the_full_ranking(query, repository):
+    """For a Repository, also on handles that have not scanned, each with
+    the summary that the one before it wrote."""
     full = retrieve(query, repository, k=None).entries
     for k in range(1, len(full) + 1):
         assert retrieve(query, repository, k=k).entries == full[:k]
+    if isinstance(repository, Repository):
+        settle(repository.root)
+        for k in range(1, len(full) + 1):
+            attached = Repository.attach(repository.root)
+            assert retrieve(query, attached, k=k).entries == full[:k]
+            attached._write_summary()
+        assert (repository.root / "summary.json").is_file()
     return full
 
 

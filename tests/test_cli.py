@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import random_network
+from conftest import random_network, settle
 from intent_cbr import cbr, cli
 from intent_cbr import fixtures as demo
 from intent_cbr.cli import main
@@ -1296,9 +1296,125 @@ def test_analyze_and_report_skip_case_files_that_are_no_records(workdir, capsys,
     assert outputs[0] == outputs[1]
 
 
+def _same_size_edit(repo):
+    """Corrupt a precedent in place, same size, and set its mtime back."""
+    path = repo / "cases" / "botnet-03.json"
+    before = path.stat()
+    text = path.read_text(encoding="utf-8")
+    assert '"case_id": "botnet-03"' in text
+    path.write_text(text.replace('"case_id": "botnet-03"', '"case_id": "botnet-33"'), encoding="utf-8")
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert path.stat().st_size == before.st_size
+
+
+def _truncate(repo):
+    path = repo / "cases" / "botnet-05.json"
+    path.write_bytes(path.read_bytes()[:100])
+
+
+def _edit_summary(old, new):
+    def damage(repo):
+        path = repo / "summary.json"
+        text = path.read_text(encoding="utf-8")
+        assert old in text
+        path.write_text(text.replace(old, new), encoding="utf-8")
+
+    return damage
+
+
+def _summary_in_a_directory(repo):
+    (repo / "summary.json").unlink()
+    (repo / "summary.json").mkdir()
+
+
+def _revise_and_retain(retain):
+    def change(repo):
+        summary = (repo / "summary.json").read_bytes()
+        assert run(repo, "revise", "--repo", repo, "--case-id", "keylogging-c1",
+                   "--verdict", "accept") == 0
+        if retain:
+            assert run(repo, "retain", "--repo", repo, "--case-id", "keylogging-c1") == 0
+        # Record writes leave the summary alone.
+        assert (repo / "summary.json").read_bytes() == summary
+
+    return change
+
+
+@pytest.mark.parametrize(
+    "change, status",
+    [
+        (_same_size_edit, 2),
+        (_truncate, 2),
+        (lambda repo: (repo / "summary.json").unlink(), 0),
+        (lambda repo: (repo / "summary.json").write_bytes(b"\xff\x00 not a summary"), 0),
+        (_edit_summary("intent-cbr case summary 1", "intent-cbr case summary 2"), 0),
+        (_edit_summary('"port-exploit","function-implementation"',
+                       '"function-implementation","port-exploit"'), 0),
+        (_summary_in_a_directory, 0),
+        (_revise_and_retain(retain=False), 0),
+        (_revise_and_retain(retain=True), 0),
+    ],
+    ids=["same-size-edit-mtime-restored", "truncated-case", "deleted-summary",
+         "garbage-summary", "foreign-schema", "foreign-kind-order", "directory-summary",
+         "revised-after-summarizing", "retained-after-summarizing"],
+)
+def test_analyze_prints_as_without_a_summary(workdir, capsys, change, status):
+    repo, plain = workdir / "repo", workdir / "plain"
+    ingest_keylogging(workdir)
+    settle(repo)
+    assert run(workdir, "analyze", "--repo", repo, "--attack-id", "keylogging") == 0
+    assert len(json.loads((repo / "summary.json").read_bytes())["rows"]) == 11
+    change(repo)
+    shutil.copytree(repo, plain, ignore=shutil.ignore_patterns("summary.json"))
+    outputs = []
+    for root in (plain, repo):
+        capsys.readouterr()
+        rc = run(workdir, "analyze", "--repo", root, "--attack-id", "keylogging")
+        outputs.append((rc, capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == status
+    if change is _summary_in_a_directory:
+        assert os.listdir(repo / "summary.json") == []
+
+
+def test_report_and_seed_aia_leave_the_summary_alone(workdir):
+    repo = workdir / "repo"
+    ingest_keylogging(workdir)
+    assert run(workdir, "analyze", "--repo", repo, "--attack-id", "keylogging") == 0
+    summary = (repo / "summary.json").read_bytes()
+    argv = ["report", "--repo", repo, "--attack-id", "keylogging", "--out", workdir / "r.csv"]
+    assert run(workdir, *argv) == 0
+    assert run(workdir, *(a.format(dir=workdir) for a in SEED_AIA), "--repo", repo) == 0
+    assert (repo / "summary.json").read_bytes() == summary
+
+
 def test_two_processes_analyze_one_attack(workdir):
     """Whichever way the two runs interleave, each stores its own case."""
     ingest_keylogging(workdir)
+    _two_processes_analyze_one_attack(workdir)
+
+
+def test_two_processes_analyze_one_attack_with_a_summary(workdir, capsys):
+    repo, plain = workdir / "repo", workdir / "plain"
+    ingest_keylogging(workdir)
+    argv = _ingest_argv(workdir)
+    argv[argv.index("--attack-id") + 1] = "other"
+    assert run(workdir, *argv) == 0
+    settle(repo)
+    assert run(workdir, "analyze", "--repo", repo, "--attack-id", "other") == 0
+    assert (repo / "summary.json").is_file()
+    _two_processes_analyze_one_attack(workdir)
+    # The summary either run left still ranks as the case files do.
+    shutil.copytree(repo, plain, ignore=shutil.ignore_patterns("summary.json"))
+    outputs = []
+    for root in (plain, repo):
+        capsys.readouterr()
+        assert run(workdir, "analyze", "--repo", root, "--attack-id", "keylogging") == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+def _two_processes_analyze_one_attack(workdir):
     command = [
         sys.executable,
         "-c",
@@ -1315,7 +1431,9 @@ def test_two_processes_analyze_one_attack(workdir):
     outputs = [proc.communicate(timeout=120) for proc in procs]
     assert [proc.returncode for proc in procs] == [0, 0], outputs
     incipient = Repository.open(workdir / "repo").list_cases(status=CaseStatus.INCIPIENT)
-    assert sorted(case.case_id for case in incipient) == ["keylogging-c1", "keylogging-c2"]
+    assert sorted(case.case_id for case in incipient if case.attack.id == "keylogging") == [
+        "keylogging-c1", "keylogging-c2"
+    ]
 
 
 @pytest.mark.parametrize("module", ["intent_cbr", "intent_cbr.cli"])
@@ -1582,10 +1700,18 @@ def test_main_in_process_changes_nothing_global(workdir, command):
          "case 'keylogging-c1': text '\\udcff' cannot be stored as UTF-8"),
         (_edit("keylog.csv", "Using W32/Agobot.", "d" * 200_000), INGEST_CSV,
          "line 5: invalid CSV: field larger than field limit (131072)"),
+        # A prior outside the frame is not checked, but no document can hold NaN.
+        (_edit("network.json", '"priors": {', '"priors": {"int-ghost": NaN, '), SEED_AIA,
+         "network attack_id 'demo-attack': Out of range float values are not JSON "
+         "compliant: nan"),
+        # An attack id of 226 characters, a safe id, leaves no room for "aia-".
+        (_edit("attack.json", '"id": "demo-attack"', f'"id": "{"a" * 226}"'), SEED_AIA,
+         f"case id 'aia-{'a' * 226}' not usable as a file name"),
     ],
     ids=["ingest-nested-too-deep", "meta-nested-too-deep", "seed-aia-likelihood-past-float-range",
          "ingest-confidence-past-digit-limit", "seed-aia-network-surrogate",
-         "revise-undecodable-rationale", "ingest-csv-cell-past-size-limit"],
+         "revise-undecodable-rationale", "ingest-csv-cell-past-size-limit",
+         "seed-aia-network-nan-prior", "seed-aia-case-id-too-long"],
 )
 def test_input_no_record_can_hold_exit_2_in_a_process(workdir, prepare, argv, message):
     prepare(workdir)

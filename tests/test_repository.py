@@ -3,6 +3,7 @@
 import fcntl
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_case, settle
 from intent_cbr import cbr
 from intent_cbr import fixtures as demo
 from intent_cbr.errors import (
@@ -26,7 +28,7 @@ from intent_cbr.errors import (
     ValidationFailure,
 )
 from intent_cbr import repository as repository_module
-from intent_cbr.model import CaseStatus, Intention, replace
+from intent_cbr.model import CaseStatus, Intention, replace, transition
 from intent_cbr.repository import Repository
 from intent_cbr.serialize import (
     attack_to_dict,
@@ -1161,3 +1163,205 @@ def test_save_attack_refuses_a_field_that_is_not_text(repo, changes, reason):
     with pytest.raises(ValidationFailure, match=reason):
         repo.save_attack(replace(demo.keylogging_attack(), **changes))
     assert _records(repo.root) == {}
+
+
+# -- the case summary ----------------------------------------------------------
+
+
+_PRECEDENTS = [f"p{i:02d}" for i in range(40)]
+
+
+def _summarized(root):
+    """A repository of random precedents and a summary of all of them;
+    returns a query of the same random make."""
+    rng = random.Random(24)
+    repo = Repository.attach(root)
+    for case_id in _PRECEDENTS:
+        repo.add_case(random_case(rng, case_id))
+    query = replace(random_case(rng, "q"), case_id="query", status=CaseStatus.PROPOSED)
+    settle(root)
+    summarizer = Repository.attach(root)
+    cbr.retrieve(query, summarizer, k=3)
+    summarizer._write_summary()
+    assert sorted(_summary_doc(root)["rows"]) == _PRECEDENTS
+    return query
+
+
+def _summary_doc(root):
+    """The summary at `root`, its rows by case id."""
+    doc = json.loads((root / "summary.json").read_text(encoding="utf-8"))
+    return {**doc, "rows": {row[0]: row for row in doc["rows"]}}
+
+
+def _full_ranking(root, query, k=3):
+    return cbr.retrieve(query, Repository.open(root), k=k)
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Case ids decoded, scored and given a bound row, in call order."""
+    calls = {"decoded": [], "scored": [], "rows": []}
+    decode, score, bound_row = case_from_dict, cbr.similarity, cbr._bound_row
+
+    def decoding(doc):
+        calls["decoded"].append(doc["case_id"])
+        return decode(doc)
+
+    def scoring(new, old):
+        calls["scored"].append(old.case_id)
+        return score(new, old)
+
+    def building(precedent):
+        calls["rows"].append(precedent.case_id)
+        return bound_row(precedent)
+
+    monkeypatch.setattr(repository_module, "case_from_dict", decoding)
+    monkeypatch.setattr(cbr, "similarity", scoring)
+    monkeypatch.setattr(cbr, "_bound_row", building)
+    return calls
+
+
+class TestCaseSummary:
+    def test_a_summarized_retrieve_decodes_only_changed_files_and_visited_precedents(
+        self, tmp_path, counted
+    ):
+        root = tmp_path / "repo"
+        query = _summarized(root)
+        expected = _full_ranking(root, query)
+        for calls in counted.values():
+            del calls[:]
+        assert cbr.retrieve(query, Repository.attach(root), k=3) == expected
+        assert counted["decoded"] == counted["scored"]
+        assert len(counted["scored"]) < len(_PRECEDENTS)
+        assert counted["rows"] == []
+        # A precedent stored after the summary is read, visited or not.
+        Repository.attach(root).add_case(replace(query, case_id="p99", status=CaseStatus.PRECEDENT,
+                                                 intention=Intention("int-y", "goal")))
+        for calls in counted.values():
+            del calls[:]
+        ranking = cbr.retrieve(query, Repository.attach(root), k=3)
+        assert ranking.entries[0].precedent_case_id == "p99"
+        assert counted["decoded"] == ["p99", *[c for c in counted["scored"] if c != "p99"]]
+        assert counted["rows"] == ["p99"]
+
+    def test_a_row_is_kept_only_for_a_file_changed_before_the_listing(
+        self, tmp_path, monkeypatch
+    ):
+        root = tmp_path / "repo"
+        query = _summarized(root)
+        (root / "summary.json").unlink()
+        since = (root / "cases" / "p10.json").stat().st_ctime_ns
+        monkeypatch.setattr(repository_module, "_file_system_time", lambda root: since)
+        repo = Repository.attach(root)
+        assert cbr.retrieve(query, repo, k=3) == _full_ranking(root, query)
+        repo._write_summary()
+        kept = _summary_doc(root)["rows"]
+        assert kept and all(row[-1] < since for row in kept.values())
+        assert "p10" not in kept and "p09" in kept
+
+    def test_no_summary_is_written_where_no_file_can_be_made(self, tmp_path, monkeypatch):
+        root = tmp_path / "repo"
+        query = _summarized(root)
+        (root / "summary.json").unlink()
+        monkeypatch.setattr(repository_module, "_file_system_time", lambda root: None)
+        repo = Repository.attach(root)
+        assert cbr.retrieve(query, repo, k=3) == _full_ranking(root, query)
+        repo._write_summary()
+        assert not (root / "summary.json").exists()
+
+    def test_a_same_size_edit_with_its_mtime_set_back_is_read(self, tmp_path):
+        root = tmp_path / "repo"
+        query = _summarized(root)
+        path = root / "cases" / "p07.json"
+        before = path.stat()
+        text = path.read_text(encoding="utf-8")
+        assert '"case_id": "p07"' in text
+        path.write_text(text.replace('"case_id": "p07"', '"case_id": "p70"'), encoding="utf-8")
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert path.stat().st_size == before.st_size
+        with pytest.raises(CorruptRecord) as excinfo:
+            cbr.retrieve(query, Repository.attach(root), k=3)
+        assert list(excinfo.value.details) == ["p07"]
+
+    def test_every_corrupt_file_is_reported_together(self, tmp_path):
+        root = tmp_path / "repo"
+        query = _summarized(root)
+        _corrupt(root, "p03")
+        (root / "cases" / "p31.json").write_bytes(b"")
+        with pytest.raises(CorruptRecord) as excinfo:
+            cbr.retrieve(query, Repository.attach(root), k=3)
+        assert sorted(excinfo.value.details) == ["p03", "p31"]
+
+    @pytest.mark.parametrize(
+        "damage, untrusted",
+        [
+            (lambda text: "\x00garbage", "all"),
+            (lambda text: text[: len(text) // 2], "all"),
+            (lambda text: text.replace("case summary 1", "case summary 0"), "all"),
+            (lambda text: text.replace('"port-exploit","function-implementation"',
+                                       '"function-implementation","port-exploit"'), "all"),
+            (lambda text: text.replace('"rows":[', '"rows":[7,', 1), "all"),
+            (lambda text: text.replace("0.0,", "NaN,", 1), "all"),
+            # The first row is p00's.
+            (lambda text: text.replace("0.0,", '"0.0",', 1), "p00"),
+            (lambda text: text.replace('"precedent"', '"unknown"', 1), "p00"),
+        ],
+        ids=["garbage", "truncated", "foreign-schema", "foreign-kind-order", "row-not-a-list",
+             "nan-total", "text-total", "unknown-status"],
+    )
+    def test_a_summary_this_version_did_not_write_is_not_trusted(
+        self, tmp_path, counted, damage, untrusted
+    ):
+        root = tmp_path / "repo"
+        query = _summarized(root)
+        path = root / "summary.json"
+        text = path.read_text(encoding="utf-8")
+        assert damage(text) != text
+        path.write_text(damage(text), encoding="utf-8")
+        expected = _full_ranking(root, query)
+        del counted["decoded"][:], counted["scored"][:]
+        repo = Repository.attach(root)
+        assert cbr.retrieve(query, repo, k=3) == expected
+        read = set(_PRECEDENTS) if untrusted == "all" else {untrusted}
+        assert set(counted["decoded"]) == read | set(counted["scored"])
+        repo._write_summary()
+        assert sorted(_summary_doc(root)["rows"]) == _PRECEDENTS
+
+    def test_a_directory_in_the_summarys_place_is_no_error(self, tmp_path):
+        root = tmp_path / "repo"
+        query = _summarized(root)
+        (root / "summary.json").unlink()
+        (root / "summary.json").mkdir()
+        repo = Repository.attach(root)
+        assert cbr.retrieve(query, repo, k=3) == _full_ranking(root, query)
+        repo._write_summary()
+        assert (root / "summary.json").is_dir()
+        assert sorted(os.listdir(root)) == ["attacks", "cases", "meta.json", "networks", "summary.json"]
+
+    def test_a_handle_that_has_scanned_never_reads_the_summary(self, tmp_path, monkeypatch):
+        root = tmp_path / "repo"
+        query = _summarized(root)
+        repo = Repository.open(root)
+
+        def refused(*args):
+            raise AssertionError("summary read")
+
+        expected = _full_ranking(root, query)
+        monkeypatch.setattr(repository_module, "_load_summary", refused)
+        monkeypatch.setattr(repository_module, "_file_system_time", refused)
+        monkeypatch.setattr(os, "scandir", refused)
+        assert cbr.retrieve(query, repo, k=3) == expected
+
+    def test_record_writes_leave_the_summary_alone(self, tmp_path):
+        root = tmp_path / "repo"
+        query = _summarized(root)
+        summary = (root / "summary.json").read_bytes()
+        for i, repo in enumerate((Repository.attach(root), Repository.open(root))):
+            incipient = replace(query, case_id=f"q{i}", status=CaseStatus.INCIPIENT,
+                                evidence_weights=cbr.confidence_weights(query.attack))
+            repo.add_case(incipient)
+            accepted = transition(incipient, CaseStatus.REVISED_ACCEPTED)
+            repo.update_case(replace(accepted, intention=Intention("int-y", "goal")))
+            cbr.retain(repo.get_case(incipient.case_id), repo)
+            repo._write_summary()
+        assert (root / "summary.json").read_bytes() == summary
