@@ -17,6 +17,7 @@ import pytest
 
 from conftest import random_network, settle
 from intent_cbr import cbr, cli
+from intent_cbr import repository as repository_module
 from intent_cbr import fixtures as demo
 from intent_cbr.cli import main
 from intent_cbr.errors import DuplicateCaseId
@@ -1375,6 +1376,24 @@ def test_analyze_prints_as_without_a_summary(workdir, capsys, change, status):
     assert outputs[0][0] == status
     if change is _summary_in_a_directory:
         assert os.listdir(repo / "summary.json") == []
+
+
+def test_a_summarized_analyze_decodes_only_changed_and_visited_cases(workdir, monkeypatch):
+    repo = workdir / "repo"
+    ingest_keylogging(workdir)
+    settle(repo)
+    assert run(workdir, "analyze", "--repo", repo, "--attack-id", "keylogging") == 0
+    decoded, scored = [], []
+    decode, score = repository_module.case_from_dict, cbr.similarity
+    monkeypatch.setattr(repository_module, "case_from_dict",
+                        lambda doc: decoded.append(doc["case_id"]) or decode(doc))
+    monkeypatch.setattr(cbr, "similarity", lambda new, old: scored.append(old.case_id) or score(new, old))
+    assert run(workdir, "analyze", "--repo", repo, "--attack-id", "keylogging") == 0
+    # The first run's own case, written after its listing, has no row; the
+    # second run decodes it, the precedents it visits, and its own case
+    # once, as the write's check.
+    assert decoded == ["keylogging-c1", *scored, "keylogging-c2"]
+    assert len(scored) < 11
 
 
 def test_report_and_seed_aia_leave_the_summary_alone(workdir):
