@@ -159,9 +159,9 @@ def retrieve(new_case: Case, repository, k: int | None) -> RetrievalRanking:
     """Rank confirmed precedents by similarity to `new_case`, keep the top k.
 
     ``k=None`` scores every precedent (used by full reports). A finite k
-    visits precedents in descending order of an upper bound on their
-    score and stops once k scores are held and the next bound is below
-    the k-th of them (the threshold algorithm of Fagin, Lotem & Naor).
+    visits precedents by (-bound, case id), a bound being at least the
+    score, and stops once that sorts after the k-th best (-score, case id):
+    the threshold algorithm of Fagin, Lotem & Naor on the ranking's key.
     The ranking is exactly the one of scoring every precedent. The bounds
     come from bound rows (see :func:`_bound_rows`): a
     :class:`~intent_cbr.repository.Repository` handle that has not scanned
@@ -197,9 +197,10 @@ def _bounded_scores(
     `rows` holds the precedents' bound rows. A row's first item is its
     precedent or, when `load` is given, the precedent's case id, which
     `load` turns into the precedent when it is visited. Visits precedents
-    by descending bound, ties by ascending case id. A precedent whose bound
-    equals the k-th score is still scored, since it can win that tie on
-    its case id.
+    by descending bound, ties by ascending case id, and stops at the first
+    whose (-bound, case id) sorts after the k-th best (-score, case id): a
+    score is at most its bound, so neither that precedent nor any later
+    one can rank above the k-th.
     """
     bounds = _bounds(new_case, rows)
     if load is None:
@@ -207,20 +208,21 @@ def _bounded_scores(
     else:
         pending = [(-bound, row[0], row[0]) for bound, row in zip(bounds, rows)]
     heapq.heapify(pending)
-    best: list[float] = []  # min-heap of the k highest scores so far
+    best: list[tuple[float, str]] = []  # (-score, case id) of the k best, sorted once full
     scored: list[tuple[SimilarityResult, Case]] = []
     while pending:
-        neg_bound, _, precedent = heapq.heappop(pending)
-        if len(best) == k and -neg_bound < best[0]:
+        neg_bound, case_id, precedent = heapq.heappop(pending)
+        if len(best) == k and (neg_bound, case_id) > best[-1]:
             break
         if load is not None:
             precedent = load(precedent)
         result = similarity(new_case, precedent)
         scored.append((result, precedent))
-        if len(best) < k:
-            heapq.heappush(best, result.score)
-        else:
-            heapq.heappushpop(best, result.score)
+        key = (-result.score, case_id)
+        if len(best) < k or key < best[-1]:
+            best[k - 1 :] = [key]  # append while filling, then replace the k-th
+            if len(best) == k:
+                best.sort()
     return scored
 
 

@@ -24,7 +24,7 @@ validates every other case file as the scan does, and decodes only the
 precedents the score bound visits (see :meth:`Repository._summary_rows`).
 The summary is derived and safe to delete: a missing, unreadable or
 foreign one means every case file is read. Record writes leave it alone;
-``analyze`` rewrites it after a successful run in which a row changed.
+``analyze`` rewrites it after a successful run once it is stale enough.
 
 Every case, attack and network read is strict UTF-8 JSON, validated, and
 its own id must match its file name; a record that fails is CorruptRecord,
@@ -102,6 +102,11 @@ _STATUSES = frozenset(status.value for status in CaseStatus)
 _CONFIRMED = frozenset(status.value for status in CONFIRMED_STATUSES)
 # Totals of a case that is no precedent: its row is never ranked.
 _NO_TOTALS = (0.0,) * len(_KINDS)
+# The summary is rewritten only once the case files read past it, plus its
+# rows of changed or gone files, exceed this share of the case files: a
+# rewrite costs about 4 us a row and a re-read about 32 us a file (2 000
+# cases), so a file is re-read only until that costs about one rewrite.
+_STALE_SHARE = 1 / 8
 
 
 class Repository:
@@ -382,7 +387,9 @@ class Repository:
         except OSError as exc:
             raise IoFailure(f"cannot list {cases_dir}: {exc}") from exc
         decoded = self._read_cases(sorted(changed))
-        if len(kept) < len(summary):
+        stale = len(changed) + len(summary) - len(kept)
+        due = stale > _STALE_SHARE * (len(kept) + len(changed))
+        if due and len(kept) < len(summary):
             self._summary_changed = True
         rows = list(kept.values())
         for case_id, case in decoded.items():
@@ -397,7 +404,7 @@ class Repository:
             rows.append(row)
             if since is not None and key[3] < since:
                 kept[case_id] = row
-                self._summary_changed = True
+                self._summary_changed |= due
         self._summary = kept
 
         def load(case_id: str) -> Case:
@@ -406,8 +413,8 @@ class Repository:
         return [row for row in rows if row[_STATUS_AT] in _CONFIRMED], load
 
     def _write_summary(self) -> None:
-        """Store the summary rows that the last :meth:`_summary_rows` brought
-        up to date, if one changed.
+        """Store the summary rows that :meth:`_summary_rows` brought up to
+        date, once it found enough of the stored ones stale (``_STALE_SHARE``).
 
         The summary is derived and each row checks itself against its
         file, so no writer lock is taken, and a write that fails is no

@@ -313,12 +313,15 @@ class ListRepository:
 
 @st.composite
 def retrieval_st(draw):
-    """A query and precedents with clones (ties), no-shared-kind cases and
-    a precedent without an intention."""
+    """A query and precedents with clones (ties, up to 12 long at one
+    score), no-shared-kind cases and a precedent without an intention."""
     query = draw(case_st("new", status=CaseStatus.PROPOSED))
     precedents = [draw(case_st(f"p{i}")) for i in range(draw(st.integers(1, 8)))]
     for n, j in enumerate(draw(st.lists(st.integers(0, len(precedents) - 1), max_size=3))):
         precedents.append(replace(precedents[j], case_id=f"p{j}-clone{n}"))
+    j = draw(st.integers(0, len(precedents) - 1))
+    for n in range(draw(st.integers(0, 12))):
+        precedents.append(replace(precedents[j], case_id=f"p{j}-twin{n:02d}"))
     query_kinds = {e.kind for e in query.attack.evidence}
     unshared = [kind for kind in EvidenceKind if kind not in query_kinds][0]
     stranger = draw(case_st("stranger"))
@@ -415,6 +418,34 @@ class TestBoundedRetrieve:
         )
         ranking = retrieve(query, ListRepository([a, b]), k=1)
         assert [(e.precedent_case_id, e.score) for e in ranking.entries] == [("a", 0.5)]
+
+    def test_clones_of_the_query_score_only_k(self, tmp_path, monkeypatch):
+        # Each clone scores its bound, 1.0, so the k-th key (-1.0, "c02")
+        # sorts before every later clone's (-1.0, case id).
+        evidence = [ev("q1", attrs={"tool": "x"}), ev("q2", kind=OTHER, attrs={"port": "80"})]
+        query = case_of("new", evidence, status=CaseStatus.PROPOSED)
+        clones = [case_of(f"c{i:02d}", evidence, {"q1": 0.25, "q2": 0.75}) for i in range(40)]
+        root = tmp_path / "repo"
+        writer = Repository.attach(root)
+        for clone in clones:
+            writer.add_case(clone)
+        settle(root)
+        summarizer = Repository.attach(root)
+        retrieve(query, summarizer, k=3)
+        summarizer._write_summary()
+        listed = ListRepository(clones)
+        head = retrieve(query, listed, k=None).entries[:3]
+        assert [e.score for e in head] == [1.0] * 3
+        scored = []
+        monkeypatch.setattr(
+            cbr, "similarity", lambda new, old: scored.append(old.case_id) or similarity(new, old)
+        )
+        attached = Repository.attach(root)
+        for repository in (listed, Repository.open(root), attached):
+            del scored[:]
+            assert retrieve(query, repository, k=3).entries == head
+            assert scored == ["c00", "c01", "c02"]
+        assert attached._cases is None  # ranked from the summary, no scan
 
     def test_unnormalized_precedent_raises_even_when_its_bound_is_zero(self):
         query = case_of("new", [ev("q1")], status=CaseStatus.PROPOSED)

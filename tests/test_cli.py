@@ -1341,6 +1341,19 @@ def _revise_and_retain(retain):
     return change
 
 
+def _retain_below_the_share(repo):
+    """Double the precedents and summarize them, then retain two cases."""
+    writer = Repository.attach(repo)
+    for case in Repository.open(repo).list_cases(status=CaseStatus.PRECEDENT):
+        writer.add_case(replace(case, case_id=f"{case.case_id}-copy"))
+    settle(repo)
+    assert run(repo, "analyze", "--repo", repo, "--attack-id", "keylogging") == 0
+    assert len(json.loads((repo / "summary.json").read_bytes())["rows"]) == 23
+    for case_id in ("keylogging-c1", "keylogging-c2"):
+        assert run(repo, "revise", "--repo", repo, "--case-id", case_id, "--verdict", "accept") == 0
+        assert run(repo, "retain", "--repo", repo, "--case-id", case_id) == 0
+
+
 @pytest.mark.parametrize(
     "change, status",
     [
@@ -1354,10 +1367,12 @@ def _revise_and_retain(retain):
         (_summary_in_a_directory, 0),
         (_revise_and_retain(retain=False), 0),
         (_revise_and_retain(retain=True), 0),
+        (_retain_below_the_share, 0),
     ],
     ids=["same-size-edit-mtime-restored", "truncated-case", "deleted-summary",
          "garbage-summary", "foreign-schema", "foreign-kind-order", "directory-summary",
-         "revised-after-summarizing", "retained-after-summarizing"],
+         "revised-after-summarizing", "retained-after-summarizing",
+         "retained-below-the-share"],
 )
 def test_analyze_prints_as_without_a_summary(workdir, capsys, change, status):
     repo, plain = workdir / "repo", workdir / "plain"
@@ -1367,6 +1382,7 @@ def test_analyze_prints_as_without_a_summary(workdir, capsys, change, status):
     assert len(json.loads((repo / "summary.json").read_bytes())["rows"]) == 11
     change(repo)
     shutil.copytree(repo, plain, ignore=shutil.ignore_patterns("summary.json"))
+    summary = (repo / "summary.json").read_bytes() if (repo / "summary.json").is_file() else None
     outputs = []
     for root in (plain, repo):
         capsys.readouterr()
@@ -1376,6 +1392,9 @@ def test_analyze_prints_as_without_a_summary(workdir, capsys, change, status):
     assert outputs[0][0] == status
     if change is _summary_in_a_directory:
         assert os.listdir(repo / "summary.json") == []
+    if change is _retain_below_the_share:
+        # Two of the 24 case files read past the summary are below its share.
+        assert (repo / "summary.json").read_bytes() == summary
 
 
 def test_a_summarized_analyze_decodes_only_changed_and_visited_cases(workdir, monkeypatch):

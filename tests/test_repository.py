@@ -1244,6 +1244,48 @@ class TestCaseSummary:
         assert counted["decoded"] == ["p99", *[c for c in counted["scored"] if c != "p99"]]
         assert counted["rows"] == ["p99"]
 
+    def test_files_past_the_summary_are_read_until_they_pass_its_share(self, tmp_path, counted):
+        root = tmp_path / "repo"
+        query = _summarized(root)
+        summary = (root / "summary.json").read_bytes()
+        rng = random.Random(26)
+        writer = Repository.attach(root)
+        # 5 new files of 45 are no more than 1/8 of the case files; 6 of 46 are.
+        added = [f"p{i}" for i in range(40, 45)]
+        for case_id in added:
+            writer.add_case(random_case(rng, case_id))
+        settle(root)
+        expected = _full_ranking(root, query)
+        for _ in range(2):
+            del counted["decoded"][:], counted["scored"][:]
+            repo = Repository.attach(root)
+            assert cbr.retrieve(query, repo, k=3) == expected
+            assert counted["decoded"] == [*added, *(c for c in counted["scored"] if c not in added)]
+            repo._write_summary()
+            assert (root / "summary.json").read_bytes() == summary
+        writer.add_case(random_case(rng, "p45"))
+        settle(root)
+        repo = Repository.attach(root)
+        assert cbr.retrieve(query, repo, k=3) == _full_ranking(root, query)
+        repo._write_summary()
+        assert sorted(_summary_doc(root)["rows"]) == [*_PRECEDENTS, *added, "p45"]
+
+    def test_rows_of_deleted_files_are_dropped_past_the_summarys_share(self, tmp_path):
+        root = tmp_path / "repo"
+        query = _summarized(root)
+        summary = (root / "summary.json").read_bytes()
+        # 4 rows of 40 without a file are no more than 1/8 of the 36 case
+        # files; 5 of 40 are more than 1/8 of 35.
+        for deleted, rewritten in ((_PRECEDENTS[:4], False), (_PRECEDENTS[:5], True)):
+            for case_id in deleted:
+                (root / "cases" / f"{case_id}.json").unlink(missing_ok=True)
+            repo = Repository.attach(root)
+            assert cbr.retrieve(query, repo, k=3) == _full_ranking(root, query)
+            repo._write_summary()
+            rows = _summary_doc(root)["rows"]
+            assert ((root / "summary.json").read_bytes() != summary) == rewritten
+            assert sorted(rows) == (_PRECEDENTS[5:] if rewritten else _PRECEDENTS)
+
     def test_a_row_is_kept_only_for_a_file_changed_before_the_listing(
         self, tmp_path, monkeypatch
     ):
@@ -1325,7 +1367,10 @@ class TestCaseSummary:
         read = set(_PRECEDENTS) if untrusted == "all" else {untrusted}
         assert set(counted["decoded"]) == read | set(counted["scored"])
         repo._write_summary()
-        assert sorted(_summary_doc(root)["rows"]) == _PRECEDENTS
+        if untrusted == "all":
+            assert sorted(_summary_doc(root)["rows"]) == _PRECEDENTS
+        else:  # one file of 40 read past the summary is below its share
+            assert path.read_text(encoding="utf-8") == damage(text)
 
     def test_a_directory_in_the_summarys_place_is_no_error(self, tmp_path):
         root = tmp_path / "repo"
