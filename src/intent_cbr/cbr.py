@@ -15,8 +15,7 @@ from __future__ import annotations
 import csv
 import heapq
 import math
-import weakref
-from operator import itemgetter
+from operator import itemgetter, neg
 
 from .errors import EmptyRanking, EmptyRepository, UnnormalizedWeights, ValidationFailure
 from .model import (
@@ -40,10 +39,6 @@ from .repository import Repository
 # Column of each evidence kind in a bound row (see _bound_row).
 _COLUMN = {kind: column for column, kind in enumerate(EvidenceKind, start=1)}
 _ZERO_TOTALS = (0.0,) * len(_COLUMN)
-
-# Bound rows of each repository handle, by case id. A row dies with its
-# handle, and is used only for the very precedent object it was built from.
-_ROWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 class RetrievalRanking(Record):
@@ -97,17 +92,16 @@ def local_similarity(n_ev: Evidence, p_ev: Evidence) -> float:
 
     Different kinds never match. Same kind scores 0.5 plus 0.5 times
     the Jaccard overlap of the key=value attribute sets, with two empty
-    sets counting as a full overlap.
+    sets counting as a full overlap. A dict holds each key once, so its
+    item set has one element per key, and the union's size follows from
+    the intersection's: only the intersection is built.
     """
     if n_ev.kind != p_ev.kind:
         return 0.0
-    new_attrs = set(n_ev.attributes.items())
-    precedent_attrs = set(p_ev.attributes.items())
-    if not new_attrs and not precedent_attrs:
-        overlap = 1.0
-    else:
-        overlap = len(new_attrs & precedent_attrs) / len(new_attrs | precedent_attrs)
-    return 0.5 + 0.5 * overlap
+    new_attrs, precedent_attrs = n_ev.attributes, p_ev.attributes
+    shared = len(new_attrs.items() & precedent_attrs.items())
+    union = len(new_attrs) + len(precedent_attrs) - shared
+    return 0.5 + 0.5 * (shared / union if union else 1.0)
 
 
 def align_evidence(
@@ -117,24 +111,27 @@ def align_evidence(
 
     Repeatedly pairs the highest-similarity unmatched pair with a
     positive similarity; ties break on ascending (new id, precedent id).
-    Each evidence item is used at most once. May be empty.
+    Each evidence item is used at most once. May be empty. Only same-kind
+    pairs have a positive :func:`local_similarity`, so only they are
+    compared.
     """
-    candidates: list[tuple[float, str, str]] = []
-    for n_ev in new_case.attack.evidence:
-        for p_ev in precedent.attack.evidence:
-            sim = local_similarity(n_ev, p_ev)
-            if sim > 0.0:
-                candidates.append((sim, n_ev.id, p_ev.id))
-    candidates.sort(key=lambda item: (-item[0], item[1], item[2]))
+    new_evidence = new_case.attack.evidence
+    candidates = [  # (-sim, new id, precedent id)
+        (-local_similarity(n_ev, p_ev), n_ev.id, p_ev.id)
+        for p_ev in precedent.attack.evidence
+        for n_ev in new_evidence
+        if n_ev.kind == p_ev.kind
+    ]
+    candidates.sort()
     used_new: set[str] = set()
     used_precedent: set[str] = set()
     pairs: list[tuple[str, str, float]] = []
-    for sim, n_id, p_id in candidates:
+    for neg_sim, n_id, p_id in candidates:
         if n_id in used_new or p_id in used_precedent:
             continue
         used_new.add(n_id)
         used_precedent.add(p_id)
-        pairs.append((n_id, p_id, sim))
+        pairs.append((n_id, p_id, -neg_sim))
     return tuple(pairs)
 
 
@@ -147,12 +144,7 @@ def similarity(new_case: Case, precedent: Case) -> SimilarityResult:
     weights = _checked_weights(precedent)
     alignment = align_evidence(new_case, precedent)
     score = math.fsum(sim * weights.get(p_id, 0.0) for _, p_id, sim in alignment)
-    return SimilarityResult(
-        new_case_id=new_case.case_id,
-        precedent_case_id=precedent.case_id,
-        alignment=alignment,
-        score=score,
-    )
+    return SimilarityResult(new_case.case_id, precedent.case_id, alignment, score)
 
 
 def retrieve(new_case: Case, repository, k: int | None) -> RetrievalRanking:
@@ -163,11 +155,7 @@ def retrieve(new_case: Case, repository, k: int | None) -> RetrievalRanking:
     score, and stops once that sorts after the k-th best (-score, case id):
     the threshold algorithm of Fagin, Lotem & Naor on the ranking's key.
     The ranking is exactly the one of scoring every precedent. The bounds
-    come from bound rows (see :func:`_bound_rows`): a
-    :class:`~intent_cbr.repository.Repository` handle that has not scanned
-    its cases takes them from its case summary and decodes only the
-    precedents visited; any other handle keeps rows from its first top-k
-    call on, so it must be hashable and weakly referenceable.
+    come from bound rows (see :func:`_bound_rows`).
     """
     if k is not None and k < 1:
         raise ValidationFailure(f"k must be positive, got {k}")
@@ -189,33 +177,25 @@ def retrieve(new_case: Case, repository, k: int | None) -> RetrievalRanking:
     )
 
 
-def _bounded_scores(
-    new_case: Case, rows: list, load, k: int
-) -> list[tuple[SimilarityResult, Case]]:
+def _bounded_scores(new_case: Case, rows, load, k: int) -> list[tuple[SimilarityResult, Case]]:
     """Scores of the precedents that can still reach the top k.
 
-    `rows` holds the precedents' bound rows. A row's first item is its
-    precedent or, when `load` is given, the precedent's case id, which
-    `load` turns into the precedent when it is visited. Visits precedents
-    by descending bound, ties by ascending case id, and stops at the first
-    whose (-bound, case id) sorts after the k-th best (-score, case id): a
-    score is at most its bound, so neither that precedent nor any later
-    one can rank above the k-th.
+    `rows` holds the precedents' bound rows, each headed by its case id,
+    which `load` turns into the precedent when it is visited. Visits
+    precedents by descending bound, ties by ascending case id, and stops
+    at the first whose (-bound, case id) sorts after the k-th best
+    (-score, case id): a score is at most its bound, so neither that
+    precedent nor any later one can rank above the k-th.
     """
-    bounds = _bounds(new_case, rows)
-    if load is None:
-        pending = [(-bound, row[0].case_id, row[0]) for bound, row in zip(bounds, rows)]
-    else:
-        pending = [(-bound, row[0], row[0]) for bound, row in zip(bounds, rows)]
+    pending = list(zip(map(neg, _bounds(new_case, rows)), map(itemgetter(0), rows)))
     heapq.heapify(pending)
     best: list[tuple[float, str]] = []  # (-score, case id) of the k best, sorted once full
     scored: list[tuple[SimilarityResult, Case]] = []
     while pending:
-        neg_bound, case_id, precedent = heapq.heappop(pending)
+        neg_bound, case_id = heapq.heappop(pending)
         if len(best) == k and (neg_bound, case_id) > best[-1]:
             break
-        if load is not None:
-            precedent = load(precedent)
+        precedent = load(case_id)
         result = similarity(new_case, precedent)
         scored.append((result, precedent))
         key = (-result.score, case_id)
@@ -226,9 +206,9 @@ def _bounded_scores(
     return scored
 
 
-def _bounds(new_case: Case, rows: list[tuple]):
-    """Upper bound on ``similarity(new_case, row[0]).score`` for each
-    bound row, in order.
+def _bounds(new_case: Case, rows):
+    """Upper bound on the score against `new_case` of each bound row's
+    precedent, in order.
 
     Only evidence of a query kind can align, each item aligns at most
     once, a local similarity is at most 1 and weights are non-negative, so
@@ -244,33 +224,20 @@ def _bounds(new_case: Case, rows: list[tuple]):
     return [0.0] * len(rows)  # a query without evidence aligns with nothing
 
 
-def _bound_rows(repository) -> tuple[list, object]:
+def _bound_rows(repository) -> tuple:
     """The confirmed precedents' bound rows, and how to load a row's
-    precedent (see :func:`_bounded_scores`).
-
-    A :class:`~intent_cbr.repository.Repository` handle that has not
-    scanned gives its case summary's rows, each headed by a case id, and
-    loads a precedent when it is visited. Any other handle's rows are
-    built from its listed precedents and kept, weakly keyed by the handle;
-    a row is rebuilt whenever the handle lists another object under its
-    case id, as after a write.
+    precedent from its case id (see :func:`_bounded_scores`): a
+    :class:`~intent_cbr.repository.Repository` handle's own, else rows
+    built from the listed precedents on each call and kept nowhere.
     """
     if isinstance(repository, Repository):
-        summarized = repository._summary_rows(_bound_row)
-        if summarized is not None:
-            return summarized
-    rows = _ROWS.setdefault(repository, {})
-    found = []
-    for precedent in repository.list_cases(status=CONFIRMED_STATUSES):
-        row = rows.get(precedent.case_id)
-        if row is None or row[0] is not precedent:
-            row = rows[precedent.case_id] = _bound_row(precedent)
-        found.append(row)
-    return found, None
+        return repository._bound_rows(_bound_row)
+    precedents = {p.case_id: p for p in repository.list_cases(status=CONFIRMED_STATUSES)}
+    return [_bound_row(p) for p in precedents.values()], precedents.__getitem__
 
 
 def _bound_row(precedent: Case) -> tuple:
-    """The precedent, then its weight total per :class:`EvidenceKind`.
+    """The precedent's case id, then its weight total per :class:`EvidenceKind`.
 
     Checks the precedent's weights as :func:`similarity` does. A kind the
     precedent lacks totals 0.0 and a kind with one item its weight. The
@@ -281,7 +248,7 @@ def _bound_row(precedent: Case) -> tuple:
     by_column: dict[int, list[float]] = {}
     for ev in precedent.attack.evidence:
         by_column.setdefault(_COLUMN[ev.kind], []).append(weights.get(ev.id, 0.0))
-    row = [precedent, *_ZERO_TOTALS]
+    row = [precedent.case_id, *_ZERO_TOTALS]
     for column, terms in by_column.items():
         total = terms[0]
         if len(terms) > 1:

@@ -17,6 +17,7 @@ import math
 import os
 import sys
 from contextlib import suppress
+from json.encoder import encode_basestring
 from pathlib import Path
 
 from . import cbr
@@ -32,7 +33,7 @@ from .model import (
     validate_network,
 )
 from .repository import Repository, _as_stored, _atomic_write, _check_id
-from .serialize import attack_from_dict, canonical_dumps, network_from_dict
+from .serialize import attack_from_dict, network_from_dict
 
 _REPO_ENV = "INTENT_CBR_REPO"
 # How many ids `analyze` tries for its new case before DuplicateCaseId stands.
@@ -345,15 +346,23 @@ def cmd_report(repo: Repository, args) -> int:
     print(f"wrote {out}", file=sys.stderr)
     if args.chart_data:
         rows = [
-            {
-                "label": ranking.precedent_intentions[e.precedent_case_id].label,
-                "score": e.score,
-            }
+            (ranking.precedent_intentions[e.precedent_case_id].label, e.score)
             for e in ranking.entries
         ]
-        _atomic_write(Path(args.chart_data), canonical_dumps(rows).encode("utf-8"))
+        _atomic_write(Path(args.chart_data), _chart_text(rows).encode("utf-8"))
         print(f"wrote {args.chart_data}", file=sys.stderr)
     return 0
+
+
+def _chart_text(rows) -> str:
+    """``canonical_dumps`` of a ``{"label", "score"}`` object per (label,
+    score) row, built around json's C string encoder and ``float.__repr__``:
+    an indent, as in ``canonical_dumps``, takes json's pure-Python encoder."""
+    objects = ",\n".join(
+        f'  {{\n    "label": {encode_basestring(label)},\n    "score": {float.__repr__(score)}\n  }}'
+        for label, score in rows
+    )
+    return f"[\n{objects}\n]\n" if rows else "[]\n"
 
 
 # --- helpers ------------------------------------------------------------------

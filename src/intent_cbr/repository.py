@@ -16,15 +16,17 @@ need every case (``list_cases``, ``case_count``,
 result; the handle's own writes keep it current. :meth:`Repository.open`
 is ``attach`` plus that scan.
 
-A top-k retrieve on a handle that has not scanned reads a case summary,
-``summary.json``, instead: one row per case file with its status,
-intention id, per-kind weight totals and stat key. It stats ``cases/``,
-trusts a row only while its file's stat key is unchanged, reads and
-validates every other case file as the scan does, and decodes only the
-precedents the score bound visits (see :meth:`Repository._summary_rows`).
-The summary is derived and safe to delete: a missing, unreadable or
-foreign one means every case file is read. Record writes leave it alone;
-``analyze`` rewrites it after a successful run once it is stale enough.
+A top-k retrieve ranks from one bound row per precedent: its case id and
+per-kind weight totals (see :meth:`Repository._bound_rows`). A handle that
+has scanned keeps its rows; one that has not reads a case summary,
+``summary.json``: one row per case file with its status, intention id,
+per-kind weight totals and stat key. It stats ``cases/``, trusts a row
+only while its file's stat key is unchanged, reads and validates every
+other case file as the scan does, and decodes only the precedents the
+score bound visits. The summary is derived and safe to delete: a missing,
+unreadable or foreign one means every case file is read. Record writes
+leave it alone; ``analyze`` rewrites it after a successful run once it is
+stale enough.
 
 Every case, attack and network read is strict UTF-8 JSON, validated, and
 its own id must match its file name; a record that fails is CorruptRecord,
@@ -89,7 +91,7 @@ SCHEMA_VERSION = 1
 # file (about 1.5 KB), so one read takes all of it.
 _READ_SIZE = 65536
 
-# The case summary (see Repository._summary_rows). A row is
+# The case summary (see Repository._bound_rows). A row is
 # [case_id, *totals, status, intention_id, *stat_key]: one weight total per
 # EvidenceKind, in _KINDS order, then the stat key of the case file.
 _SUMMARY = "summary.json"
@@ -120,6 +122,10 @@ class Repository:
         self.root = Path(root)
         # Every stored case by id, filled by the first full scan.
         self._cases: dict[str, Case] | None = None
+        # Bound rows of the scanned precedents by case id, from the first
+        # top-k retrieve on, and the ids whose rows are to be built again.
+        self._rows: dict[str, tuple] | None = None
+        self._unrowed: list[str] = []
         # The summary's rows by case id, as read or as last brought up to
         # date, and whether they differ from the file.
         self._summary: dict[str, list] | None = None
@@ -343,27 +349,38 @@ class Repository:
             raise CorruptRecord(corrupt)
         return cases
 
-    def _summary_rows(self, row_of) -> tuple[list[list], object] | None:
-        """For a top-k retrieve on a handle that has not scanned: the
-        summary row of each confirmed case, in no set order, and a function
-        from a row's case id to its case. None on a handle that has
-        scanned, whose rows the caller keeps itself.
+    def _bound_rows(self, row_of) -> tuple:
+        """For a top-k retrieve: each confirmed case's bound row, built by
+        `row_of` (``cbr._bound_row``), in no set order, and a function from
+        a row's case id to its case.
 
-        Stats ``cases/`` once. A row of the summary is used while the stat
-        key (``st_ino``, ``st_size``, ``st_mtime_ns``, ``st_ctime_ns``) of
-        its file is unchanged. Every other case file is read and validated
-        as the scan reads it, all corrupt ones reported together via
-        CorruptRecord, and `row_of` (``cbr._bound_row``) gives the totals
-        of each precedent among them. The function gives a case so read as
-        it is, and reads any other with :meth:`get_case`.
+        A handle that has scanned builds its rows at the first call and
+        keeps them; a write through it drops its case's row, which the next
+        call builds again.
+
+        Otherwise ``cases/`` is stat-ed once, and a row of the case summary
+        is used while the stat key (``st_ino``, ``st_size``,
+        ``st_mtime_ns``, ``st_ctime_ns``) of its file is unchanged. Every
+        other case file is read and validated as the scan reads it, all
+        corrupt ones reported together via CorruptRecord, and gets its row
+        from `row_of`. The function gives a case so read as it is, and
+        reads any other with :meth:`get_case`.
 
         A new row is kept for the summary only when its file's ctime is
         before a file-system time taken before any file was stat-ed (git's
         racy-git rule): any later change of that file, even one of the same
         size with its mtime set back, then changes its key.
         """
-        if self._cases is not None:
-            return None
+        cases = self._cases
+        if cases is not None:
+            if self._rows is None:
+                self._rows, self._unrowed = {}, list(cases)
+            for case_id in self._unrowed:
+                case = cases[case_id]
+                if case.status in CONFIRMED_STATUSES:
+                    self._rows[case_id] = row_of(case)
+            self._unrowed = []
+            return self._rows.values(), cases.__getitem__
         summary = self._summary
         if summary is None:
             summary = _load_summary(os.path.join(self.root, _SUMMARY))
@@ -395,8 +412,7 @@ class Repository:
         for case_id, case in decoded.items():
             key = changed[case_id]
             row = [
-                case_id,
-                *(row_of(case)[1:] if case.status in CONFIRMED_STATUSES else _NO_TOTALS),
+                *(row_of(case) if case.status in CONFIRMED_STATUSES else (case_id, *_NO_TOTALS)),
                 case.status.value,
                 "" if case.intention is None else case.intention.id,
                 *key,
@@ -413,7 +429,7 @@ class Repository:
         return [row for row in rows if row[_STATUS_AT] in _CONFIRMED], load
 
     def _write_summary(self) -> None:
-        """Store the summary rows that :meth:`_summary_rows` brought up to
+        """Store the summary rows that :meth:`_bound_rows` brought up to
         date, once it found enough of the stored ones stale (``_STALE_SHARE``).
 
         The summary is derived and each row checks itself against its
@@ -483,10 +499,14 @@ class Repository:
         return path if os.path.exists(path) else None
 
     def _write_case(self, path: str, case: Case, data: bytes) -> None:
-        """Write under the caller's writer lock; keep a loaded scan current."""
+        """Write under the caller's writer lock; keep a loaded scan and its
+        bound rows current."""
         _atomic_write(path, data)
         cases = self._cases
         if cases is not None:
+            if self._rows is not None:
+                self._rows.pop(case.case_id, None)
+                self._unrowed.append(case.case_id)
             # A new id that sorts before the last one breaks case-id order.
             out_of_order = case.case_id not in cases and case.case_id < next(
                 reversed(cases), ""

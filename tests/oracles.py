@@ -73,6 +73,33 @@ def _attribute_overlap(a: Evidence, b: Evidence) -> float:
     return len(left & right) / len(left | right)
 
 
+def greedy_alignment(new_case: Case, precedent: Case) -> tuple[tuple[str, str, float], ...]:
+    """The greedy alignment, literally from its definition.
+
+    Every (new item, precedent item) pair gets its local similarity: 0.0
+    across kinds, else 0.5 plus 0.5 times the attribute overlap. Pairs
+    with a positive similarity are taken by (-sim, new id, precedent id),
+    each one kept unless one of its items is already paired.
+    """
+    candidates = []
+    for n_ev in new_case.attack.evidence:
+        for p_ev in precedent.attack.evidence:
+            if n_ev.kind != p_ev.kind:
+                sim = 0.0
+            else:
+                sim = 0.5 + 0.5 * _attribute_overlap(n_ev, p_ev)
+            if sim > 0.0:
+                candidates.append((-sim, n_ev.id, p_ev.id))
+    candidates.sort()
+    paired_new, paired_precedent, alignment = set(), set(), []
+    for neg_sim, new_id, precedent_id in candidates:
+        if new_id not in paired_new and precedent_id not in paired_precedent:
+            paired_new.add(new_id)
+            paired_precedent.add(precedent_id)
+            alignment.append((new_id, precedent_id, -neg_sim))
+    return tuple(alignment)
+
+
 def resum_similarity(new_case: Case, precedent: Case, alignment) -> float:
     """Plain re-summation of local_sim * precedent weight over an alignment.
 

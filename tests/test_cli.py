@@ -14,6 +14,8 @@ from contextlib import suppress
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_network, settle
 from intent_cbr import cbr, cli
@@ -655,6 +657,26 @@ class TestReport:
         assert rows[0]["score"] == pytest.approx(0.91, abs=1e-9)
         scores = [row["score"] for row in rows]
         assert scores == sorted(scores, reverse=True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(
+                    st.text(),
+                    st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028é€😀 a')),
+                ),
+                st.one_of(
+                    st.sampled_from([0.0, 1.0, 1e-7, 5e-324, 2.2250738585072009e-308, 0.1 + 0.2]),
+                    st.floats(0.0, 1.0),
+                ),
+            ),
+            max_size=5,
+        )
+    )
+    def test_chart_text_is_canonical_dumps_of_its_rows(self, rows):
+        objects = [{"label": label, "score": score} for label, score in rows]
+        assert cli._chart_text(rows) == canonical_dumps(objects)
 
     def test_chart_data_keeps_every_digit_of_a_score(self, tmp_path):
         """Two matched weights of 1/3 make the score 0.6666666666666666,

@@ -1221,6 +1221,27 @@ def counted(monkeypatch):
     return calls
 
 
+def test_a_write_on_a_scanned_handle_rebuilds_only_its_own_bound_row(tmp_path, counted):
+    rng = random.Random(27)
+    repo = Repository.open(tmp_path / "repo")
+    for case_id in _PRECEDENTS:
+        repo.add_case(random_case(rng, case_id))
+    query = replace(random_case(rng, "q"), case_id="query", status=CaseStatus.PROPOSED)
+    cbr.retrieve(query, repo, k=3)
+    assert counted["rows"] == _PRECEDENTS
+    accepted = replace(
+        query, case_id="p99", status=CaseStatus.REVISED_ACCEPTED, intention=Intention("int-y", "goal")
+    )
+    repo.store_confirmed(transition(accepted, CaseStatus.RETAINED))
+    for calls in counted.values():
+        del calls[:]
+    ranking = cbr.retrieve(query, repo, k=3)
+    assert counted["rows"] == ["p99"]
+    assert counted["decoded"] == []  # a scanned handle loads from its scan
+    assert ranking == _full_ranking(tmp_path / "repo", query)
+    assert ranking.entries[0].precedent_case_id == "p99"
+
+
 class TestCaseSummary:
     def test_a_summarized_retrieve_decodes_only_changed_files_and_visited_precedents(
         self, tmp_path, counted
