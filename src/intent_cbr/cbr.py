@@ -12,8 +12,6 @@ contributes nothing, which penalizes missing evidence.
 
 from __future__ import annotations
 
-import csv
-import heapq
 import math
 from operator import itemgetter, neg
 
@@ -21,7 +19,6 @@ from .errors import EmptyRanking, EmptyRepository, UnnormalizedWeights, Validati
 from .model import (
     CONFIRMED_STATUSES,
     SUM_TOLERANCE,
-    Attack,
     Case,
     CaseStatus,
     Evidence,
@@ -30,6 +27,7 @@ from .model import (
     Record,
     SimilarityResult,
     _setters,
+    confidence_weights,
     fsum_or_nan,
     replace,
     transition,
@@ -187,6 +185,8 @@ def _bounded_scores(new_case: Case, rows, load, k: int) -> list[tuple[Similarity
     (-score, case id): a score is at most its bound, so neither that
     precedent nor any later one can rank above the k-th.
     """
+    import heapq
+
     pending = list(zip(map(neg, _bounds(new_case, rows)), map(itemgetter(0), rows)))
     heapq.heapify(pending)
     best: list[tuple[float, str]] = []  # (-score, case id) of the k best, sorted once full
@@ -298,19 +298,11 @@ def reuse(new_case: Case, ranking: RetrievalRanking) -> Case:
     )
 
 
-def confidence_weights(attack: Attack) -> dict[str, float]:
-    """Evidence confidences normalized to sum 1; uniform when all are zero."""
-    total = math.fsum(ev.confidence for ev in attack.evidence)
-    if total > 0.0:
-        return {ev.id: ev.confidence / total for ev in attack.evidence}
-    return {ev.id: 1.0 / len(attack.evidence) for ev in attack.evidence}
-
-
 def initialize_incipient(proposed: Case) -> Case:
     """Prepare the proposal for the investigator.
 
-    Weights are the attack's :func:`confidence_weights`, and a readable
-    summary of the proposal is appended to the provenance.
+    Weights are the attack's :func:`~intent_cbr.model.confidence_weights`,
+    and a readable summary of the proposal is appended to the provenance.
     """
     case = transition(proposed, CaseStatus.INCIPIENT)
     return replace(
@@ -353,6 +345,8 @@ def retain(case: Case, repository) -> Case:
 def write_ranking_csv(ranking: RetrievalRanking, out) -> None:
     """Ranking as CSV rows (rank, precedent_case_id, intention_label, score),
     scores at 2 decimals, written to the text stream `out`."""
+    import csv
+
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["rank", "precedent_case_id", "intention_label", "score"])
     for rank, entry in enumerate(ranking.entries, start=1):

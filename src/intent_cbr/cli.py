@@ -20,12 +20,12 @@ from contextlib import suppress
 from json.encoder import encode_basestring
 from pathlib import Path
 
-from . import cbr
 from .errors import DuplicateCaseId, IntentCbrError, ValidationFailure
 from .model import (
     Attack,
     Case,
     CaseStatus,
+    confidence_weights,
     now_utc,
     replace,
     transition,
@@ -218,20 +218,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # --- commands ----------------------------------------------------------------
-# A module that only some commands run (ingest, inference) is imported in
-# those commands, so the others do not load it.
+# A module that only some commands run (cbr, ingest, inference) is imported
+# in those commands, so the others do not load it.
 
 
 def cmd_ingest(repo: Repository, args) -> int:
-    from .ingest import parse_evidence_file
+    from .ingest import _parse_evidence
 
-    _log_warnings()
-    attack = parse_evidence_file(
+    attack = _parse_evidence(
         args.input,
         args.format,
-        attack_id=args.attack_id,
-        attack_name=args.attack_name,
-        detection_state=args.detection_state,
+        args.attack_id,
+        args.attack_name,
+        args.detection_state,
+        _print_warning,
     )
     repo.save_attack(attack)
     print(f"{len(attack.evidence)} evidence items ingested")
@@ -239,6 +239,8 @@ def cmd_ingest(repo: Repository, args) -> int:
 
 
 def cmd_analyze(repo: Repository, args) -> int:
+    from . import cbr
+
     attack = repo.load_attack(args.attack_id)
     new_case = _fresh_case(repo, attack)
     # The case is stored after the ranking is printed: a bad id must fail first.
@@ -266,6 +268,8 @@ def cmd_analyze(repo: Repository, args) -> int:
 
 
 def cmd_revise(repo: Repository, args) -> int:
+    from . import cbr
+
     case = repo.get_case(args.case_id)
     verdict = cbr.ReviseVerdict(
         verdict=args.verdict,
@@ -280,6 +284,8 @@ def cmd_revise(repo: Repository, args) -> int:
 
 
 def cmd_retain(repo: Repository, args) -> int:
+    from . import cbr
+
     case = repo.get_case(args.case_id)
     retained = cbr.retain(case, repo)
     print(f"case {retained.case_id} retained")
@@ -288,11 +294,10 @@ def cmd_retain(repo: Repository, args) -> int:
 
 def cmd_seed_aia(repo: Repository, args) -> int:
     from .inference import analyze_attack
-    from .ingest import parse_evidence_file, parse_network_file
+    from .ingest import _parse_evidence, parse_network_file
 
-    _log_warnings()
     network = parse_network_file(args.network)
-    attack = parse_evidence_file(args.attack, "json")
+    attack = _parse_evidence(args.attack, "json", None, None, None, _print_warning)
     if args.priors == "uniform":
         ids = network.intention_ids()
         network = replace(network, priors={iid: 1.0 / len(ids) for iid in ids})
@@ -319,7 +324,7 @@ def cmd_seed_aia(repo: Repository, args) -> int:
         case_id=case_id,
         attack=attack,
         intention=network.find_intention(report.selected),
-        evidence_weights=cbr.confidence_weights(attack),
+        evidence_weights=confidence_weights(attack),
         status=CaseStatus.PRECEDENT,
         provenance="seeded-by-AIA",
         created_at=now_utc(),
@@ -334,6 +339,8 @@ def cmd_seed_aia(repo: Repository, args) -> int:
 
 
 def cmd_report(repo: Repository, args) -> int:
+    from . import cbr
+
     attack = repo.load_attack(args.attack_id)
     new_case = _fresh_case(repo, attack)
     ranking = cbr.retrieve(new_case, repo, k=None)
@@ -368,11 +375,11 @@ def _chart_text(rows) -> str:
 # --- helpers ------------------------------------------------------------------
 
 
-def _log_warnings() -> None:
-    """Print warnings logged by ingest as ``WARNING: <message>`` on stderr."""
-    import logging
-
-    logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format="%(levelname)s: %(message)s")
+def _print_warning(message: str) -> None:
+    """An ingest warning as ``WARNING: <message>`` on stderr. One that
+    cannot be written is dropped and fails nothing."""
+    with suppress(OSError, ValueError):
+        print(f"WARNING: {message}", file=sys.stderr)
 
 
 def _add_repo_flag(parser: argparse.ArgumentParser) -> None:
@@ -430,7 +437,7 @@ def _add_new_case(repo: Repository, case: Case) -> Case:
     return case
 
 
-def _print_ranking(ranking: cbr.RetrievalRanking) -> None:
+def _print_ranking(ranking) -> None:
     print(f"ranking for case {ranking.new_case_id}")
     print(f"{'rank':>4}  {'score':>6}  {'precedent':<12}  intention")
     for rank, entry in enumerate(ranking.entries, start=1):
@@ -447,7 +454,9 @@ def _print_belief_report(report) -> None:
     print(f"selected: {report.selected}")
 
 
-def _prompt_verdict() -> cbr.ReviseVerdict:
+def _prompt_verdict():
+    from .cbr import ReviseVerdict
+
     while True:
         print("accept proposed intention? [accept/reject]: ", file=sys.stderr, end="", flush=True)
         try:
@@ -462,7 +471,7 @@ def _prompt_verdict() -> cbr.ReviseVerdict:
         print("rationale: ", file=sys.stderr, end="", flush=True)
         with suppress(EOFError):
             rationale = _answer()
-    return cbr.ReviseVerdict(verdict=answer, rationale=rationale)
+    return ReviseVerdict(verdict=answer, rationale=rationale)
 
 
 def _answer() -> str:

@@ -14,6 +14,11 @@ A blank confidence cell defaults to 1.0 (the analyst asserted the
 evidence). Unknown kind strings map to ``other`` with a warning. Both
 formats trim each evidence id, description, attribute key and value.
 
+Warnings: `parse_evidence_file` logs each one at WARNING on the
+``intent_cbr.ingest`` logger as it is found, so also when a later record
+fails; ``logging`` is imported only then. The CLI parses through
+`_parse_evidence` and prints each one as ``WARNING: <message>`` on stderr.
+
 JSON: either a full attack document (``id``, ``name``,
 ``detection_state``, ``evidence`` array) or a bare array of evidence
 documents with the attack metadata supplied by the caller. Text fields
@@ -24,10 +29,7 @@ here and makes a stored record corrupt.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
-import logging
 from pathlib import Path
 
 from .errors import (
@@ -46,8 +48,6 @@ from .model import (
     validate_network,
 )
 from .serialize import _num, _optional_text, _text, _typed, network_from_dict
-
-logger = logging.getLogger(__name__)
 
 _EXPECTED_HEADER = ("id", "kind", "description", "confidence")
 
@@ -90,16 +90,29 @@ def parse_evidence_file(
     The optional attack metadata arguments override whatever the file
     carries (they are the only source for CSV, which has no metadata).
     They are read by the rules of the document's own fields: the id and
-    name as text, the detection state as a number.
+    name as text, the detection state as a number. Each record of an
+    unknown kind is logged as a warning (see the module docstring).
     """
+    return _parse_evidence(path, format, attack_id, attack_name, detection_state, _log_warning)
+
+
+def _log_warning(message: str) -> None:
+    import logging
+
+    logging.getLogger(__name__).warning(message)
+
+
+def _parse_evidence(path, format: str, attack_id, attack_name, detection_state, warn) -> Attack:
+    """`parse_evidence_file`, calling `warn` with the message of each
+    warning as it is found."""
     path = Path(path)
     if format not in ("csv", "json"):
         raise ValueError(f"format must be csv or json, got {format!r}")
     content = _read_input(path, format)
     if format == "csv":
-        meta, evidence = {"id": path.stem}, _parse_csv(content)
+        meta, evidence = {"id": path.stem}, _parse_csv(content, warn)
     else:
-        meta, evidence = _parse_json(content)
+        meta, evidence = _parse_json(content, warn)
     meta_id, meta_name = (_field(0, _optional_text, meta, key, None) for key in ("id", "name"))
     given = {"attack_id": attack_id, "attack_name": attack_name}
     attack_id, attack_name = (_field(0, _optional_text, given, key, None) for key in given)
@@ -159,15 +172,18 @@ def _read_input(path: Path, format: str):
     return doc
 
 
-def _parse_csv(text: str) -> tuple[Evidence, ...]:
+def _parse_csv(text: str, warn) -> tuple[Evidence, ...]:
+    import csv
+    import io
+
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        return _csv_evidence(reader)
+        return _csv_evidence(reader, warn)
     except csv.Error as exc:  # a cell past the csv module's size limit, say
         raise MalformedRecord(reader.line_num, f"invalid CSV: {exc}") from None
 
 
-def _csv_evidence(reader) -> tuple[Evidence, ...]:
+def _csv_evidence(reader, warn) -> tuple[Evidence, ...]:
     header = next(reader, None)
     if header is None:
         raise MalformedRecord(1, "empty file; at least one evidence record required")
@@ -188,6 +204,7 @@ def _csv_evidence(reader) -> tuple[Evidence, ...]:
             _checked_evidence(
                 line,
                 seen,
+                warn,
                 ev_id=row[0],
                 raw_kind=row[1],
                 description=row[2] if len(row) > 2 else "",
@@ -200,7 +217,7 @@ def _csv_evidence(reader) -> tuple[Evidence, ...]:
     return tuple(evidence)
 
 
-def _parse_json(doc) -> tuple[dict, tuple[Evidence, ...]]:
+def _parse_json(doc, warn) -> tuple[dict, tuple[Evidence, ...]]:
     """The attack metadata and the evidence of a JSON document."""
     if isinstance(doc, list):
         meta: dict = {}
@@ -226,6 +243,7 @@ def _parse_json(doc) -> tuple[dict, tuple[Evidence, ...]]:
             _checked_evidence(
                 index,
                 seen,
+                warn,
                 ev_id=_field(index, _optional_text, item, "id", ""),
                 raw_kind=_field(index, _optional_text, item, "kind", "other"),
                 description=_field(index, _optional_text, item, "description", ""),
@@ -241,6 +259,7 @@ def _parse_json(doc) -> tuple[dict, tuple[Evidence, ...]]:
 def _checked_evidence(
     line: int,
     seen: set[str],
+    warn,
     ev_id: str,
     raw_kind: str,
     description: str,
@@ -252,7 +271,8 @@ def _checked_evidence(
     Both formats trim the id, the description, and each attribute key and
     value; `attributes` is the record's ``(key, value)`` pairs. ``line`` is
     the record's position (CSV line, 1-based JSON index) and becomes the
-    ``.line`` of any error; ``seen`` collects the ids so far.
+    ``.line`` of any error or warning; ``seen`` collects the ids so far,
+    and `warn` takes the message of an unknown kind.
     """
     ev_id = ev_id.strip()
     if not ev_id:
@@ -262,7 +282,7 @@ def _checked_evidence(
     seen.add(ev_id)
     kind = map_kind(raw_kind)
     if kind is EvidenceKind.OTHER and raw_kind.strip().lower() not in KIND_ALIASES:
-        logger.warning("line %d: unknown kind %r mapped to 'other'", line, raw_kind)
+        warn(f"line {line}: unknown kind {raw_kind!r} mapped to 'other'")
     if not 0.0 <= confidence <= 1.0:
         raise ConfidenceOutOfRange(line, f"confidence {confidence!r} outside [0,1]")
     trimmed: dict[str, str] = {}

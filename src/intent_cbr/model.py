@@ -542,3 +542,11 @@ def fsum_or_nan(values) -> float:
         return math.fsum(values)
     except (ValueError, OverflowError):
         return math.nan
+
+
+def confidence_weights(attack: Attack) -> dict[str, float]:
+    """Evidence confidences normalized to sum 1; uniform when all are zero."""
+    total = math.fsum(ev.confidence for ev in attack.evidence)
+    if total > 0.0:
+        return {ev.id: ev.confidence / total for ev in attack.evidence}
+    return {ev.id: 1.0 / len(attack.evidence) for ev in attack.evidence}

@@ -26,7 +26,8 @@ other case file as the scan does, and decodes only the precedents the
 score bound visits. The summary is derived and safe to delete: a missing,
 unreadable or foreign one means every case file is read. Record writes
 leave it alone; ``analyze`` rewrites it after a successful run once it is
-stale enough.
+stale enough. Its code is in the private :mod:`intent_cbr.summary`, which
+only that top-k path imports; the handle keeps the summary's state.
 
 Every case, attack and network read is strict UTF-8 JSON, validated, and
 its own id must match its file name; a record that fails is CorruptRecord,
@@ -69,7 +70,6 @@ from .model import (
     CaseStatus,
     CausalNetwork,
     CONFIRMED_STATUSES,
-    EvidenceKind,
     IN_FLIGHT_STATUSES,
     is_safe_id,
     transition,
@@ -91,25 +91,6 @@ SCHEMA_VERSION = 1
 # file (about 1.5 KB), so one read takes all of it.
 _READ_SIZE = 65536
 
-# The case summary (see Repository._bound_rows). A row is
-# [case_id, *totals, status, intention_id, *stat_key]: one weight total per
-# EvidenceKind, in _KINDS order, then the stat key of the case file.
-_SUMMARY = "summary.json"
-_SUMMARY_SCHEMA = "intent-cbr case summary 1"
-_KINDS = [kind.value for kind in EvidenceKind]
-_STATUS_AT = 1 + len(_KINDS)
-_KEY_AT = _STATUS_AT + 2
-_ROW_TYPES = [str, *[float] * len(_KINDS), str, str, int, int, int, int]
-_STATUSES = frozenset(status.value for status in CaseStatus)
-_CONFIRMED = frozenset(status.value for status in CONFIRMED_STATUSES)
-# Totals of a case that is no precedent: its row is never ranked.
-_NO_TOTALS = (0.0,) * len(_KINDS)
-# The summary is rewritten only once the case files read past it, plus its
-# rows of changed or gone files, exceed this share of the case files: a
-# rewrite costs about 4 us a row and a re-read about 32 us a file (2 000
-# cases), so a file is re-read only until that costs about one rewrite.
-_STALE_SHARE = 1 / 8
-
 
 class Repository:
     """Handle over a repository directory.
@@ -120,8 +101,10 @@ class Repository:
 
     def __init__(self, root: Path):
         self.root = Path(root)
-        # Every stored case by id, filled by the first full scan.
+        # Every stored case by id, filled by the first full scan, and
+        # whether it is still in case-id order (list_cases restores it).
         self._cases: dict[str, Case] | None = None
+        self._in_order = True
         # Bound rows of the scanned precedents by case id, from the first
         # top-k retrieve on, and the ids whose rows are to be built again.
         self._rows: dict[str, tuple] | None = None
@@ -239,11 +222,11 @@ class Repository:
         scan on first use.
         """
         wanted = _status_set(status)
-        return [
-            case
-            for case in self._all_cases().values()
-            if wanted is None or case.status in wanted
-        ]
+        cases = self._all_cases()
+        if not self._in_order:
+            cases = self._cases = dict(sorted(cases.items()))
+            self._in_order = True
+        return [case for case in cases.values() if wanted is None or case.status in wanted]
 
     def case_count(self) -> int:
         """Number of stored cases; runs the full scan on first use."""
@@ -307,8 +290,9 @@ class Repository:
     # -- internals ------------------------------------------------------------
 
     def _all_cases(self) -> dict[str, Case]:
-        """Every stored case by id, in case-id order, from one scan of
-        ``cases/`` per handle.
+        """Every stored case by id, from one scan of ``cases/`` per handle:
+        in case-id order until a write through the handle adds an id that
+        sorts before the last one.
 
         A file whose name is not ``<safe id>.json`` is no record, as for
         the per-record reads, and is skipped. All corrupt records are
@@ -356,100 +340,31 @@ class Repository:
 
         A handle that has scanned builds its rows at the first call and
         keeps them; a write through it drops its case's row, which the next
-        call builds again.
-
-        Otherwise ``cases/`` is stat-ed once, and a row of the case summary
-        is used while the stat key (``st_ino``, ``st_size``,
-        ``st_mtime_ns``, ``st_ctime_ns``) of its file is unchanged. Every
-        other case file is read and validated as the scan reads it, all
-        corrupt ones reported together via CorruptRecord, and gets its row
-        from `row_of`. The function gives a case so read as it is, and
-        reads any other with :meth:`get_case`.
-
-        A new row is kept for the summary only when its file's ctime is
-        before a file-system time taken before any file was stat-ed (git's
-        racy-git rule): any later change of that file, even one of the same
-        size with its mtime set back, then changes its key.
+        call builds again. Any other handle takes its rows from the case
+        summary (see :func:`intent_cbr.summary.bound_rows`).
         """
         cases = self._cases
-        if cases is not None:
-            if self._rows is None:
-                self._rows, self._unrowed = {}, list(cases)
-            for case_id in self._unrowed:
-                case = cases[case_id]
-                if case.status in CONFIRMED_STATUSES:
-                    self._rows[case_id] = row_of(case)
-            self._unrowed = []
-            return self._rows.values(), cases.__getitem__
-        summary = self._summary
-        if summary is None:
-            summary = _load_summary(os.path.join(self.root, _SUMMARY))
-        since = _file_system_time(self.root)
-        cases_dir = os.path.join(self.root, "cases")
-        kept: dict[str, list] = {}
-        changed: dict[str, list] = {}  # stat key of each other case file
-        try:
-            with os.scandir(cases_dir) as entries:
-                for entry in entries:
-                    case_id = entry.name[: -len(".json")]
-                    if not (entry.name.endswith(".json") and is_safe_id(case_id)):
-                        continue
-                    st = entry.stat()
-                    key = [st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns]
-                    row = summary.get(case_id)
-                    if row is not None and row[_KEY_AT:] == key:
-                        kept[case_id] = row
-                    else:
-                        changed[case_id] = key
-        except OSError as exc:
-            raise IoFailure(f"cannot list {cases_dir}: {exc}") from exc
-        decoded = self._read_cases(sorted(changed))
-        stale = len(changed) + len(summary) - len(kept)
-        due = stale > _STALE_SHARE * (len(kept) + len(changed))
-        if due and len(kept) < len(summary):
-            self._summary_changed = True
-        rows = list(kept.values())
-        for case_id, case in decoded.items():
-            key = changed[case_id]
-            row = [
-                *(row_of(case) if case.status in CONFIRMED_STATUSES else (case_id, *_NO_TOTALS)),
-                case.status.value,
-                "" if case.intention is None else case.intention.id,
-                *key,
-            ]
-            rows.append(row)
-            if since is not None and key[3] < since:
-                kept[case_id] = row
-                self._summary_changed |= due
-        self._summary = kept
+        if cases is None:
+            from . import summary
 
-        def load(case_id: str) -> Case:
-            return decoded.get(case_id) or self.get_case(case_id)
-
-        return [row for row in rows if row[_STATUS_AT] in _CONFIRMED], load
+            return summary.bound_rows(self, row_of)
+        if self._rows is None:
+            self._rows, self._unrowed = {}, list(cases)
+        for case_id in self._unrowed:
+            case = cases[case_id]
+            if case.status in CONFIRMED_STATUSES:
+                self._rows[case_id] = row_of(case)
+        self._unrowed = []
+        return self._rows.values(), cases.__getitem__
 
     def _write_summary(self) -> None:
-        """Store the summary rows that :meth:`_bound_rows` brought up to
-        date, once it found enough of the stored ones stale (``_STALE_SHARE``).
+        """Store the case summary rows that :meth:`_bound_rows` brought up
+        to date, if it found enough of the stored ones stale (see
+        :func:`intent_cbr.summary.write`)."""
+        if self._summary_changed:
+            from . import summary
 
-        The summary is derived and each row checks itself against its
-        file, so no writer lock is taken, and a write that fails is no
-        error: the next listing reads the case files instead.
-        """
-        if not self._summary_changed:
-            return
-        rows = self._summary
-        doc = {
-            "schema": _SUMMARY_SCHEMA,
-            "kinds": _KINDS,
-            "rows": [rows[case_id] for case_id in sorted(rows)],
-        }
-        with suppress(IoFailure):
-            _atomic_write(
-                os.path.join(self.root, _SUMMARY),
-                json.dumps(doc, separators=(",", ":")).encode("utf-8"),
-            )
-        self._summary_changed = False
+            summary.write(self)
 
     def _read(self, path: str, key: str, record_id: str, from_dict, validate, id_field: str):
         """Read, decode and validate the stored record at `path`.
@@ -507,13 +422,11 @@ class Repository:
             if self._rows is not None:
                 self._rows.pop(case.case_id, None)
                 self._unrowed.append(case.case_id)
-            # A new id that sorts before the last one breaks case-id order.
-            out_of_order = case.case_id not in cases and case.case_id < next(
-                reversed(cases), ""
-            )
+            # A new id that sorts before the last one breaks case-id order,
+            # which the next list_cases restores: a store never sorts.
+            if case.case_id not in cases and case.case_id < next(reversed(cases), ""):
+                self._in_order = False
             cases[case.case_id] = case
-            if out_of_order:
-                self._cases = dict(sorted(cases.items()))
 
     @contextmanager
     def _writer_lock(self):
@@ -568,45 +481,6 @@ def _as_stored(record, kind: str, record_id, from_dict, validate) -> tuple:
     except (TypeError, ValueError) as exc:  # a ValidationFailure is a ValueError
         violations = [str(exc)]
     raise ValidationFailure(f"{kind} '{record_id}': " + "; ".join(violations))
-
-
-def _load_summary(path: str) -> dict[str, list]:
-    """The rows of the summary at `path` by case id, each of the right
-    types and a known status; none when the file is missing, unreadable,
-    not JSON, or of another schema or kind order."""
-    try:
-        with open(path, "rb") as fh:
-            doc = json.loads(fh.read(), parse_constant=_no_constant)
-        if doc["schema"] != _SUMMARY_SCHEMA or doc["kinds"] != _KINDS:
-            return {}
-        return {
-            row[0]: row
-            for row in doc["rows"]
-            if list(map(type, row)) == _ROW_TYPES and row[_STATUS_AT] in _STATUSES
-        }
-    except (OSError, ValueError, TypeError, KeyError, RecursionError):
-        return {}
-
-
-def _no_constant(name: str):
-    """Refuse a NaN or infinite total: the summary never holds one."""
-    raise ValueError(f"{name} in the case summary")
-
-
-def _file_system_time(root) -> int | None:
-    """The file system's current time, as the ctime in ns of a new file in
-    `root` that is then removed; None when no file can be made there."""
-    try:
-        tmp = _write_temp(os.path.join(root, _SUMMARY), b"")
-    except OSError:
-        return None
-    try:
-        return os.stat(tmp).st_ctime_ns
-    except OSError:
-        return None
-    finally:
-        with suppress(OSError):
-            os.unlink(tmp)
 
 
 def _atomic_write(path, data: bytes) -> None:

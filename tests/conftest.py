@@ -11,7 +11,7 @@ import pytest
 from hypothesis import strategies as st
 
 from intent_cbr import fixtures as demo
-from intent_cbr import repository
+from intent_cbr import summary
 from intent_cbr.model import (
     Attack,
     Case,
@@ -210,5 +210,5 @@ def settle(root) -> None:
     case file at `root`, so that a case summary made now can hold a row
     for each (git's racy-git rule)."""
     newest = max(path.stat().st_ctime_ns for path in (Path(root) / "cases").iterdir())
-    while repository._file_system_time(root) <= newest:
+    while summary._file_system_time(root) <= newest:
         time.sleep(0.001)

@@ -737,7 +737,7 @@ class TestReport:
             fh.write("rank,precedent_case_id,intention_label,score\n")
             raise OSError("no space left on device")
 
-        monkeypatch.setattr(cli.cbr, "write_ranking_csv", write_then_fail)
+        monkeypatch.setattr(cbr, "write_ranking_csv", write_then_fail)
         rc = run(
             workdir,
             "report", "--repo", workdir / "repo", "--attack-id", "keylogging", "--out", out,
@@ -955,6 +955,8 @@ def _argv(workdir, command):
     return {
         "ingest": ["ingest", "--input", workdir / "keylog.csv", "--format", "csv",
                    "--repo", repo, "--attack-id", "keylogging-2"],
+        "ingest-json": ["ingest", "--input", workdir / "keylog.json", "--format", "json",
+                        "--repo", repo, "--attack-id", "keylogging-2"],
         "analyze": ["analyze", "--repo", repo, "--attack-id", "keylogging"],
         "revise": ["revise", "--repo", repo, "--case-id", "keylogging-c1", "--verdict", "accept"],
         "retain": ["retain", "--repo", repo, "--case-id", "keylogging-c1"],
@@ -1515,26 +1517,59 @@ def test_python_dash_m_runs_the_command(workdir, module):
     assert Repository.attach(workdir / "repo").has_attack("keylogging")
 
 
-def test_ingest_warns_of_an_unknown_kind_on_stderr(workdir):
-    (workdir / "weird.csv").write_text(
-        "id,kind,description,confidence\ne1,weird,odd artefact,0.5\n", encoding="utf-8"
-    )
-    result = subprocess.run(
-        [
-            sys.executable, "-m", "intent_cbr", "ingest",
-            "--input", str(workdir / "weird.csv"), "--format", "csv",
-            "--repo", str(workdir / "repo"), "--attack-id", "weird",
-        ],
+def _cli_child(*argv):
+    """Run the CLI in a child process, as the console script runs it."""
+    return subprocess.run(
+        [sys.executable, "-m", "intent_cbr", *map(str, argv)],
         env=dict(os.environ, PYTHONPATH=str(SRC)),
         capture_output=True,
         text=True,
         timeout=120,
+    )
+
+
+def test_ingest_warns_of_an_unknown_kind_on_stderr(workdir):
+    (workdir / "weird.csv").write_text(
+        "id,kind,description,confidence\ne1,weird,odd artefact,0.5\n", encoding="utf-8"
+    )
+    result = _cli_child(
+        "ingest", "--input", workdir / "weird.csv", "--format", "csv",
+        "--repo", workdir / "repo", "--attack-id", "weird",
     )
     assert (result.returncode, result.stdout, result.stderr) == (
         0,
         "1 evidence items ingested\n",
         "WARNING: line 2: unknown kind 'weird' mapped to 'other'\n",
     )
+
+
+def test_ingest_warns_before_the_error_of_a_later_line(workdir):
+    (workdir / "bad.csv").write_text(
+        "id,kind,description,confidence\ne1,weird,odd artefact,0.5\ne2,tool,x,high\n",
+        encoding="utf-8",
+    )
+    result = _cli_child(
+        "ingest", "--input", workdir / "bad.csv", "--format", "csv",
+        "--repo", workdir / "repo", "--attack-id", "bad",
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (
+        2,
+        "",
+        "WARNING: line 2: unknown kind 'weird' mapped to 'other'\n"
+        "error: line 3: confidence 'high' is not a number\n",
+    )
+    assert not Repository.attach(workdir / "repo").has_attack("bad")
+
+
+def test_seed_aia_warns_of_an_unknown_kind_on_stderr(workdir):
+    doc = json.loads((workdir / "attack.json").read_text(encoding="utf-8"))
+    doc["evidence"][0]["kind"] = "weird"
+    (workdir / "attack.json").write_text(json.dumps(doc), encoding="utf-8")
+    result = _cli_child(*_argv(workdir, "seed-aia"))
+    assert (result.returncode, result.stderr) == (
+        0, "WARNING: line 1: unknown kind 'weird' mapped to 'other'\n"
+    )
+    assert "stored as precedent" in result.stdout
 
 
 # Prints, as its last line, what importing the CLI and running one command
@@ -1569,6 +1604,8 @@ def test_case_commands_load_no_ingest_or_inference(workdir, command):
     assert "intent_cbr.cbr" in loaded  # the probe sees what the command loads
     not_run = {"intent_cbr.ingest", "intent_cbr.inference", "intent_cbr.fixtures"}
     assert loaded & (not_run | {"logging", "datetime"}) == set()
+    # Only analyze ranks from the case summary.
+    assert ("intent_cbr.summary" in loaded) == (command == "analyze")
 
 
 def test_ingest_loads_no_inference(workdir):
@@ -1579,6 +1616,16 @@ def test_ingest_loads_no_inference(workdir):
 
 def test_seed_aia_loads_ingest_and_inference(workdir):
     assert {"intent_cbr.ingest", "intent_cbr.inference"} <= _loaded_by(workdir, "seed-aia")
+
+
+@pytest.mark.parametrize("command", ["ingest", "ingest-json", "seed-aia"])
+def test_ingest_and_seed_aia_load_no_logging_retrieval_or_summary(workdir, command):
+    demo.write_keylogging_json(workdir / "keylog.json")
+    loaded = _loaded_by(workdir, command)
+    assert "intent_cbr.ingest" in loaded  # the probe sees what the command loads
+    assert loaded & {"logging", "intent_cbr.cbr", "intent_cbr.summary"} == set()
+    # Only a CSV file is read by the csv module.
+    assert ("csv" in loaded) == (command == "ingest")
 
 
 # --- the process entry ---------------------------------------------------------

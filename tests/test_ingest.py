@@ -2,7 +2,10 @@
 
 import json
 import logging
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,8 @@ from intent_cbr.errors import (
 from intent_cbr.ingest import map_kind, parse_evidence_file
 from intent_cbr.model import EvidenceKind
 from intent_cbr.serialize import attack_to_dict, canonical_dumps
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -172,6 +177,43 @@ class TestCsvParsing:
             attack = parse_evidence_file(path, "csv", attack_id="a1")
         assert attack.evidence[0].kind is EvidenceKind.OTHER
         assert any("weird" in record.message for record in caplog.records)
+
+    @pytest.mark.parametrize("later", ["", "ev02,tool,y,high\n"], ids=["ok", "fails-later"])
+    def test_unknown_kind_is_logged_also_when_a_later_line_fails(self, tmp_path, caplog, later):
+        path = tmp_path / "kind.csv"
+        path.write_text(
+            "id,kind,description,confidence\nev01,weird,x,1\n" + later, encoding="utf-8"
+        )
+        with caplog.at_level(logging.WARNING):
+            if later:
+                with pytest.raises(MalformedRecord):
+                    parse_evidence_file(path, "csv", attack_id="a1")
+            else:
+                parse_evidence_file(path, "csv", attack_id="a1")
+        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+            ("intent_cbr.ingest", logging.WARNING, "line 2: unknown kind 'weird' mapped to 'other'")
+        ]
+
+    @pytest.mark.parametrize("kind, imported", [("tool", []), ("weird", ["logging"])])
+    def test_logging_is_imported_only_to_log_a_warning(self, tmp_path, kind, imported):
+        path = tmp_path / "kind.csv"
+        path.write_text(f"id,kind,description,confidence\nev01,{kind},x,1\n", encoding="utf-8")
+        probe = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "from intent_cbr.ingest import parse_evidence_file\n"
+            "parse_evidence_file(sys.argv[1], 'csv', attack_id='a1')\n"
+            "print(sorted({'logging'} & (set(sys.modules) - before)))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe, str(path)],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == f"{imported}\n"
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(IoFailure):

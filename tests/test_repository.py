@@ -28,6 +28,7 @@ from intent_cbr.errors import (
     ValidationFailure,
 )
 from intent_cbr import repository as repository_module
+from intent_cbr import summary as summary_module
 from intent_cbr.model import CaseStatus, Intention, replace, transition
 from intent_cbr.repository import Repository
 from intent_cbr.serialize import (
@@ -135,6 +136,22 @@ def test_list_stays_ordered_after_adding_an_id_that_sorts_first(demo_repo):
     ids = [c.case_id for c in demo_repo.list_cases()]
     assert ids[0] == "aaa-first"
     assert ids == sorted(ids)
+
+
+def test_out_of_order_stores_sort_only_at_the_next_listing(demo_repo, monkeypatch):
+    demo_repo.list_cases()  # load the scan before the writes
+    sorts = []
+    monkeypatch.setattr(
+        repository_module, "sorted", lambda items: sorts.append(1) or sorted(items), raising=False
+    )
+    case = demo_repo.get_case("botnet-01")
+    for case_id in ("mmm", "aaa", "zzz", "bbb"):
+        demo_repo.add_case(replace(case, case_id=case_id))
+    assert sorts == []  # no store re-sorts the scan
+    ids = [c.case_id for c in demo_repo.list_cases()]
+    assert ids == sorted(ids) and {"aaa", "bbb", "mmm", "zzz"} <= set(ids)
+    assert [c.case_id for c in demo_repo.list_cases()] == ids
+    assert sorts == [1]
 
 
 def test_scan_orders_by_case_id_not_file_name(tmp_path):
@@ -1314,7 +1331,7 @@ class TestCaseSummary:
         query = _summarized(root)
         (root / "summary.json").unlink()
         since = (root / "cases" / "p10.json").stat().st_ctime_ns
-        monkeypatch.setattr(repository_module, "_file_system_time", lambda root: since)
+        monkeypatch.setattr(summary_module, "_file_system_time", lambda root: since)
         repo = Repository.attach(root)
         assert cbr.retrieve(query, repo, k=3) == _full_ranking(root, query)
         repo._write_summary()
@@ -1326,7 +1343,7 @@ class TestCaseSummary:
         root = tmp_path / "repo"
         query = _summarized(root)
         (root / "summary.json").unlink()
-        monkeypatch.setattr(repository_module, "_file_system_time", lambda root: None)
+        monkeypatch.setattr(summary_module, "_file_system_time", lambda root: None)
         repo = Repository.attach(root)
         assert cbr.retrieve(query, repo, k=3) == _full_ranking(root, query)
         repo._write_summary()
@@ -1413,8 +1430,8 @@ class TestCaseSummary:
             raise AssertionError("summary read")
 
         expected = _full_ranking(root, query)
-        monkeypatch.setattr(repository_module, "_load_summary", refused)
-        monkeypatch.setattr(repository_module, "_file_system_time", refused)
+        monkeypatch.setattr(summary_module, "_load_summary", refused)
+        monkeypatch.setattr(summary_module, "_file_system_time", refused)
         monkeypatch.setattr(os, "scandir", refused)
         assert cbr.retrieve(query, repo, k=3) == expected
 
