@@ -22,7 +22,6 @@ from .model import (
     Case,
     CaseStatus,
     Evidence,
-    EvidenceKind,
     Intention,
     Record,
     SimilarityResult,
@@ -33,10 +32,6 @@ from .model import (
     transition,
 )
 from .repository import Repository
-
-# Column of each evidence kind in a bound row (see _bound_row).
-_COLUMN = {kind: column for column, kind in enumerate(EvidenceKind, start=1)}
-_ZERO_TOTALS = (0.0,) * len(_COLUMN)
 
 
 class RetrievalRanking(Record):
@@ -153,7 +148,7 @@ def retrieve(new_case: Case, repository, k: int | None) -> RetrievalRanking:
     score, and stops once that sorts after the k-th best (-score, case id):
     the threshold algorithm of Fagin, Lotem & Naor on the ranking's key.
     The ranking is exactly the one of scoring every precedent. The bounds
-    come from bound rows (see :func:`_bound_rows`).
+    come from bound rows (see :mod:`intent_cbr.summary`).
     """
     if k is not None and k < 1:
         raise ValidationFailure(f"k must be positive, got {k}")
@@ -187,7 +182,9 @@ def _bounded_scores(new_case: Case, rows, load, k: int) -> list[tuple[Similarity
     """
     import heapq
 
-    pending = list(zip(map(neg, _bounds(new_case, rows)), map(itemgetter(0), rows)))
+    from .summary import bounds
+
+    pending = list(zip(map(neg, bounds(new_case, rows)), map(itemgetter(0), rows)))
     heapq.heapify(pending)
     best: list[tuple[float, str]] = []  # (-score, case id) of the k best, sorted once full
     scored: list[tuple[SimilarityResult, Case]] = []
@@ -206,24 +203,6 @@ def _bounded_scores(new_case: Case, rows, load, k: int) -> list[tuple[Similarity
     return scored
 
 
-def _bounds(new_case: Case, rows):
-    """Upper bound on the score against `new_case` of each bound row's
-    precedent, in order.
-
-    Only evidence of a query kind can align, each item aligns at most
-    once, a local similarity is at most 1 and weights are non-negative, so
-    a score is at most the weight of the precedent's evidence of the
-    query's kinds. Each total in a row is at least the exact sum of its
-    weights, so their ``fsum`` is never below the score's.
-    """
-    columns = {_COLUMN[ev.kind] for ev in new_case.attack.evidence}
-    if len(columns) == 1:
-        return map(itemgetter(*columns), rows)
-    if columns:
-        return map(math.fsum, map(itemgetter(*columns), rows))
-    return [0.0] * len(rows)  # a query without evidence aligns with nothing
-
-
 def _bound_rows(repository) -> tuple:
     """The confirmed precedents' bound rows, and how to load a row's
     precedent from its case id (see :func:`_bounded_scores`): a
@@ -231,32 +210,11 @@ def _bound_rows(repository) -> tuple:
     built from the listed precedents on each call and kept nowhere.
     """
     if isinstance(repository, Repository):
-        return repository._bound_rows(_bound_row)
+        return repository._bound_rows()
+    from .summary import bound_row
+
     precedents = {p.case_id: p for p in repository.list_cases(status=CONFIRMED_STATUSES)}
-    return [_bound_row(p) for p in precedents.values()], precedents.__getitem__
-
-
-def _bound_row(precedent: Case) -> tuple:
-    """The precedent's case id, then its weight total per :class:`EvidenceKind`.
-
-    Checks the precedent's weights as :func:`similarity` does. A kind the
-    precedent lacks totals 0.0 and a kind with one item its weight. The
-    ``fsum`` of several is rounded one step up when the exact sum is
-    above it, so every total is at least the exact sum of its weights.
-    """
-    weights = _checked_weights(precedent)
-    by_column: dict[int, list[float]] = {}
-    for ev in precedent.attack.evidence:
-        by_column.setdefault(_COLUMN[ev.kind], []).append(weights.get(ev.id, 0.0))
-    row = [precedent.case_id, *_ZERO_TOTALS]
-    for column, terms in by_column.items():
-        total = terms[0]
-        if len(terms) > 1:
-            total = math.fsum(terms)
-            if math.fsum((*terms, -total)) > 0.0:
-                total = math.nextafter(total, math.inf)
-        row[column] = total
-    return tuple(row)
+    return [bound_row(p) for p in precedents.values()], precedents.__getitem__
 
 
 def _checked_weights(precedent: Case) -> dict[str, float]:

@@ -26,8 +26,9 @@ other case file as the scan does, and decodes only the precedents the
 score bound visits. The summary is derived and safe to delete: a missing,
 unreadable or foreign one means every case file is read. Record writes
 leave it alone; ``analyze`` rewrites it after a successful run once it is
-stale enough. Its code is in the private :mod:`intent_cbr.summary`, which
-only that top-k path imports; the handle keeps the summary's state.
+stale enough. Both row kinds, their layout and their rules are in the
+private :mod:`intent_cbr.summary`, which only top-k retrieval imports; a
+handle keeps only the rows.
 
 Every case, attack and network read is strict UTF-8 JSON, validated, and
 its own id must match its file name; a record that fails is CorruptRecord,
@@ -106,13 +107,11 @@ class Repository:
         self._cases: dict[str, Case] | None = None
         self._in_order = True
         # Bound rows of the scanned precedents by case id, from the first
-        # top-k retrieve on, and the ids whose rows are to be built again.
+        # top-k retrieve on; the handle's writes keep them current.
         self._rows: dict[str, tuple] | None = None
-        self._unrowed: list[str] = []
-        # The summary's rows by case id, as read or as last brought up to
-        # date, and whether they differ from the file.
+        # The summary rows that the last top-k retrieve of a handle that
+        # has not scanned found due to be stored, by case id, or None.
         self._summary: dict[str, list] | None = None
-        self._summary_changed = False
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -292,26 +291,28 @@ class Repository:
     def _all_cases(self) -> dict[str, Case]:
         """Every stored case by id, from one scan of ``cases/`` per handle:
         in case-id order until a write through the handle adds an id that
-        sorts before the last one.
-
-        A file whose name is not ``<safe id>.json`` is no record, as for
-        the per-record reads, and is skipped. All corrupt records are
-        reported together via CorruptRecord.
+        sorts before the last one. All corrupt records are reported
+        together via CorruptRecord.
         """
-        if self._cases is not None:
-            return self._cases
+        if self._cases is None:
+            # Sort ids, not file names: "a-b.json" sorts before "a.json".
+            self._cases = self._read_cases(sorted(case_id for case_id, _ in self._case_files()))
+        return self._cases
+
+    def _case_files(self):
+        """Yield each case file in ``cases/`` as (case id, DirEntry), in
+        listing order; an entry, and the stat it caches, is dropped as the
+        next is yielded. A file whose name is not ``<safe id>.json`` is no
+        record, as for the per-record reads, and is skipped."""
         cases_dir = os.path.join(self.root, "cases")
         try:
-            # Sort ids, not file names: "a-b.json" sorts before "a.json".
-            record_ids = sorted(
-                name[: -len(".json")]
-                for name in os.listdir(cases_dir)
-                if name.endswith(".json") and is_safe_id(name[: -len(".json")])
-            )
+            with os.scandir(cases_dir) as entries:
+                for entry in entries:
+                    case_id = entry.name[: -len(".json")]
+                    if entry.name.endswith(".json") and is_safe_id(case_id):
+                        yield case_id, entry
         except OSError as exc:
             raise IoFailure(f"cannot list {cases_dir}: {exc}") from exc
-        self._cases = self._read_cases(record_ids)
-        return self._cases
 
     def _read_cases(self, case_ids) -> dict[str, Case]:
         """The stored cases of `case_ids` by id, read and validated in that
@@ -333,38 +334,34 @@ class Repository:
             raise CorruptRecord(corrupt)
         return cases
 
-    def _bound_rows(self, row_of) -> tuple:
-        """For a top-k retrieve: each confirmed case's bound row, built by
-        `row_of` (``cbr._bound_row``), in no set order, and a function from
-        a row's case id to its case.
+    def _bound_rows(self) -> tuple:
+        """For a top-k retrieve: each confirmed case's bound row (see
+        :func:`intent_cbr.summary.bound_row`), in no set order, and a
+        function from a row's case id to its case.
 
         A handle that has scanned builds its rows at the first call and
-        keeps them; a write through it drops its case's row, which the next
-        call builds again. Any other handle takes its rows from the case
-        summary (see :func:`intent_cbr.summary.bound_rows`).
+        keeps them. Any other handle takes its rows from the case summary
+        and keeps the summary rows due to be stored (see
+        :func:`intent_cbr.summary.bound_rows`).
         """
+        from . import summary
+
         cases = self._cases
         if cases is None:
-            from . import summary
-
-            return summary.bound_rows(self, row_of)
+            rows, load, self._summary = summary.bound_rows(self)
+            return rows, load
         if self._rows is None:
-            self._rows, self._unrowed = {}, list(cases)
-        for case_id in self._unrowed:
-            case = cases[case_id]
-            if case.status in CONFIRMED_STATUSES:
-                self._rows[case_id] = row_of(case)
-        self._unrowed = []
+            confirmed = (case for case in cases.values() if case.status in CONFIRMED_STATUSES)
+            self._rows = {case.case_id: summary.bound_row(case) for case in confirmed}
         return self._rows.values(), cases.__getitem__
 
     def _write_summary(self) -> None:
-        """Store the case summary rows that :meth:`_bound_rows` brought up
-        to date, if it found enough of the stored ones stale (see
-        :func:`intent_cbr.summary.write`)."""
-        if self._summary_changed:
+        """Store the case summary rows that :meth:`_bound_rows` found due."""
+        if self._summary is not None:
             from . import summary
 
-            summary.write(self)
+            summary.write(self.root, self._summary)
+            self._summary = None
 
     def _read(self, path: str, key: str, record_id: str, from_dict, validate, id_field: str):
         """Read, decode and validate the stored record at `path`.
@@ -415,13 +412,17 @@ class Repository:
 
     def _write_case(self, path: str, case: Case, data: bytes) -> None:
         """Write under the caller's writer lock; keep a loaded scan and its
-        bound rows current."""
+        bound rows current. A stored case's weights pass the bound row's
+        check, so that row is built here, after the write."""
         _atomic_write(path, data)
         cases = self._cases
         if cases is not None:
             if self._rows is not None:
                 self._rows.pop(case.case_id, None)
-                self._unrowed.append(case.case_id)
+                if case.status in CONFIRMED_STATUSES:
+                    from .summary import bound_row
+
+                    self._rows[case.case_id] = bound_row(case)
             # A new id that sorts before the last one breaks case-id order,
             # which the next list_cases restores: a store never sorts.
             if case.case_id not in cases and case.case_id < next(reversed(cases), ""):

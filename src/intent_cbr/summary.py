@@ -1,32 +1,37 @@
-"""The case summary, ``summary.json`` (see :mod:`intent_cbr.repository`).
+"""Bound rows and the case summary, ``summary.json`` (see
+:mod:`intent_cbr.repository`); only top-k retrieval loads this module.
 
-Private to the repository: a handle keeps the summary's state and calls
-in here from ``_bound_rows`` and ``_write_summary``, so only a top-k
-retrieve on an attach-only handle, the one ``analyze`` runs, loads this
-module. A row is ``[case_id, *totals, status, intention_id, *stat_key]``:
-one weight total per EvidenceKind, in ``_KINDS`` order, the status value,
-the intention id ("" for none), then the stat key of the case file.
+A bound row is ``[case_id, *totals]``, one weight total per EvidenceKind
+in ``_COLUMN`` order, from which :func:`bounds` bounds a score. A summary
+row extends it with the status value, the intention id ("" for none) and
+the stat key of the case file.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from contextlib import suppress
+from operator import itemgetter
 
+from .cbr import _checked_weights
 from .errors import IoFailure
-from .model import CONFIRMED_STATUSES, CaseStatus, EvidenceKind, is_safe_id
+from .model import CONFIRMED_STATUSES, CaseStatus, EvidenceKind
 from .repository import _atomic_write, _write_temp
 
 _SUMMARY = "summary.json"
 _SUMMARY_SCHEMA = "intent-cbr case summary 1"
 _KINDS = [kind.value for kind in EvidenceKind]
+# Column of each evidence kind in a row, in _KINDS order after the case id.
+_COLUMN = {kind: column for column, kind in enumerate(EvidenceKind, start=1)}
 _STATUS_AT = 1 + len(_KINDS)
 _KEY_AT = _STATUS_AT + 2
 _ROW_TYPES = [str, *[float] * len(_KINDS), str, str, int, int, int, int]
 _STATUSES = frozenset(status.value for status in CaseStatus)
 _CONFIRMED = frozenset(status.value for status in CONFIRMED_STATUSES)
-# Totals of a case that is no precedent: its row is never ranked.
+# The totals of a kind a case lacks, and of every kind of a case that is
+# no precedent, whose row is never ranked.
 _NO_TOTALS = (0.0,) * len(_KINDS)
 # The summary is rewritten only once the case files read past it, plus its
 # rows of changed or gone files, exceed this share of the case files: a
@@ -35,54 +40,89 @@ _NO_TOTALS = (0.0,) * len(_KINDS)
 _STALE_SHARE = 1 / 8
 
 
-def bound_rows(repo, row_of) -> tuple:
-    """``repo._bound_rows`` for a handle that has not scanned: each
-    confirmed case's bound row, built by `row_of`, and a function from a
-    row's case id to its case.
+def bound_row(precedent) -> tuple:
+    """The precedent's case id, then its weight total per :class:`EvidenceKind`.
+
+    Checks the precedent's weights as ``cbr.similarity`` does. A kind the
+    precedent lacks totals 0.0 and a kind with one item its weight. The
+    ``fsum`` of several is rounded one step up when the exact sum is
+    above it, so every total is at least the exact sum of its weights.
+    """
+    weights = _checked_weights(precedent)
+    by_column: dict[int, list[float]] = {}
+    for ev in precedent.attack.evidence:
+        by_column.setdefault(_COLUMN[ev.kind], []).append(weights.get(ev.id, 0.0))
+    row = [precedent.case_id, *_NO_TOTALS]
+    for column, terms in by_column.items():
+        total = terms[0]
+        if len(terms) > 1:
+            total = math.fsum(terms)
+            if math.fsum((*terms, -total)) > 0.0:
+                total = math.nextafter(total, math.inf)
+        row[column] = total
+    return tuple(row)
+
+
+def bounds(new_case, rows):
+    """Upper bound on the score against `new_case` of each bound row's
+    precedent, in order.
+
+    Only evidence of a query kind can align, each item aligns at most
+    once, a local similarity is at most 1 and weights are non-negative, so
+    a score is at most the weight of the precedent's evidence of the
+    query's kinds. Each total in a row is at least the exact sum of its
+    weights, so their ``fsum`` is never below the score's.
+    """
+    columns = {_COLUMN[ev.kind] for ev in new_case.attack.evidence}
+    if len(columns) == 1:
+        return map(itemgetter(*columns), rows)
+    if columns:
+        return map(math.fsum, map(itemgetter(*columns), rows))
+    return [0.0] * len(rows)  # a query without evidence aligns with nothing
+
+
+def bound_rows(repo) -> tuple:
+    """For a top-k retrieve on `repo`, a handle that has not scanned: each
+    confirmed case's bound row, headed by its case id; a function from a
+    row's case id to its case; and the summary rows due to be stored, by
+    case id, or None.
 
     ``cases/`` is stat-ed once, and a row of the case summary is used while
     the stat key of its file is unchanged. Every other case file is read
     and validated as the scan reads it, all corrupt ones reported together
-    via CorruptRecord, and gets its row from `row_of`. The function gives a
-    case so read as it is, and reads any other with ``repo.get_case``.
+    via CorruptRecord, and gets a new row. The function gives a case so
+    read as it is, and reads any other with ``repo.get_case``.
 
     A new row is kept for the summary only when its file's ctime is before
     a file-system time taken before any file was stat-ed (git's racy-git
     rule): any later change of that file, even one of the same size with
-    its mtime set back, then changes its key.
+    its mtime set back, then changes its key. The kept rows are due when
+    they differ from the stored ones, once enough of those are stale
+    (``_STALE_SHARE``).
     """
-    summary = repo._summary
-    if summary is None:
-        summary = _load_summary(os.path.join(repo.root, _SUMMARY))
+    stored = _load_summary(os.path.join(repo.root, _SUMMARY))
     since = _file_system_time(repo.root)
-    cases_dir = os.path.join(repo.root, "cases")
     kept: dict[str, list] = {}
     changed: dict[str, list] = {}  # stat key of each other case file
-    try:
-        with os.scandir(cases_dir) as entries:
-            for entry in entries:
-                case_id = entry.name[: -len(".json")]
-                if not (entry.name.endswith(".json") and is_safe_id(case_id)):
-                    continue
-                st = entry.stat()
-                key = [st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns]
-                row = summary.get(case_id)
-                if row is not None and row[_KEY_AT:] == key:
-                    kept[case_id] = row
-                else:
-                    changed[case_id] = key
-    except OSError as exc:
-        raise IoFailure(f"cannot list {cases_dir}: {exc}") from exc
+    for case_id, entry in repo._case_files():
+        try:
+            st = entry.stat()
+        except OSError as exc:
+            raise IoFailure(f"cannot stat {entry.path}: {exc}") from exc
+        key = [st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns]
+        row = stored.get(case_id)
+        if row is not None and row[_KEY_AT:] == key:
+            kept[case_id] = row
+        else:
+            changed[case_id] = key
     decoded = repo._read_cases(sorted(changed))
-    stale = len(changed) + len(summary) - len(kept)
+    stale = len(changed) + len(stored) - len(kept)
     due = stale > _STALE_SHARE * (len(kept) + len(changed))
-    if due and len(kept) < len(summary):
-        repo._summary_changed = True
     rows = list(kept.values())
     for case_id, case in decoded.items():
         key = changed[case_id]
         row = [
-            *(row_of(case) if case.status in CONFIRMED_STATUSES else (case_id, *_NO_TOTALS)),
+            *(bound_row(case) if case.status in CONFIRMED_STATUSES else (case_id, *_NO_TOTALS)),
             case.status.value,
             "" if case.intention is None else case.intention.id,
             *key,
@@ -90,25 +130,21 @@ def bound_rows(repo, row_of) -> tuple:
         rows.append(row)
         if since is not None and key[3] < since:
             kept[case_id] = row
-            repo._summary_changed |= due
-    repo._summary = kept
 
     def load(case_id: str):
         return decoded.get(case_id) or repo.get_case(case_id)
 
-    return [row for row in rows if row[_STATUS_AT] in _CONFIRMED], load
+    due = due and kept != stored
+    return [row for row in rows if row[_STATUS_AT] in _CONFIRMED], load, kept if due else None
 
 
-def write(repo) -> None:
-    """Store the summary rows that :func:`bound_rows` brought up to date
-    for `repo`; ``repo._write_summary`` calls it once that found enough of
-    the stored ones stale (``_STALE_SHARE``).
+def write(root, rows: dict[str, list]) -> None:
+    """Store `rows`, summary rows by case id, as the case summary at `root`.
 
     The summary is derived and each row checks itself against its file,
     so no writer lock is taken, and a write that fails is no error: the
     next listing reads the case files instead.
     """
-    rows = repo._summary
     doc = {
         "schema": _SUMMARY_SCHEMA,
         "kinds": _KINDS,
@@ -116,10 +152,9 @@ def write(repo) -> None:
     }
     with suppress(IoFailure):
         _atomic_write(
-            os.path.join(repo.root, _SUMMARY),
+            os.path.join(root, _SUMMARY),
             json.dumps(doc, separators=(",", ":")).encode("utf-8"),
         )
-    repo._summary_changed = False
 
 
 def _load_summary(path: str) -> dict[str, list]:

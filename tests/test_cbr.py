@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from conftest import case_pair_st, case_st, random_case, settle
 from intent_cbr import cbr
 from intent_cbr import fixtures as demo
+from intent_cbr import summary
 from intent_cbr.cbr import (
     ReviseVerdict,
     align_evidence,
@@ -407,7 +408,7 @@ class TestBoundedRetrieve:
         # The query's first `keep` items: of no kind, one kind or several.
         new, old = pair
         new = replace(new, attack=replace(new.attack, evidence=new.attack.evidence[:keep]))
-        [bound] = cbr._bounds(new, [cbr._bound_row(old)])
+        [bound] = summary.bounds(new, [summary.bound_row(old)])
         assert bound >= similarity(new, old).score
 
     @pytest.mark.parametrize(
@@ -432,7 +433,7 @@ class TestBoundedRetrieve:
             [ev(f"p{i}", kind=kind) for i, (kind, _) in enumerate(precedent_evidence)],
             {f"p{i}": w for i, (_, w) in enumerate(precedent_evidence)},
         )
-        assert list(cbr._bounds(query, [cbr._bound_row(precedent)])) == [expected]
+        assert list(summary.bounds(query, [summary.bound_row(precedent)])) == [expected]
 
     def test_two_query_items_of_one_kind_can_lift_a_precedent_to_the_top(self):
         query = case_of("new", [ev("q1"), ev("q2")], status=CaseStatus.PROPOSED)
@@ -589,7 +590,7 @@ class TestBoundRows:
             retained = retain(twin, repository)
             full = _top_k_is_the_head_of_the_full_ranking(query, repository)
             assert full[0].precedent_case_id == "a0"
-            assert repository._rows[f"a{i}"] == cbr._bound_row(retained)
+            assert repository._rows[f"a{i}"] == summary.bound_row(retained)
 
     def test_a_new_object_under_an_old_case_id_gets_a_new_row(self):
         query = case_of("new", [ev("q1")], status=CaseStatus.PROPOSED)
@@ -653,26 +654,26 @@ class TestBoundRows:
         weights = {"p0": 1.0, "p1": 2.0**-53}
         assert math.fsum(weights.values()) == 1.0
         precedent = case_of("p", [ev("p0"), ev("p1")], weights)
-        [bound] = cbr._bounds(case_of("new", [ev("q1")]), [cbr._bound_row(precedent)])
+        [bound] = summary.bounds(case_of("new", [ev("q1")]), [summary.bound_row(precedent)])
         assert Fraction(bound) >= Fraction(1) + Fraction(2.0**-53)
         assert bound == math.nextafter(1.0, 2.0)
 
     def test_row_layout(self):
         weights = {"t1": 0.25, "t2": 0.5, "o1": 0.25}
         precedent = case_of("p", [ev("t1"), ev("o1", kind=OTHER), ev("t2")], weights)
-        row = cbr._bound_row(precedent)
+        row = summary.bound_row(precedent)
         assert row[0] == "p"
         assert len(row) == 1 + len(EvidenceKind)
-        assert row[cbr._COLUMN[TOOL]] == 0.75
+        assert row[summary._COLUMN[TOOL]] == 0.75
         # A kind with one item holds that very weight object.
-        assert row[cbr._COLUMN[OTHER]] is weights["o1"]
-        assert [row[cbr._COLUMN[k]] for k in EvidenceKind if k not in (TOOL, OTHER)] == [0.0] * 7
+        assert row[summary._COLUMN[OTHER]] is weights["o1"]
+        assert [row[summary._COLUMN[k]] for k in EvidenceKind if k not in (TOOL, OTHER)] == [0.0] * 7
 
     @settings(max_examples=200, deadline=None)
     @given(case_st("p"))
     def test_each_total_is_the_least_float_not_below_its_exact_sum(self, precedent):
-        row = cbr._bound_row(precedent)
-        for kind, column in cbr._COLUMN.items():
+        row = summary.bound_row(precedent)
+        for kind, column in summary._COLUMN.items():
             exact = sum(
                 Fraction(precedent.evidence_weights[e.id])
                 for e in precedent.attack.evidence

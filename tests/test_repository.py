@@ -1218,7 +1218,7 @@ def _full_ranking(root, query, k=3):
 def counted(monkeypatch):
     """Case ids decoded, scored and given a bound row, in call order."""
     calls = {"decoded": [], "scored": [], "rows": []}
-    decode, score, bound_row = case_from_dict, cbr.similarity, cbr._bound_row
+    decode, score, bound_row = case_from_dict, cbr.similarity, summary_module.bound_row
 
     def decoding(doc):
         calls["decoded"].append(doc["case_id"])
@@ -1234,7 +1234,7 @@ def counted(monkeypatch):
 
     monkeypatch.setattr(repository_module, "case_from_dict", decoding)
     monkeypatch.setattr(cbr, "similarity", scoring)
-    monkeypatch.setattr(cbr, "_bound_row", building)
+    monkeypatch.setattr(summary_module, "bound_row", building)
     return calls
 
 
@@ -1249,11 +1249,11 @@ def test_a_write_on_a_scanned_handle_rebuilds_only_its_own_bound_row(tmp_path, c
     accepted = replace(
         query, case_id="p99", status=CaseStatus.REVISED_ACCEPTED, intention=Intention("int-y", "goal")
     )
+    del counted["rows"][:]
     repo.store_confirmed(transition(accepted, CaseStatus.RETAINED))
-    for calls in counted.values():
-        del calls[:]
+    del counted["decoded"][:], counted["scored"][:]
     ranking = cbr.retrieve(query, repo, k=3)
-    assert counted["rows"] == ["p99"]
+    assert counted["rows"] == ["p99"]  # built at the store
     assert counted["decoded"] == []  # a scanned handle loads from its scan
     assert ranking == _full_ranking(tmp_path / "repo", query)
     assert ranking.entries[0].precedent_case_id == "p99"
@@ -1281,6 +1281,18 @@ class TestCaseSummary:
         assert ranking.entries[0].precedent_case_id == "p99"
         assert counted["decoded"] == ["p99", *[c for c in counted["scored"] if c != "p99"]]
         assert counted["rows"] == ["p99"]
+
+    def test_an_attach_only_handle_lists_the_cases_on_each_top_k_call(self, tmp_path):
+        root = tmp_path / "repo"
+        query = _summarized(root)
+        reader = Repository.attach(root)
+        assert "zz-clone" not in [e.precedent_case_id for e in cbr.retrieve(query, reader, k=3).entries]
+        clone = replace(query, case_id="zz-clone", status=CaseStatus.PRECEDENT,
+                        intention=Intention("int-y", "goal"))
+        Repository.attach(root).add_case(clone)
+        ranking = cbr.retrieve(query, reader, k=3)
+        assert ranking.entries[0].precedent_case_id == "zz-clone"
+        assert ranking == _full_ranking(root, query)
 
     def test_files_past_the_summary_are_read_until_they_pass_its_share(self, tmp_path, counted):
         root = tmp_path / "repo"
