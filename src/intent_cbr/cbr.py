@@ -13,6 +13,7 @@ contributes nothing, which penalizes missing evidence.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from operator import itemgetter, neg
 
 from .errors import EmptyRanking, EmptyRepository, UnnormalizedWeights, ValidationFailure
@@ -106,7 +107,7 @@ def align_evidence(
     positive similarity; ties break on ascending (new id, precedent id).
     Each evidence item is used at most once. May be empty. Only same-kind
     pairs have a positive :func:`local_similarity`, so only they are
-    compared.
+    compared, and fewer than two leave nothing to choose.
     """
     new_evidence = new_case.attack.evidence
     candidates = [  # (-sim, new id, precedent id)
@@ -115,6 +116,8 @@ def align_evidence(
         for n_ev in new_evidence
         if n_ev.kind == p_ev.kind
     ]
+    if len(candidates) < 2:
+        return tuple((n_id, p_id, -neg_sim) for neg_sim, n_id, p_id in candidates)
     candidates.sort()
     used_new: set[str] = set()
     used_precedent: set[str] = set()
@@ -136,7 +139,11 @@ def similarity(new_case: Case, precedent: Case) -> SimilarityResult:
     """
     weights = _checked_weights(precedent)
     alignment = align_evidence(new_case, precedent)
-    score = math.fsum(sim * weights.get(p_id, 0.0) for _, p_id, sim in alignment)
+    if len(alignment) == 1:  # as math.fsum of one term: the term, but 0.0 for -0.0
+        [(_, p_id, sim)] = alignment
+        score = sim * weights.get(p_id, 0.0) + 0.0
+    else:
+        score = math.fsum(sim * weights.get(p_id, 0.0) for _, p_id, sim in alignment)
     return SimilarityResult(new_case.case_id, precedent.case_id, alignment, score)
 
 
@@ -170,28 +177,50 @@ def retrieve(new_case: Case, repository, k: int | None) -> RetrievalRanking:
     )
 
 
-def _bounded_scores(new_case: Case, rows, load, k: int) -> list[tuple[SimilarityResult, Case]]:
+def _bounded_scores(new_case: Case, groups, load, k: int) -> list[tuple[SimilarityResult, Case]]:
     """Scores of the precedents that can still reach the top k.
 
-    `rows` holds the precedents' bound rows, each headed by its case id,
-    which `load` turns into the precedent when it is visited. Visits
-    precedents by descending bound, ties by ascending case id, and stops
-    at the first whose (-bound, case id) sorts after the k-th best
+    `groups` holds ``(head, rows)`` pairs: bound rows, each headed by its
+    case id, which `load` turns into the precedent when it is visited, and
+    a row bounding each of theirs (see :func:`intent_cbr.summary.join`).
+    Visits precedents by descending bound, ties by ascending case id, and
+    stops at the first whose (-bound, case id) sorts after the k-th best
     (-score, case id): a score is at most its bound, so neither that
-    precedent nor any later one can rank above the k-th.
+    precedent nor any later one can rank above the k-th. A group waits
+    under (-bound of its head, ""), before any row it holds, so the visits
+    are those over all rows; a lone group, head None, is opened at once.
     """
     import heapq
 
     from .summary import bounds
 
-    pending = list(zip(map(neg, bounds(new_case, rows)), map(itemgetter(0), rows)))
+    bound = bounds(new_case)
+
+    def waiting(rows):
+        return zip(map(neg, bound(rows)), map(itemgetter(0), rows))
+
+    if len(groups) == 1:  # opened first whatever its head, which may be None
+        pending = [(0.0, "", *groups)]
+    else:
+        heads = [head for head, _ in groups]
+        pending = list(zip(map(neg, bound(heads)), repeat(""), groups))
     heapq.heapify(pending)
     best: list[tuple[float, str]] = []  # (-score, case id) of the k best, sorted once full
     scored: list[tuple[SimilarityResult, Case]] = []
     while pending:
-        neg_bound, case_id = heapq.heappop(pending)
-        if len(best) == k and (neg_bound, case_id) > best[-1]:
+        entry = heapq.heappop(pending)
+        if len(best) == k and entry > best[-1]:
             break
+        case_id = entry[1]
+        if not case_id:  # a group: its rows wait in its place
+            rows = entry[2][1]
+            if len(rows) > len(pending):  # one heapify then costs less than a push each
+                pending += waiting(rows)
+                heapq.heapify(pending)
+            else:
+                for row in waiting(rows):
+                    heapq.heappush(pending, row)
+            continue
         precedent = load(case_id)
         result = similarity(new_case, precedent)
         scored.append((result, precedent))
@@ -204,17 +233,18 @@ def _bounded_scores(new_case: Case, rows, load, k: int) -> list[tuple[Similarity
 
 
 def _bound_rows(repository) -> tuple:
-    """The confirmed precedents' bound rows, and how to load a row's
-    precedent from its case id (see :func:`_bounded_scores`): a
-    :class:`~intent_cbr.repository.Repository` handle's own, else rows
-    built from the listed precedents on each call and kept nowhere.
+    """The confirmed precedents' bound rows in ``(head, rows)`` groups, and
+    how to load a row's precedent from its case id (see
+    :func:`_bounded_scores`): a :class:`~intent_cbr.repository.Repository`
+    handle's own, else one group of rows built from the listed precedents
+    on each call and kept nowhere.
     """
     if isinstance(repository, Repository):
         return repository._bound_rows()
     from .summary import bound_row
 
     precedents = {p.case_id: p for p in repository.list_cases(status=CONFIRMED_STATUSES)}
-    return [bound_row(p) for p in precedents.values()], precedents.__getitem__
+    return [(None, [bound_row(p) for p in precedents.values()])], precedents.__getitem__
 
 
 def _checked_weights(precedent: Case) -> dict[str, float]:

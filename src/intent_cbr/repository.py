@@ -18,7 +18,10 @@ is ``attach`` plus that scan.
 
 A top-k retrieve ranks from one bound row per precedent: its case id and
 per-kind weight totals (see :meth:`Repository._bound_rows`). A handle that
-has scanned keeps its rows; one that has not reads a case summary,
+has scanned keeps its rows in kind-set groups, one per set of kinds with a
+positive total, each under a head row of per-kind maxima, so a query
+bounds the heads and then the rows of only the groups it visits; its
+writes add their rows to the groups. One that has not reads a case summary,
 ``summary.json``: one row per case file with its status, intention id,
 per-kind weight totals and stat key. It stats ``cases/``, trusts a row
 only while its file's stat key is unchanged, reads and validates every
@@ -106,9 +109,10 @@ class Repository:
         # whether it is still in case-id order (list_cases restores it).
         self._cases: dict[str, Case] | None = None
         self._in_order = True
-        # Bound rows of the scanned precedents by case id, from the first
-        # top-k retrieve on; the handle's writes keep them current.
-        self._rows: dict[str, tuple] | None = None
+        # Bound rows of the scanned precedents in kind-set groups (see
+        # intent_cbr.summary.join), from the first top-k retrieve on; the
+        # handle's writes keep them current.
+        self._groups: dict[tuple, tuple] | None = None
         # The summary rows that the last top-k retrieve of a handle that
         # has not scanned found due to be stored, by case id, or None.
         self._summary: dict[str, list] | None = None
@@ -336,24 +340,26 @@ class Repository:
 
     def _bound_rows(self) -> tuple:
         """For a top-k retrieve: each confirmed case's bound row (see
-        :func:`intent_cbr.summary.bound_row`), in no set order, and a
-        function from a row's case id to its case.
+        :func:`intent_cbr.summary.bound_row`) in ``(head, rows)`` groups,
+        and a function from a row's case id to its case.
 
-        A handle that has scanned builds its rows at the first call and
-        keeps them. Any other handle takes its rows from the case summary
-        and keeps the summary rows due to be stored (see
-        :func:`intent_cbr.summary.bound_rows`).
+        A handle that has scanned builds its kind-set groups at the first
+        call and keeps them. Any other handle takes its rows from the case
+        summary, as one group with no head, and keeps the summary rows due
+        to be stored (see :func:`intent_cbr.summary.bound_rows`).
         """
         from . import summary
 
         cases = self._cases
         if cases is None:
             rows, load, self._summary = summary.bound_rows(self)
-            return rows, load
-        if self._rows is None:
-            confirmed = (case for case in cases.values() if case.status in CONFIRMED_STATUSES)
-            self._rows = {case.case_id: summary.bound_row(case) for case in confirmed}
-        return self._rows.values(), cases.__getitem__
+            return [(None, rows)], load
+        if self._groups is None:
+            self._groups = {}
+            for case in cases.values():
+                if case.status in CONFIRMED_STATUSES:
+                    summary.join(self._groups, summary.bound_row(case))
+        return self._groups.values(), cases.__getitem__
 
     def _write_summary(self) -> None:
         """Store the case summary rows that :meth:`_bound_rows` found due."""
@@ -417,12 +423,13 @@ class Repository:
         _atomic_write(path, data)
         cases = self._cases
         if cases is not None:
-            if self._rows is not None:
-                self._rows.pop(case.case_id, None)
-                if case.status in CONFIRMED_STATUSES:
-                    from .summary import bound_row
+            old = cases.get(case.case_id)
+            if old is not None and old.status in CONFIRMED_STATUSES:
+                self._groups = None  # its file was replaced behind this scan
+            elif self._groups is not None and case.status in CONFIRMED_STATUSES:
+                from . import summary
 
-                    self._rows[case.case_id] = bound_row(case)
+                summary.join(self._groups, summary.bound_row(case))
             # A new id that sorts before the last one breaks case-id order,
             # which the next list_cases restores: a store never sorts.
             if case.case_id not in cases and case.case_id < next(reversed(cases), ""):

@@ -5,6 +5,11 @@ A bound row is ``[case_id, *totals]``, one weight total per EvidenceKind
 in ``_COLUMN`` order, from which :func:`bounds` bounds a score. A summary
 row extends it with the status value, the intention id ("" for none) and
 the stat key of the case file.
+
+A scanned handle keeps its bound rows in kind-set groups (:func:`join`),
+one per set of kinds with a positive total: the group's rows and a head
+row of per-kind maxima, whose bound is at least each member's. A top-k
+retrieve bounds the heads and then only the rows of the groups it visits.
 """
 
 from __future__ import annotations
@@ -13,6 +18,8 @@ import json
 import math
 import os
 from contextlib import suppress
+from functools import partial
+from itertools import compress
 from operator import itemgetter
 
 from .cbr import _checked_weights
@@ -63,9 +70,9 @@ def bound_row(precedent) -> tuple:
     return tuple(row)
 
 
-def bounds(new_case, rows):
-    """Upper bound on the score against `new_case` of each bound row's
-    precedent, in order.
+def bounds(new_case):
+    """The function from bound rows to the upper bound on the score against
+    `new_case` of each row's precedent, in order.
 
     Only evidence of a query kind can align, each item aligns at most
     once, a local similarity is at most 1 and weights are non-negative, so
@@ -74,11 +81,32 @@ def bounds(new_case, rows):
     weights, so their ``fsum`` is never below the score's.
     """
     columns = {_COLUMN[ev.kind] for ev in new_case.attack.evidence}
+    if not columns:  # a query without evidence aligns with nothing
+        return lambda rows: [0.0] * len(rows)
+    totals = itemgetter(*columns)
     if len(columns) == 1:
-        return map(itemgetter(*columns), rows)
-    if columns:
-        return map(math.fsum, map(itemgetter(*columns), rows))
-    return [0.0] * len(rows)  # a query without evidence aligns with nothing
+        return partial(map, totals)
+    return lambda rows: map(math.fsum, map(totals, rows))
+
+
+def join(groups: dict, row) -> None:
+    """Add the bound row `row` to `groups`, ``(head, rows)`` by kind set.
+
+    A row's kind set is the tuple of its columns with a positive total. A
+    head is ``["", *maxima]``, per column the largest total of any row ever
+    added, so its bound is at least each member's. Outside its kind set a
+    head is zero, so two heads always differ and order two equal bounds.
+    """
+    kinds = tuple(compress(_COLUMN.values(), row[1:_STATUS_AT]))  # totals are never negative
+    group = groups.get(kinds)
+    if group is None:
+        groups[kinds] = (["", *row[1:_STATUS_AT]], [row])
+        return
+    head, rows = group
+    for column in kinds:
+        if row[column] > head[column]:
+            head[column] = row[column]
+    rows.append(row)
 
 
 def bound_rows(repo) -> tuple:

@@ -160,3 +160,18 @@ def exact_fusion(network, evidence_ids, accuracy) -> dict[str, tuple[Fraction, F
         )
         for iid in frame
     }
+
+
+def flat_visits(precedents, bound, score, k: int) -> list[str]:
+    """Case ids of the precedents a top-k retrieval scores, in visit order,
+    by the flat loop: every precedent gets its bound, they are visited by
+    ascending (-bound, case id), and the loop stops at the first whose key
+    sorts after the k-th best (-score, case id) so far."""
+    by_id = {p.case_id: p for p in precedents}
+    best, visited = [], []
+    for key in sorted((-bound(p), p.case_id) for p in precedents):
+        if len(best) >= k and key > sorted(best)[k - 1]:
+            break
+        visited.append(key[1])
+        best.append((-score(by_id[key[1]]), key[1]))
+    return visited

@@ -46,7 +46,7 @@ from intent_cbr.model import (
     replace,
 )
 from intent_cbr.repository import Repository
-from oracles import greedy_alignment, resum_similarity
+from oracles import flat_visits, greedy_alignment, resum_similarity
 
 TOOL, OTHER = EvidenceKind.TOOL_USAGE, EvidenceKind.OTHER
 
@@ -209,6 +209,14 @@ class TestSimilarity:
     def test_self_similarity_is_one(self):
         case = demo.precedent_cases()[0]
         assert similarity(case, case).score == pytest.approx(1.0, abs=1e-12)
+
+    def test_a_lone_pair_of_weight_negative_zero_scores_positive_zero(self):
+        # A -0.0 weight passes the weight check; fsum of one -0.0 term is 0.0.
+        new = case_of("new", [ev("n1", kind=OTHER)])
+        old = case_of("old", [ev("p1"), ev("p2", kind=OTHER)], weights={"p1": 1.0, "p2": -0.0})
+        result = similarity(new, old)
+        assert [p_id for _, p_id, _ in result.alignment] == ["p2"]
+        assert math.copysign(1.0, result.score) == 1.0
 
     def test_unnormalized_weights_rejected(self):
         old = case_of("old", [ev("p1")], weights={"p1": 0.7})
@@ -408,7 +416,7 @@ class TestBoundedRetrieve:
         # The query's first `keep` items: of no kind, one kind or several.
         new, old = pair
         new = replace(new, attack=replace(new.attack, evidence=new.attack.evidence[:keep]))
-        [bound] = summary.bounds(new, [summary.bound_row(old)])
+        [bound] = summary.bounds(new)([summary.bound_row(old)])
         assert bound >= similarity(new, old).score
 
     @pytest.mark.parametrize(
@@ -433,7 +441,7 @@ class TestBoundedRetrieve:
             [ev(f"p{i}", kind=kind) for i, (kind, _) in enumerate(precedent_evidence)],
             {f"p{i}": w for i, (_, w) in enumerate(precedent_evidence)},
         )
-        assert list(summary.bounds(query, [summary.bound_row(precedent)])) == [expected]
+        assert list(summary.bounds(query)([summary.bound_row(precedent)])) == [expected]
 
     def test_two_query_items_of_one_kind_can_lift_a_precedent_to_the_top(self):
         query = case_of("new", [ev("q1"), ev("q2")], status=CaseStatus.PROPOSED)
@@ -563,9 +571,179 @@ def _top_k_is_the_head_of_the_full_ranking(query, repository):
     return full
 
 
+def _kept_rows(repository):
+    """The bound rows a scanned handle keeps in its kind-set groups, by case id."""
+    return {row[0]: row for _, rows in repository._groups.values() for row in rows}
+
+
+def _kind_set(row):
+    """The columns of a bound row's positive totals."""
+    return tuple(column for column in range(1, len(row)) if row[column] > 0.0)
+
+
+@st.composite
+def write_sequence_st(draw):
+    """A query of one or two kinds and a sequence of case writes, each
+    ("add", precedent) or ("retain", case): the case stored in flight, then
+    as retained. Ids sort before and after those already stored. A
+    precedent draws its kinds from the query's and two others, so that kind
+    sets repeat; or shares no kind with the query; or holds an item of
+    weight 0.0 whose kind has no other item; or copies an earlier one with
+    its evidence of other kinds moved to another kind, for the same score
+    from another kind set."""
+    kinds = draw(st.lists(st.sampled_from(list(EvidenceKind)), min_size=1, max_size=2, unique=True))
+    others = [kind for kind in EvidenceKind if kind not in kinds]
+
+    def kinded(case, choices):
+        evidence = tuple(replace(e, kind=draw(st.sampled_from(choices))) for e in case.attack.evidence)
+        return replace(case, attack=replace(case.attack, evidence=evidence))
+
+    query = kinded(draw(case_st("new", status=CaseStatus.PROPOSED)), kinds)
+    writes = []
+    for i in range(draw(st.integers(1, 16))):
+        case_id = f"{draw(st.sampled_from('amz'))}{i:02d}"
+        shape = draw(st.sampled_from(["drawn", "stranger", "zero", "moved"]))
+        case = draw(case_st(case_id))
+        if shape == "drawn":
+            case = kinded(case, kinds + others[:2])
+        elif shape == "stranger":
+            case = kinded(case, others)
+        elif shape == "zero" and len(case.attack.evidence) > 1:
+            zero, *rest = case.attack.evidence
+            zero = replace(zero, kind=draw(st.sampled_from(kinds)))
+            rest = [replace(e, kind=others[0]) if e.kind == zero.kind else e for e in rest]
+            total = math.fsum(case.evidence_weights[e.id] for e in rest)
+            weights = {zero.id: 0.0, **{e.id: case.evidence_weights[e.id] / total for e in rest}}
+            case = replace(
+                case,
+                attack=replace(case.attack, evidence=(zero, *rest)),
+                evidence_weights=weights,
+            )
+        elif shape == "moved" and writes:
+            original = draw(st.sampled_from([case for _, case in writes]))
+            moved = others[draw(st.integers(0, len(others) - 1))]
+            evidence = tuple(
+                e if e.kind in kinds else replace(e, kind=moved) for e in original.attack.evidence
+            )
+            case = replace(original, case_id=case_id, attack=replace(original.attack, evidence=evidence))
+        writes.append((draw(st.sampled_from(["add", "retain"])), case))
+    return query, writes, draw(st.integers(0, len(writes)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(write_sequence_st())
+def test_a_scanned_handle_visits_as_the_flat_loop_through_its_writes(drawn):
+    """After each write through a Repository.open handle, each top k is the
+    head of the full ranking and scores exactly the flat loop's visits."""
+    query, writes, before_open = drawn
+
+    def write(repository, op, case):
+        if op == "add":
+            repository.add_case(case)
+        else:
+            in_flight = replace(case, status=CaseStatus.REVISED_ACCEPTED)
+            repository.add_case(in_flight)
+            check(repository)
+            retain(in_flight, repository)
+
+    def check(repository):
+        precedents = repository.list_cases(status=CONFIRMED_STATUSES)
+        if not precedents:
+            return
+        full = retrieve(query, repository, k=None).entries
+        for k in range(1, len(precedents) + 2):
+            del scored[:]
+            assert retrieve(query, repository, k=k).entries == full[:k]
+            assert scored == flat_visits(precedents, bound, score, k)
+
+    def bound(precedent):
+        [value] = summary.bounds(query)([summary.bound_row(precedent)])
+        return value
+
+    def score(precedent):
+        return similarity(query, precedent).score
+
+    scored = []
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            cbr, "similarity", lambda new, old: scored.append(old.case_id) or similarity(new, old)
+        )
+        root = Path(tmp) / "repo"
+        for op, case in writes[:before_open]:
+            write(Repository.attach(root), op, case)
+        repository = Repository.open(root)
+        check(repository)
+        for op, case in writes[before_open:]:
+            write(repository, op, case)
+            check(repository)
+
+
 class TestBoundRows:
-    """A Repository handle keeps one bound row per confirmed precedent; any
-    other handle's rows are built on each call."""
+    """A Repository handle keeps one bound row per confirmed precedent, in
+    kind-set groups; any other handle's rows are built on each call."""
+
+    def test_a_handles_groups_are_a_fresh_grouping_of_its_rows(self, tmp_path):
+        rng = random.Random(30)
+        root = tmp_path / "repo"
+        repository = Repository.open(root)
+        for i in range(20):
+            repository.add_case(random_case(rng, f"m{i:02d}"))
+        query = replace(random_case(rng, "q"), case_id="query", status=CaseStatus.PROPOSED)
+        retrieve(query, repository, k=3)  # the first top-k call groups the rows
+        for i in range(40):
+            case = random_case(rng, f"{rng.choice('az')}{i:02d}")
+            if i % 3:
+                repository.add_case(case)
+            else:
+                in_flight = replace(case, status=CaseStatus.REVISED_ACCEPTED)
+                repository.add_case(in_flight)
+                retain(in_flight, repository)
+        fresh = {}
+        for case in Repository.open(root).list_cases(status=CONFIRMED_STATUSES):
+            row = summary.bound_row(case)
+            fresh.setdefault(_kind_set(row), []).append(row)
+        groups = repository._groups
+        assert {kinds: sorted(rows) for kinds, (_, rows) in groups.items()} == {
+            kinds: sorted(rows) for kinds, rows in fresh.items()
+        }
+        for head, rows in groups.values():
+            assert head[0] == "" and len(head) == 1 + len(EvidenceKind)
+            for row in rows:
+                assert all(head[column] >= row[column] for column in range(1, len(row)))
+
+    def test_a_precedent_replaced_behind_the_scan_leaves_its_group(self, tmp_path):
+        query = case_of("new", [ev("q1")], status=CaseStatus.PROPOSED)
+        repository = Repository.open(tmp_path / "repo")
+        for case_id in "abc":
+            repository.add_case(case_of(case_id, [ev(f"{case_id}1")], {f"{case_id}1": 1.0}))
+        assert [e.precedent_case_id for e in retrieve(query, repository, k=2).entries] == ["a", "b"]
+        (tmp_path / "repo" / "cases" / "a.json").unlink()
+        repository.add_case(case_of("a", [ev("a1")], {"a1": 1.0}, status=CaseStatus.PROPOSED))
+        full = retrieve(query, repository, k=None).entries
+        assert [e.precedent_case_id for e in full] == ["b", "c"]
+        assert retrieve(query, repository, k=2).entries == full
+
+    def test_a_one_kind_query_bounds_fewer_rows_than_the_handle_holds(self, tmp_path, monkeypatch):
+        rng = random.Random(31)
+        repository = Repository.open(tmp_path / "repo")
+        for i in range(120):
+            kinds = rng.sample(list(EvidenceKind), rng.randint(1, 2))
+            evidence = [ev(f"p{i}-{j}", kind=kind) for j, kind in enumerate(kinds)]
+            weights = {e.id: 1 / len(evidence) for e in evidence}
+            repository.add_case(case_of(f"p{i:03d}", evidence, weights))
+        query = case_of("new", [ev("q1")], status=CaseStatus.PROPOSED)
+        full = retrieve(query, repository, k=None).entries
+        bounded = []
+        bounds = summary.bounds
+
+        def counting(new_case):
+            bound = bounds(new_case)
+            return lambda rows: bounded.extend(rows) or bound(rows)
+
+        monkeypatch.setattr(summary, "bounds", counting)
+        assert retrieve(query, repository, k=5).entries == full[:5]
+        assert len(repository._groups) > 20
+        assert len(bounded) < len(_kept_rows(repository)) == 120
 
     def test_writes_on_one_handle_keep_the_top_k_exact(self, tmp_path):
         rng = random.Random(18)
@@ -590,7 +768,7 @@ class TestBoundRows:
             retained = retain(twin, repository)
             full = _top_k_is_the_head_of_the_full_ranking(query, repository)
             assert full[0].precedent_case_id == "a0"
-            assert repository._rows[f"a{i}"] == summary.bound_row(retained)
+            assert _kept_rows(repository)[f"a{i}"] == summary.bound_row(retained)
 
     def test_a_new_object_under_an_old_case_id_gets_a_new_row(self):
         query = case_of("new", [ev("q1")], status=CaseStatus.PROPOSED)
@@ -617,7 +795,7 @@ class TestBoundRows:
         repository = Repository.open(tmp_path / "repo")
         repository.add_case(case_of("a", [ev("a1")], {"a1": 1.0}))
         retrieve(case_of("new", [ev("q1")], status=CaseStatus.PROPOSED), repository, k=1)
-        assert list(repository._rows) == ["a"]
+        assert list(_kept_rows(repository)) == ["a"]
         handle = weakref.ref(repository)
         del repository
         gc.collect()
@@ -654,7 +832,7 @@ class TestBoundRows:
         weights = {"p0": 1.0, "p1": 2.0**-53}
         assert math.fsum(weights.values()) == 1.0
         precedent = case_of("p", [ev("p0"), ev("p1")], weights)
-        [bound] = summary.bounds(case_of("new", [ev("q1")]), [summary.bound_row(precedent)])
+        [bound] = summary.bounds(case_of("new", [ev("q1")]))([summary.bound_row(precedent)])
         assert Fraction(bound) >= Fraction(1) + Fraction(2.0**-53)
         assert bound == math.nextafter(1.0, 2.0)
 
