@@ -13,8 +13,6 @@ contributes nothing, which penalizes missing evidence.
 from __future__ import annotations
 
 import math
-from itertools import repeat
-from operator import itemgetter, neg
 
 from .errors import EmptyRanking, EmptyRepository, UnnormalizedWeights, ValidationFailure
 from .model import (
@@ -32,7 +30,6 @@ from .model import (
     replace,
     transition,
 )
-from .repository import Repository
 
 
 class RetrievalRanking(Record):
@@ -151,11 +148,10 @@ def retrieve(new_case: Case, repository, k: int | None) -> RetrievalRanking:
     """Rank confirmed precedents by similarity to `new_case`, keep the top k.
 
     ``k=None`` scores every precedent (used by full reports). A finite k
-    visits precedents by (-bound, case id), a bound being at least the
-    score, and stops once that sorts after the k-th best (-score, case id):
-    the threshold algorithm of Fagin, Lotem & Naor on the ranking's key.
-    The ranking is exactly the one of scoring every precedent. The bounds
-    come from bound rows (see :mod:`intent_cbr.summary`).
+    scores only the precedents :func:`intent_cbr.summary.top_k` visits by
+    descending score bound: the threshold algorithm of Fagin, Lotem & Naor
+    on the ranking's key, whose ranking is exactly the one of scoring
+    every precedent.
     """
     if k is not None and k < 1:
         raise ValidationFailure(f"k must be positive, got {k}")
@@ -163,7 +159,9 @@ def retrieve(new_case: Case, repository, k: int | None) -> RetrievalRanking:
         precedents = repository.list_cases(status=CONFIRMED_STATUSES)
         scored = [(similarity(new_case, p), p) for p in precedents]
     else:
-        scored = _bounded_scores(new_case, *_bound_rows(repository), k)
+        from . import summary
+
+        scored = summary.top_k(new_case, repository, k)
     if not scored:
         raise EmptyRepository("no precedent or retained cases stored")
     scored.sort(key=lambda item: (-item[0].score, item[0].precedent_case_id))
@@ -175,76 +173,6 @@ def retrieve(new_case: Case, repository, k: int | None) -> RetrievalRanking:
             p.case_id: p.intention for _, p in top if p.intention is not None
         },
     )
-
-
-def _bounded_scores(new_case: Case, groups, load, k: int) -> list[tuple[SimilarityResult, Case]]:
-    """Scores of the precedents that can still reach the top k.
-
-    `groups` holds ``(head, rows)`` pairs: bound rows, each headed by its
-    case id, which `load` turns into the precedent when it is visited, and
-    a row bounding each of theirs (see :func:`intent_cbr.summary.join`).
-    Visits precedents by descending bound, ties by ascending case id, and
-    stops at the first whose (-bound, case id) sorts after the k-th best
-    (-score, case id): a score is at most its bound, so neither that
-    precedent nor any later one can rank above the k-th. A group waits
-    under (-bound of its head, ""), before any row it holds, so the visits
-    are those over all rows; a lone group, head None, is opened at once.
-    """
-    import heapq
-
-    from .summary import bounds
-
-    bound = bounds(new_case)
-
-    def waiting(rows):
-        return zip(map(neg, bound(rows)), map(itemgetter(0), rows))
-
-    if len(groups) == 1:  # opened first whatever its head, which may be None
-        pending = [(0.0, "", *groups)]
-    else:
-        heads = [head for head, _ in groups]
-        pending = list(zip(map(neg, bound(heads)), repeat(""), groups))
-    heapq.heapify(pending)
-    best: list[tuple[float, str]] = []  # (-score, case id) of the k best, sorted once full
-    scored: list[tuple[SimilarityResult, Case]] = []
-    while pending:
-        entry = heapq.heappop(pending)
-        if len(best) == k and entry > best[-1]:
-            break
-        case_id = entry[1]
-        if not case_id:  # a group: its rows wait in its place
-            rows = entry[2][1]
-            if len(rows) > len(pending):  # one heapify then costs less than a push each
-                pending += waiting(rows)
-                heapq.heapify(pending)
-            else:
-                for row in waiting(rows):
-                    heapq.heappush(pending, row)
-            continue
-        precedent = load(case_id)
-        result = similarity(new_case, precedent)
-        scored.append((result, precedent))
-        key = (-result.score, case_id)
-        if len(best) < k or key < best[-1]:
-            best[k - 1 :] = [key]  # append while filling, then replace the k-th
-            if len(best) == k:
-                best.sort()
-    return scored
-
-
-def _bound_rows(repository) -> tuple:
-    """The confirmed precedents' bound rows in ``(head, rows)`` groups, and
-    how to load a row's precedent from its case id (see
-    :func:`_bounded_scores`): a :class:`~intent_cbr.repository.Repository`
-    handle's own, else one group of rows built from the listed precedents
-    on each call and kept nowhere.
-    """
-    if isinstance(repository, Repository):
-        return repository._bound_rows()
-    from .summary import bound_row
-
-    precedents = {p.case_id: p for p in repository.list_cases(status=CONFIRMED_STATUSES)}
-    return [(None, [bound_row(p) for p in precedents.values()])], precedents.__getitem__
 
 
 def _checked_weights(precedent: Case) -> dict[str, float]:
@@ -351,9 +279,7 @@ def _extend(provenance: str, note: str) -> str:
 
 def _incipient_summary(proposed: Case) -> str:
     label = proposed.intention.label if proposed.intention else "(none)"
-    lines = [f"incipient summary: intention={label}", "evidence:"]
+    text = f"incipient summary: intention={label}\nevidence:"
     for ev in proposed.attack.evidence:
-        lines.append(
-            f"  - {ev.id} [{ev.kind.value}] confidence={ev.confidence:g}: {ev.description}"
-        )
-    return "\n".join(lines)
+        text += f"\n  - {ev.id} [{ev.kind.value}] confidence={ev.confidence:g}: {ev.description}"
+    return text

@@ -16,22 +16,12 @@ need every case (``list_cases``, ``case_count``,
 result; the handle's own writes keep it current. :meth:`Repository.open`
 is ``attach`` plus that scan.
 
-A top-k retrieve ranks from one bound row per precedent: its case id and
-per-kind weight totals (see :meth:`Repository._bound_rows`). A handle that
-has scanned keeps its rows in kind-set groups, one per set of kinds with a
-positive total, each under a head row of per-kind maxima, so a query
-bounds the heads and then the rows of only the groups it visits; its
-writes add their rows to the groups. One that has not reads a case summary,
-``summary.json``: one row per case file with its status, intention id,
-per-kind weight totals and stat key. It stats ``cases/``, trusts a row
-only while its file's stat key is unchanged, reads and validates every
-other case file as the scan does, and decodes only the precedents the
-score bound visits. The summary is derived and safe to delete: a missing,
-unreadable or foreign one means every case file is read. Record writes
-leave it alone; ``analyze`` rewrites it after a successful run once it is
-stale enough. Both row kinds, their layout and their rules are in the
-private :mod:`intent_cbr.summary`, which only top-k retrieval imports; a
-handle keeps only the rows.
+A top-k retrieve ranks from an index of one bound row per precedent,
+which the private :mod:`intent_cbr.summary` defines, builds, bounds and
+visits. A handle that has scanned keeps the index, and its writes keep it
+current. One that has not reads the case summary, ``summary.json``, which
+is derived and safe to delete: record writes leave it alone, and
+``analyze`` rewrites it after a successful run once it is stale enough.
 
 Every case, attack and network read is strict UTF-8 JSON, validated, and
 its own id must match its file name; a record that fails is CorruptRecord,
@@ -109,9 +99,8 @@ class Repository:
         # whether it is still in case-id order (list_cases restores it).
         self._cases: dict[str, Case] | None = None
         self._in_order = True
-        # Bound rows of the scanned precedents in kind-set groups (see
-        # intent_cbr.summary.join), from the first top-k retrieve on; the
-        # handle's writes keep them current.
+        # The scanned precedents' top-k index (see intent_cbr.summary), from
+        # the first top-k retrieve on; the handle's writes keep it current.
         self._groups: dict[tuple, tuple] | None = None
         # The summary rows that the last top-k retrieve of a handle that
         # has not scanned found due to be stored, by case id, or None.
@@ -339,26 +328,22 @@ class Repository:
         return cases
 
     def _bound_rows(self) -> tuple:
-        """For a top-k retrieve: each confirmed case's bound row (see
-        :func:`intent_cbr.summary.bound_row`) in ``(head, rows)`` groups,
-        and a function from a row's case id to its case.
-
-        A handle that has scanned builds its kind-set groups at the first
-        call and keeps them. Any other handle takes its rows from the case
-        summary, as one group with no head, and keeps the summary rows due
-        to be stored (see :func:`intent_cbr.summary.bound_rows`).
+        """For :func:`intent_cbr.summary.top_k`: the confirmed precedents'
+        bound rows in groups, and a function from a row's case id to its
+        case. A handle that has scanned keeps its groups; any other keeps
+        only the summary rows due to be stored.
         """
         from . import summary
 
         cases = self._cases
         if cases is None:
-            rows, load, self._summary = summary.bound_rows(self)
-            return [(None, rows)], load
+            groups, load, self._summary = summary.bound_rows(self)
+            return groups, load
         if self._groups is None:
             self._groups = {}
             for case in cases.values():
                 if case.status in CONFIRMED_STATUSES:
-                    summary.join(self._groups, summary.bound_row(case))
+                    summary.join(self._groups, case)
         return self._groups.values(), cases.__getitem__
 
     def _write_summary(self) -> None:
@@ -418,8 +403,8 @@ class Repository:
 
     def _write_case(self, path: str, case: Case, data: bytes) -> None:
         """Write under the caller's writer lock; keep a loaded scan and its
-        bound rows current. A stored case's weights pass the bound row's
-        check, so that row is built here, after the write."""
+        index current. A stored case's weights pass the bound row's check,
+        so it joins the index here, after the write."""
         _atomic_write(path, data)
         cases = self._cases
         if cases is not None:
@@ -429,7 +414,7 @@ class Repository:
             elif self._groups is not None and case.status in CONFIRMED_STATUSES:
                 from . import summary
 
-                summary.join(self._groups, summary.bound_row(case))
+                summary.join(self._groups, case)
             # A new id that sorts before the last one breaks case-id order,
             # which the next list_cases restores: a store never sorts.
             if case.case_id not in cases and case.case_id < next(reversed(cases), ""):

@@ -1,5 +1,7 @@
-"""Bound rows and the case summary, ``summary.json`` (see
-:mod:`intent_cbr.repository`); only top-k retrieval loads this module.
+"""The top-k index: bound rows, kind-set groups, their bounds, the
+bounded visit (:func:`top_k`) and the case summary, ``summary.json``. Only
+top-k retrieval loads this module; a repository handle keeps what it
+builds (see :mod:`intent_cbr.repository`).
 
 A bound row is ``[case_id, *totals]``, one weight total per EvidenceKind
 in ``_COLUMN`` order, from which :func:`bounds` bounds a score. A summary
@@ -8,8 +10,9 @@ the stat key of the case file.
 
 A scanned handle keeps its bound rows in kind-set groups (:func:`join`),
 one per set of kinds with a positive total: the group's rows and a head
-row of per-kind maxima, whose bound is at least each member's. A top-k
-retrieve bounds the heads and then only the rows of the groups it visits.
+row of per-kind maxima, whose bound is at least each member's. Any other
+handle gives its rows as one group under ``_LONE``. A top-k retrieve
+bounds the heads and then only the rows of the groups it visits.
 """
 
 from __future__ import annotations
@@ -19,13 +22,15 @@ import math
 import os
 from contextlib import suppress
 from functools import partial
-from itertools import compress
-from operator import itemgetter
+from heapq import heapify, heappop, heappush
+from itertools import compress, repeat
+from operator import itemgetter, neg
 
+from . import cbr
 from .cbr import _checked_weights
 from .errors import IoFailure
 from .model import CONFIRMED_STATUSES, CaseStatus, EvidenceKind
-from .repository import _atomic_write, _write_temp
+from .repository import Repository, _atomic_write, _write_temp
 
 _SUMMARY = "summary.json"
 _SUMMARY_SCHEMA = "intent-cbr case summary 1"
@@ -40,6 +45,9 @@ _CONFIRMED = frozenset(status.value for status in CONFIRMED_STATUSES)
 # The totals of a kind a case lacks, and of every kind of a case that is
 # no precedent, whose row is never ranked.
 _NO_TOTALS = (0.0,) * len(_KINDS)
+# The head of a handle's lone group: its bound, inf (0.0 for a query without
+# evidence), is at least each row's, and it is the only group pending.
+_LONE = ("", *[math.inf] * len(_KINDS))
 # The summary is rewritten only once the case files read past it, plus its
 # rows of changed or gone files, exceed this share of the case files: a
 # rewrite costs about 4 us a row and a re-read about 32 us a file (2 000
@@ -89,18 +97,19 @@ def bounds(new_case):
     return lambda rows: map(math.fsum, map(totals, rows))
 
 
-def join(groups: dict, row) -> None:
-    """Add the bound row `row` to `groups`, ``(head, rows)`` by kind set.
+def join(groups: dict, precedent) -> None:
+    """Add the precedent's bound row to `groups`, ``(head, rows)`` by kind set.
 
     A row's kind set is the tuple of its columns with a positive total. A
     head is ``["", *maxima]``, per column the largest total of any row ever
     added, so its bound is at least each member's. Outside its kind set a
     head is zero, so two heads always differ and order two equal bounds.
     """
-    kinds = tuple(compress(_COLUMN.values(), row[1:_STATUS_AT]))  # totals are never negative
+    row = bound_row(precedent)
+    kinds = tuple(compress(_COLUMN.values(), row[1:]))  # totals are never negative
     group = groups.get(kinds)
     if group is None:
-        groups[kinds] = (["", *row[1:_STATUS_AT]], [row])
+        groups[kinds] = (["", *row[1:]], [row])
         return
     head, rows = group
     for column in kinds:
@@ -109,11 +118,61 @@ def join(groups: dict, row) -> None:
     rows.append(row)
 
 
+def top_k(new_case, repository, k: int) -> list:
+    """The scored ``(result, precedent)`` pairs of the confirmed precedents
+    of `repository` that can still reach `new_case`'s top k.
+
+    Bound rows come from a :class:`~intent_cbr.repository.Repository`
+    handle, else are built from the listed precedents on each call and
+    kept nowhere. Visits precedents by descending bound, ties by ascending
+    case id, and stops at the first whose (-bound, case id) sorts after
+    the k-th best (-score, case id): a score is at most its bound, so
+    neither that precedent nor any later one can rank above the k-th. A
+    group waits under (-bound of its head, ""), before any row it holds, so
+    the visits are those over all rows. Each visit scores through
+    ``cbr.similarity``.
+    """
+    if isinstance(repository, Repository):
+        groups, load = repository._bound_rows()
+    else:
+        precedents = {p.case_id: p for p in repository.list_cases(status=CONFIRMED_STATUSES)}
+        groups, load = [(_LONE, list(map(bound_row, precedents.values())))], precedents.__getitem__
+    bound = bounds(new_case)
+    pending = list(zip(map(neg, bound([head for head, _ in groups])), repeat(""), groups))
+    heapify(pending)
+    best: list[tuple[float, str]] = []  # (-score, case id) of the k best, sorted once full
+    scored = []
+    while pending:
+        entry = heappop(pending)
+        if len(best) == k and entry > best[-1]:
+            break
+        case_id = entry[1]
+        if not case_id:  # a group: its rows wait in its place
+            rows = entry[2][1]
+            waiting = zip(map(neg, bound(rows)), map(itemgetter(0), rows))
+            if len(rows) > len(pending):  # one heapify then costs less than a push each
+                pending += waiting
+                heapify(pending)
+            else:
+                for row in waiting:
+                    heappush(pending, row)
+            continue
+        precedent = load(case_id)
+        result = cbr.similarity(new_case, precedent)
+        scored.append((result, precedent))
+        key = (-result.score, case_id)
+        if len(best) < k or key < best[-1]:
+            best[k - 1 :] = [key]  # append while filling, then replace the k-th
+            if len(best) == k:
+                best.sort()
+    return scored
+
+
 def bound_rows(repo) -> tuple:
     """For a top-k retrieve on `repo`, a handle that has not scanned: each
-    confirmed case's bound row, headed by its case id; a function from a
-    row's case id to its case; and the summary rows due to be stored, by
-    case id, or None.
+    confirmed case's bound row, headed by its case id, as one group; a
+    function from a row's case id to its case; and the summary rows due to
+    be stored, by case id, or None.
 
     ``cases/`` is stat-ed once, and a row of the case summary is used while
     the stat key of its file is unchanged. Every other case file is read
@@ -163,7 +222,8 @@ def bound_rows(repo) -> tuple:
         return decoded.get(case_id) or repo.get_case(case_id)
 
     due = due and kept != stored
-    return [row for row in rows if row[_STATUS_AT] in _CONFIRMED], load, kept if due else None
+    confirmed = [row for row in rows if row[_STATUS_AT] in _CONFIRMED]
+    return [(_LONE, confirmed)], load, kept if due else None
 
 
 def write(root, rows: dict[str, list]) -> None:

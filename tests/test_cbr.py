@@ -632,9 +632,11 @@ def write_sequence_st(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(write_sequence_st())
-def test_a_scanned_handle_visits_as_the_flat_loop_through_its_writes(drawn):
-    """After each write through a Repository.open handle, each top k is the
-    head of the full ranking and scores exactly the flat loop's visits."""
+def test_every_handle_kind_visits_as_the_flat_loop_through_the_writes(drawn):
+    """After each write through a Repository.open handle, each top k on it,
+    on a fresh attach-only handle on its root and on a list of its
+    precedents is the head of the full ranking and scores exactly the flat
+    loop's visits."""
     query, writes, before_open = drawn
 
     def write(repository, op, case):
@@ -651,10 +653,14 @@ def test_a_scanned_handle_visits_as_the_flat_loop_through_its_writes(drawn):
         if not precedents:
             return
         full = retrieve(query, repository, k=None).entries
+        handles = (repository, Repository.attach(repository.root), ListRepository(precedents))
         for k in range(1, len(precedents) + 2):
-            del scored[:]
-            assert retrieve(query, repository, k=k).entries == full[:k]
-            assert scored == flat_visits(precedents, bound, score, k)
+            visits = flat_visits(precedents, bound, score, k)
+            for handle in handles:
+                del scored[:]
+                assert retrieve(query, handle, k=k).entries == full[:k]
+                assert scored == visits
+        assert handles[1]._cases is None  # ranked from the case files, no scan
 
     def bound(precedent):
         [value] = summary.bounds(query)([summary.bound_row(precedent)])

@@ -101,3 +101,17 @@ def test_no_command_loads_the_modules_that_generate_code():
     ).split()
     assert "intent_cbr.inference" in loaded
     assert [name for name in ("dataclasses", "inspect", "typing") if name in loaded] == []
+
+
+def test_cbr_loads_no_storage_module():
+    # Top-k retrieval reaches the repository through intent_cbr.summary,
+    # which retrieve loads only for a finite k.
+    loaded = _python(
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import intent_cbr.cbr\n"
+        "print('\\n'.join(sorted(set(sys.modules) - before)))"
+    ).split()
+    assert [name for name in loaded if name.startswith("intent_cbr")] == [
+        "intent_cbr", "intent_cbr.cbr", "intent_cbr.errors", "intent_cbr.model",
+    ]
