@@ -151,7 +151,9 @@ def retrieve(new_case: Case, repository, k: int | None) -> RetrievalRanking:
     scores only the precedents :func:`intent_cbr.summary.top_k` visits by
     descending score bound: the threshold algorithm of Fagin, Lotem & Naor
     on the ranking's key, whose ranking is exactly the one of scoring
-    every precedent.
+    every precedent. Once k are scored, a visited precedent is first
+    bounded by each item's best :func:`local_similarity` and waits again
+    when that bound is lower.
     """
     if k is not None and k < 1:
         raise ValidationFailure(f"k must be positive, got {k}")

@@ -13,6 +13,10 @@ one per set of kinds with a positive total: the group's rows and a head
 row of per-kind maxima, whose bound is at least each member's. Any other
 handle gives its rows as one group under ``_LONE``. A top-k retrieve
 bounds the heads and then only the rows of the groups it visits.
+
+Once k scores are held, each precedent the visit loads is bounded again,
+by each item's best local similarity in place of 1 (:func:`refiner`), and
+is scored only if it is still reached under that bound.
 """
 
 from __future__ import annotations
@@ -118,6 +122,31 @@ def join(groups: dict, precedent) -> None:
     rows.append(row)
 
 
+def refiner(new_case):
+    """The function from a precedent to its refined bound against
+    `new_case`: the ``fsum`` over its items of a query kind of each one's
+    best ``cbr.local_similarity`` to a query item of that kind times its
+    weight. An aligned pair scores at most that term (a product with a
+    non-negative weight rounds monotonically), the other terms are
+    non-negative and ``fsum`` rounds the exact sum once, so the bound is
+    never below the score; a best is at most 1, so never above the row's.
+    """
+    by_kind: dict = {}
+    for ev in new_case.attack.evidence:
+        by_kind.setdefault(ev.kind, []).append(ev)
+
+    def refined(precedent) -> float:
+        local, weights = cbr.local_similarity, precedent.evidence_weights
+        terms = []
+        for p_ev in precedent.attack.evidence:
+            items = by_kind.get(p_ev.kind)
+            if items:
+                terms.append(max(map(local, items, repeat(p_ev))) * weights.get(p_ev.id, 0.0))
+        return math.fsum(terms)
+
+    return refined
+
+
 def top_k(new_case, repository, k: int) -> list:
     """The scored ``(result, precedent)`` pairs of the confirmed precedents
     of `repository` that can still reach `new_case`'s top k.
@@ -129,8 +158,13 @@ def top_k(new_case, repository, k: int) -> list:
     the k-th best (-score, case id): a score is at most its bound, so
     neither that precedent nor any later one can rank above the k-th. A
     group waits under (-bound of its head, ""), before any row it holds, so
-    the visits are those over all rows. Each visit scores through
-    ``cbr.similarity``.
+    the visits are those over all rows.
+
+    Once k scores are held, a loaded precedent whose refined bound
+    (:func:`refiner`) is below its row's waits again under (-refined bound,
+    case id), carried in its entry so it is loaded once. Every other visit
+    scores through ``cbr.similarity``. The stop rule holds for either bound,
+    so the ranking is exactly the one of scoring every precedent.
     """
     if isinstance(repository, Repository):
         groups, load = repository._bound_rows()
@@ -142,6 +176,7 @@ def top_k(new_case, repository, k: int) -> list:
     heapify(pending)
     best: list[tuple[float, str]] = []  # (-score, case id) of the k best, sorted once full
     scored = []
+    refine = None  # built at the first refinement, which most small top-k calls never reach
     while pending:
         entry = heappop(pending)
         if len(best) == k and entry > best[-1]:
@@ -157,7 +192,13 @@ def top_k(new_case, repository, k: int) -> list:
                 for row in waiting:
                     heappush(pending, row)
             continue
-        precedent = load(case_id)
+        precedent = entry[2] if len(entry) == 3 else load(case_id)  # 3: waited again
+        if len(entry) == 2 and len(best) == k:
+            refine = refine or refiner(new_case)
+            refined = refine(precedent)
+            if refined < -entry[0]:
+                heappush(pending, (-refined, case_id, precedent))
+                continue
         result = cbr.similarity(new_case, precedent)
         scored.append((result, precedent))
         key = (-result.score, case_id)

@@ -162,16 +162,43 @@ def exact_fusion(network, evidence_ids, accuracy) -> dict[str, tuple[Fraction, F
     }
 
 
-def flat_visits(precedents, bound, score, k: int) -> list[str]:
-    """Case ids of the precedents a top-k retrieval scores, in visit order,
-    by the flat loop: every precedent gets its bound, they are visited by
-    ascending (-bound, case id), and the loop stops at the first whose key
-    sorts after the k-th best (-score, case id) so far."""
+def refined_bound(new_case: Case, precedent: Case) -> float:
+    """The refined bound on the score, literally from its definition: the
+    fsum over every precedent item of its best local similarity to any new
+    item (0.0 across kinds, and for no new item) times its weight."""
+    terms = []
+    for p_ev in precedent.attack.evidence:
+        sims = [
+            0.5 + 0.5 * _attribute_overlap(n_ev, p_ev) if n_ev.kind == p_ev.kind else 0.0
+            for n_ev in new_case.attack.evidence
+        ]
+        terms.append(max(sims, default=0.0) * precedent.evidence_weights.get(p_ev.id, 0.0))
+    return math.fsum(terms)
+
+
+def flat_visits(precedents, bound, refine, score, k: int) -> tuple[list[str], list[str]]:
+    """Case ids of the precedents a top-k retrieval loads and of those it
+    scores, each in order, by the flat two-stage loop. Every precedent waits
+    under (-bound, case id); the loop takes the least key and stops at the
+    first that sorts after the k-th best (-score, case id) so far. A
+    precedent taken for the first time is loaded; once k are scored, one
+    whose refined bound is below its bound waits again under (-refined,
+    case id). Any other is scored."""
     by_id = {p.case_id: p for p in precedents}
-    best, visited = [], []
-    for key in sorted((-bound(p), p.case_id) for p in precedents):
+    waiting = sorted((-bound(p), p.case_id) for p in precedents)
+    best, loaded, scored = [], [], []
+    while waiting:
+        key = waiting.pop(0)
         if len(best) >= k and key > sorted(best)[k - 1]:
             break
-        visited.append(key[1])
-        best.append((-score(by_id[key[1]]), key[1]))
-    return visited
+        case_id = key[1]
+        precedent = by_id[case_id]
+        if case_id not in loaded:
+            loaded.append(case_id)
+            refined = refine(precedent) if len(best) >= k else -key[0]
+            if refined < -key[0]:
+                waiting = sorted([*waiting, (-refined, case_id)])
+                continue
+        scored.append(case_id)
+        best.append((-score(precedent), case_id))
+    return loaded, scored

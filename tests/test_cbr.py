@@ -46,7 +46,7 @@ from intent_cbr.model import (
     replace,
 )
 from intent_cbr.repository import Repository
-from oracles import flat_visits, greedy_alignment, resum_similarity
+from oracles import flat_visits, greedy_alignment, refined_bound, resum_similarity
 
 TOOL, OTHER = EvidenceKind.TOOL_USAGE, EvidenceKind.OTHER
 
@@ -419,6 +419,58 @@ class TestBoundedRetrieve:
         [bound] = summary.bounds(new)([summary.bound_row(old)])
         assert bound >= similarity(new, old).score
 
+    @settings(max_examples=100, deadline=None)
+    @given(retrieval_st(), st.randoms(use_true_random=False))
+    def test_refined_bound_lies_between_the_score_and_the_bound(self, drawn, rng):
+        query, listed = drawn
+        refined = summary.refiner(query)
+        bound = summary.bounds(query)
+        extra = [random_case(rng, f"r{i}") for i in range(8)]
+        for precedent in [*listed.cases, *extra]:
+            [kind_total] = bound([summary.bound_row(precedent)])
+            value = refined(precedent)
+            assert similarity(query, precedent).score <= value <= kind_total
+            assert value == refined_bound(query, precedent)
+
+    @pytest.mark.parametrize(
+        "precedent_evidence, expected",
+        [
+            # An attribute mismatch: b2 aligns with nothing but is bounded
+            # by its best, 0.5, where the kind total counts it whole.
+            (
+                [("b1", TOOL, {"tool": "x"}, 0.5), ("b2", TOOL, {"tool": "y"}, 0.5)],
+                (0.5, 0.75, 1.0),
+            ),
+            # A single exact match of weight 0.25: every bound is its score.
+            ([("b1", TOOL, {"tool": "x"}, 0.25), ("b2", OTHER, {}, 0.75)], (0.25, 0.25, 0.25)),
+        ],
+        ids=["attribute-mismatch", "single-exact-match"],
+    )
+    def test_refined_bound_of_a_hand_built_precedent(self, precedent_evidence, expected):
+        query = case_of("new", [ev("q1", attrs={"tool": "x"})], status=CaseStatus.PROPOSED)
+        precedent = case_of(
+            "p",
+            [ev(ev_id, kind=kind, attrs=attrs) for ev_id, kind, attrs, _ in precedent_evidence],
+            {ev_id: weight for ev_id, _, _, weight in precedent_evidence},
+        )
+        [kind_total] = summary.bounds(query)([summary.bound_row(precedent)])
+        refined = summary.refiner(query)(precedent)
+        assert (similarity(query, precedent).score, refined, kind_total) == expected
+
+    def test_a_small_top_k_refines_no_bound(self, demo_repo, keylogging_case, monkeypatch):
+        # The 11 paper precedents: the first five scores already rule out
+        # every other precedent by its row's bound, so no refiner is built.
+        full = retrieve(keylogging_case, demo_repo, k=None).entries
+        scored = []
+        monkeypatch.setattr(
+            cbr, "similarity", lambda new, old: scored.append(old.case_id) or similarity(new, old)
+        )
+        monkeypatch.setattr(summary, "refiner", lambda new: pytest.fail("a bound was refined"))
+        for repository in (demo_repo, Repository.attach(demo_repo.root)):
+            del scored[:]
+            assert retrieve(keylogging_case, repository, k=5).entries == full[:5]
+            assert len(scored) == 5
+
     @pytest.mark.parametrize(
         "query_kinds, precedent_evidence, expected",
         [
@@ -635,8 +687,9 @@ def write_sequence_st(draw):
 def test_every_handle_kind_visits_as_the_flat_loop_through_the_writes(drawn):
     """After each write through a Repository.open handle, each top k on it,
     on a fresh attach-only handle on its root and on a list of its
-    precedents is the head of the full ranking and scores exactly the flat
-    loop's visits."""
+    precedents is the head of the full ranking, and loads and scores
+    exactly the precedents the flat two-stage loop does, in its order. A
+    precedent is loaded where it is first refined or scored."""
     query, writes, before_open = drawn
 
     def write(repository, op, case):
@@ -655,25 +708,37 @@ def test_every_handle_kind_visits_as_the_flat_loop_through_the_writes(drawn):
         full = retrieve(query, repository, k=None).entries
         handles = (repository, Repository.attach(repository.root), ListRepository(precedents))
         for k in range(1, len(precedents) + 2):
-            visits = flat_visits(precedents, bound, score, k)
+            loaded, scored = flat_visits(precedents, bound, refine, score, k)
             for handle in handles:
-                del scored[:]
+                del events[:]
                 assert retrieve(query, handle, k=k).entries == full[:k]
-                assert scored == visits
+                assert list(dict.fromkeys(case_id for _, case_id in events)) == loaded
+                assert [case_id for call, case_id in events if call == "score"] == scored
         assert handles[1]._cases is None  # ranked from the case files, no scan
 
     def bound(precedent):
         [value] = summary.bounds(query)([summary.bound_row(precedent)])
         return value
 
+    def refine(precedent):
+        return refined_bound(query, precedent)
+
     def score(precedent):
         return similarity(query, precedent).score
 
-    scored = []
+    def refiner(new_case):
+        refined = summary_refiner(new_case)
+        return lambda old: events.append(("refine", old.case_id)) or refined(old)
+
+    def scoring(new_case, precedent):
+        events.append(("score", precedent.case_id))
+        return similarity(new_case, precedent)
+
+    events = []  # ("refine" | "score", case id), in call order
+    summary_refiner = summary.refiner
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
-        patch.setattr(
-            cbr, "similarity", lambda new, old: scored.append(old.case_id) or similarity(new, old)
-        )
+        patch.setattr(cbr, "similarity", scoring)
+        patch.setattr(summary, "refiner", refiner)
         root = Path(tmp) / "repo"
         for op, case in writes[:before_open]:
             write(Repository.attach(root), op, case)

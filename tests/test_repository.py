@@ -29,7 +29,15 @@ from intent_cbr.errors import (
 )
 from intent_cbr import repository as repository_module
 from intent_cbr import summary as summary_module
-from intent_cbr.model import CaseStatus, Intention, replace, transition
+from intent_cbr.model import (
+    CONFIRMED_STATUSES,
+    CaseStatus,
+    Evidence,
+    EvidenceKind,
+    Intention,
+    replace,
+    transition,
+)
 from intent_cbr.repository import Repository
 from intent_cbr.serialize import (
     attack_to_dict,
@@ -37,6 +45,7 @@ from intent_cbr.serialize import (
     case_from_dict,
     case_to_dict,
 )
+from oracles import flat_visits, refined_bound
 
 
 def test_open_empty_directory(tmp_path):
@@ -1214,6 +1223,22 @@ def _full_ranking(root, query, k=3):
     return cbr.retrieve(query, Repository.open(root), k=k)
 
 
+def _model_visits(root, query, k=3):
+    """The case ids a top-k retrieve of the precedents at `root` loads and
+    those it scores, in order, by the flat two-stage loop."""
+    def bound(precedent):
+        [value] = summary_module.bounds(query)([summary_module.bound_row(precedent)])
+        return value
+
+    return flat_visits(
+        Repository.open(root).list_cases(status=CONFIRMED_STATUSES),
+        bound,
+        lambda precedent: refined_bound(query, precedent),
+        lambda precedent: cbr.similarity(query, precedent).score,
+        k,
+    )
+
+
 @pytest.fixture
 def counted(monkeypatch):
     """Case ids decoded, scored and given a bound row, in call order."""
@@ -1266,20 +1291,24 @@ class TestCaseSummary:
         root = tmp_path / "repo"
         query = _summarized(root)
         expected = _full_ranking(root, query)
+        loaded, scored = _model_visits(root, query)
         for calls in counted.values():
             del calls[:]
         assert cbr.retrieve(query, Repository.attach(root), k=3) == expected
-        assert counted["decoded"] == counted["scored"]
-        assert len(counted["scored"]) < len(_PRECEDENTS)
+        assert counted["decoded"] == loaded  # each loaded once
+        assert counted["scored"] == scored
+        assert len(scored) < len(loaded) < len(_PRECEDENTS)
         assert counted["rows"] == []
         # A precedent stored after the summary is read, visited or not.
         Repository.attach(root).add_case(replace(query, case_id="p99", status=CaseStatus.PRECEDENT,
                                                  intention=Intention("int-y", "goal")))
+        loaded, scored = _model_visits(root, query)
         for calls in counted.values():
             del calls[:]
         ranking = cbr.retrieve(query, Repository.attach(root), k=3)
         assert ranking.entries[0].precedent_case_id == "p99"
-        assert counted["decoded"] == ["p99", *[c for c in counted["scored"] if c != "p99"]]
+        assert counted["decoded"] == ["p99", *[c for c in loaded if c != "p99"]]
+        assert counted["scored"] == scored
         assert counted["rows"] == ["p99"]
 
     def test_an_attach_only_handle_lists_the_cases_on_each_top_k_call(self, tmp_path):
@@ -1306,11 +1335,13 @@ class TestCaseSummary:
             writer.add_case(random_case(rng, case_id))
         settle(root)
         expected = _full_ranking(root, query)
+        loaded, scored = _model_visits(root, query)
         for _ in range(2):
             del counted["decoded"][:], counted["scored"][:]
             repo = Repository.attach(root)
             assert cbr.retrieve(query, repo, k=3) == expected
-            assert counted["decoded"] == [*added, *(c for c in counted["scored"] if c not in added)]
+            assert counted["decoded"] == [*added, *(c for c in loaded if c not in added)]
+            assert counted["scored"] == scored
             repo._write_summary()
             assert (root / "summary.json").read_bytes() == summary
         writer.add_case(random_case(rng, "p45"))
@@ -1319,6 +1350,37 @@ class TestCaseSummary:
         assert cbr.retrieve(query, repo, k=3) == _full_ranking(root, query)
         repo._write_summary()
         assert sorted(_summary_doc(root)["rows"]) == [*_PRECEDENTS, *added, "p45"]
+
+    def test_a_precedent_that_waits_again_is_decoded_once(self, tmp_path, counted):
+        # With "c" scored (0.5), "d" is bounded by 0.9, refined to 0.675
+        # (its one item matches the query's at 0.75) and scored after
+        # waiting again; "e", bounded by 0.6, is never loaded.
+        tool, other = EvidenceKind.TOOL_USAGE, EvidenceKind.OTHER
+
+        def case(case_id, *items):
+            evidence = tuple(
+                Evidence(id=f"{case_id}{i}", kind=kind, attributes=attrs)
+                for i, (kind, attrs, _) in enumerate(items)
+            )
+            weights = {e.id: weight for e, (_, _, weight) in zip(evidence, items)}
+            base = random_case(random.Random(0), case_id)
+            return replace(base, attack=replace(base.attack, evidence=evidence), evidence_weights=weights)
+
+        root = tmp_path / "repo"
+        writer = Repository.attach(root)
+        writer.add_case(case("c", (tool, {"tool": "y"}, 1.0)))
+        writer.add_case(case("d", (tool, {"tool": "x", "mode": "irc"}, 0.9), (other, {}, 0.1)))
+        writer.add_case(case("e", (tool, {"tool": "x"}, 0.6), (other, {}, 0.4)))
+        query = replace(case("query", (tool, {"tool": "x"}, 1.0)), status=CaseStatus.PROPOSED)
+        settle(root)
+        summarizer = Repository.attach(root)
+        cbr.retrieve(query, summarizer, k=1)
+        summarizer._write_summary()
+        expected = _full_ranking(root, query, k=1)
+        assert _model_visits(root, query, k=1) == (["c", "d"], ["c", "d"])
+        del counted["decoded"][:], counted["scored"][:]
+        assert cbr.retrieve(query, Repository.attach(root), k=1) == expected
+        assert counted["decoded"] == counted["scored"] == ["c", "d"]
 
     def test_rows_of_deleted_files_are_dropped_past_the_summarys_share(self, tmp_path):
         root = tmp_path / "repo"
@@ -1411,11 +1473,13 @@ class TestCaseSummary:
         assert damage(text) != text
         path.write_text(damage(text), encoding="utf-8")
         expected = _full_ranking(root, query)
+        loaded, scored = _model_visits(root, query)
         del counted["decoded"][:], counted["scored"][:]
         repo = Repository.attach(root)
         assert cbr.retrieve(query, repo, k=3) == expected
-        read = set(_PRECEDENTS) if untrusted == "all" else {untrusted}
-        assert set(counted["decoded"]) == read | set(counted["scored"])
+        read = _PRECEDENTS if untrusted == "all" else [untrusted]
+        assert counted["decoded"] == [*read, *(c for c in loaded if c not in read)]
+        assert counted["scored"] == scored
         repo._write_summary()
         if untrusted == "all":
             assert sorted(_summary_doc(root)["rows"]) == _PRECEDENTS
