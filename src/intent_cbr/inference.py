@@ -9,9 +9,12 @@ lexicographically smallest id.
 
 The per-evidence masses sit on singletons and the full frame Θ only,
 a shape Dempster's rule keeps, so :func:`analyze_attack` fuses them in
-closed form in O(n·|Θ|) and renormalizes by the mass actually kept at
-every step (Barnett 1981); it agrees with exact rational fusion to
-rounding. :func:`combine` stays the general rule over any focal sets.
+closed form and renormalizes by the mass actually kept at every step
+(Barnett 1981); it agrees with exact rational fusion to rounding.
+:func:`combine` stays the general rule over any focal sets. A call reads
+the network's evidence ids into a set and the frame's priors and
+accuracies into lists once, then runs each of its n items in O(|Θ|).
+Bayes' rule and discounting each have one implementation, on those lists.
 
 All sums use ``math.fsum`` so results are independent of iteration
 order; :func:`combine`, :func:`belief` and :func:`plausibility` agree
@@ -50,7 +53,7 @@ CONFLICT_TOLERANCE = 1e-12
 
 def evidence_marginal(network: CausalNetwork, evidence_id: str) -> float:
     """P(evidence) by total probability over the intention partition."""
-    return math.fsum(_joint(network, evidence_id)[1])
+    return math.fsum(_joint(network, evidence_id, network.evidence_ids, *_frame(network)))
 
 
 def posterior(network: CausalNetwork, intention_id: str, evidence_id: str) -> float:
@@ -61,29 +64,21 @@ def posterior(network: CausalNetwork, intention_id: str, evidence_id: str) -> fl
     return posteriors[intention_id]
 
 
-def posteriors_for_evidence(
-    network: CausalNetwork, evidence_id: str
-) -> dict[str, float]:
+def posteriors_for_evidence(network: CausalNetwork, evidence_id: str) -> dict[str, float]:
     """Posterior for every intention given one evidence item."""
-    intention_ids, joint = _joint(network, evidence_id)
-    marginal = math.fsum(joint)
-    if marginal <= 0.0:
-        raise ZeroMarginal(
-            f"evidence '{evidence_id}' impossible under every intention"
-        )
-    return {iid: p / marginal for iid, p in zip(intention_ids, joint)}
+    intention_ids, priors = _frame(network)
+    joint = _joint(network, evidence_id, network.evidence_ids, intention_ids, priors)
+    return dict(zip(intention_ids, _posteriors(evidence_id, joint)))
 
 
-def build_mass_function(
-    posteriors: dict[str, float], hypothesis: Hypothesis
-) -> MassFunction:
+def build_mass_function(posteriors: dict[str, float], hypothesis: Hypothesis) -> MassFunction:
     """Normalized posteriors on singletons, discounted by one hypothesis.
 
     m({i}) = accuracy * posterior(i) / sum(posteriors); the residual
     1 - accuracy expresses ignorance and sits on the full frame.
     """
-    accuracies = dict.fromkeys(posteriors, hypothesis.accuracy)
-    return _mass_function(*_discounted(posteriors, accuracies))
+    ids, values = list(posteriors), list(posteriors.values())
+    return _mass_function(ids, *_discounted(ids, values, [hypothesis.accuracy] * len(ids)))
 
 
 def vacuous(frame: Iterable[str]) -> MassFunction:
@@ -145,34 +140,35 @@ def analyze_attack(
         ]
     if not hypotheses:
         raise NoHypothesis("at least one hypothesis required")
-    accuracies = _resolve_accuracies(network.intention_ids(), hypotheses)
+    # What every step shares, looked up once.
+    known = frozenset(network.evidence_ids)
+    intention_ids, priors = _frame(network)
+    accuracies = _resolve_accuracies(intention_ids, hypotheses)
 
     # Running fusion, starting from the vacuous mass function: m(i) for
-    # each singleton {i} plus m(theta). A new source s keeps
+    # each singleton {i} plus m(theta), in frame order. A new source s keeps
     # m(i)·(s(i) + s(theta)) + m(theta)·s(i) on {i} and m(theta)·s(theta)
     # on theta; every other product is conflict.
-    fused = dict.fromkeys(network.intention_ids(), 0.0)
+    fused = [0.0] * len(intention_ids)
     fused_theta = 1.0
     for ev in attack.evidence:
+        joint = _joint(network, ev.id, known, intention_ids, priors)
         source, source_theta = _discounted(
-            posteriors_for_evidence(network, ev.id), accuracies
+            intention_ids, _posteriors(ev.id, joint), accuracies
         )
-        fused = {
-            iid: m * (source[iid] + source_theta) + fused_theta * source[iid]
-            for iid, m in fused.items()
-        }
+        fused = [m * (s + source_theta) + fused_theta * s for m, s in zip(fused, source)]
         fused_theta *= source_theta
         # Divide by the mass kept, not by 1 - K: rounding then cannot compound.
-        kept = math.fsum([*fused.values(), fused_theta])
+        kept = math.fsum([*fused, fused_theta])
         if kept <= CONFLICT_TOLERANCE:
             raise TotalConflict(1.0 - kept)
-        fused = {iid: m / kept for iid, m in fused.items()}
+        fused = [m / kept for m in fused]
         fused_theta /= kept
-    combined = _mass_function(fused, fused_theta)
+    combined = _mass_function(intention_ids, fused, fused_theta)
 
     per_intention = {
         iid: (belief(combined, {iid}), plausibility(combined, {iid}))
-        for iid in network.intention_ids()
+        for iid in intention_ids
     }
     selected = min(per_intention, key=lambda iid: (-per_intention[iid][0], iid))
     return BeliefReport(per_intention=per_intention, selected=selected, mass=combined)
@@ -181,43 +177,58 @@ def analyze_attack(
 # --- internals --------------------------------------------------------------
 
 
-def _joint(
-    network: CausalNetwork, evidence_id: str
-) -> tuple[list[str], list[float]]:
-    """The intention ids and P(evidence | i) * P(i) for each, in frame order."""
-    row = network.likelihoods.get(evidence_id)
-    if row is None or evidence_id not in network.evidence_ids:
-        raise UnknownEvidence(f"evidence '{evidence_id}' not in network")
+def _frame(network: CausalNetwork) -> tuple[list[str], list[float | None]]:
+    """The intention ids and their priors, in frame order; None: no prior."""
     intention_ids = network.intention_ids()
-    joint = []
-    for iid in intention_ids:
-        p = row.get(iid)
-        if p is None:
-            raise ValidationFailure(
-                f"likelihoods['{evidence_id}'] has no entry for intention '{iid}'"
-            )
-        joint.append(p * network.priors[iid])
-    return intention_ids, joint
+    return intention_ids, [network.priors.get(iid) for iid in intention_ids]
 
 
-def _resolve_accuracies(
-    intention_ids: list[str], hypotheses: Sequence[Hypothesis]
-) -> dict[str, float]:
-    """Per-intention accuracy: first exact match, else first wildcard."""
+def _joint(
+    network: CausalNetwork, evidence_id: str, evidence_ids: Iterable[str],
+    intention_ids: list[str], priors: list[float | None]
+) -> list[float]:
+    """P(evidence | i) * P(i) for each intention, over :func:`_frame`'s ids and priors."""
+    row = network.likelihoods.get(evidence_id)
+    if row is None or evidence_id not in evidence_ids:
+        raise UnknownEvidence(f"evidence '{evidence_id}' not in network")
+    try:
+        return [row[iid] * prior for iid, prior in zip(intention_ids, priors)]
+    except (KeyError, TypeError):
+        # Name the first intention, in frame order, without a likelihood; a
+        # missing or bad prior before it raises as it does in the product.
+        for iid in intention_ids:
+            if row.get(iid) is None:
+                raise ValidationFailure(
+                    f"likelihoods['{evidence_id}'] has no entry for intention '{iid}'"
+                ) from None
+            row[iid] * network.priors[iid]
+        raise
+
+
+def _posteriors(evidence_id: str, joint: list[float]) -> list[float]:
+    """Bayes' rule: each joint probability over their sum, the marginal."""
+    marginal = math.fsum(joint)
+    if marginal <= 0.0:
+        raise ZeroMarginal(f"evidence '{evidence_id}' impossible under every intention")
+    return [p / marginal for p in joint]
+
+
+def _resolve_accuracies(intention_ids: list[str], hypotheses: Sequence[Hypothesis]) -> list[float]:
+    """Per-intention accuracy, in frame order: first exact match, else first wildcard."""
     wildcard = next((h for h in hypotheses if h.applies_to == "*"), None)
-    accuracies: dict[str, float] = {}
+    accuracies = []
     for iid in intention_ids:
         match = next((h for h in hypotheses if h.applies_to == iid), wildcard)
         if match is None:
             raise NoHypothesis(f"no hypothesis applies to intention '{iid}'")
-        accuracies[iid] = match.accuracy
+        accuracies.append(match.accuracy)
     return accuracies
 
 
 def _discounted(
-    posteriors: dict[str, float], accuracies: dict[str, float]
-) -> tuple[dict[str, float], float]:
-    """One source's singleton masses and its mass on the full frame.
+    intention_ids: list[str], posteriors: list[float], accuracies: list[float]
+) -> tuple[list[float], float]:
+    """One source's singleton masses, in frame order, and its mass on the full frame.
 
     m({i}) = accuracy(i) * posterior(i) / sum(posteriors); the rest is
     ignorance on the full frame. Raises what a MassFunction of these
@@ -225,28 +236,31 @@ def _discounted(
     """
     if not posteriors:
         raise EmptyPosteriors("posterior map is empty")
-    for iid, p in posteriors.items():
+    # index() finds the first bad value: an equal one before it is bad too.
+    for p in posteriors:
         if not (0.0 <= p <= 1.0):
+            iid = intention_ids[posteriors.index(p)]
             raise ValidationFailure(f"posterior for '{iid}' is {p!r}, outside [0,1]")
-    total = math.fsum(posteriors.values())
+    total = math.fsum(posteriors)
     if total <= 0.0:
         raise AllZeroPosteriors("every posterior is zero")
-    singletons = {iid: accuracies[iid] * (p / total) for iid, p in posteriors.items()}
-    for iid, m in singletons.items():
+    singletons = [a * (p / total) for a, p in zip(accuracies, posteriors)]
+    for m in singletons:
         if m < 0:
+            iid = intention_ids[singletons.index(m)]
             raise ValidationFailure(f"negative mass {m!r} on {[iid]}")
-    committed = math.fsum(singletons.values())
+    committed = math.fsum(singletons)
     if committed - 1.0 > SUM_TOLERANCE:
         raise ValidationFailure(f"masses sum to {committed!r}, expected 1")
     # Residual ignorance; clamp the odd -1e-17 float residue to zero.
     return singletons, max(1.0 - committed, 0.0)
 
 
-def _mass_function(singletons: dict[str, float], theta: float) -> MassFunction:
-    """Singleton masses plus mass on the full frame as a MassFunction."""
-    frame = tuple(sorted(singletons))
+def _mass_function(intention_ids: list[str], singletons: list[float], theta: float) -> MassFunction:
+    """Singleton masses, in frame order, plus mass on the full frame as a MassFunction."""
+    frame = tuple(sorted(intention_ids))
     full = frozenset(frame)
-    masses = {frozenset({iid}): m for iid, m in singletons.items()}
+    masses = {frozenset({iid}): m for iid, m in zip(intention_ids, singletons)}
     # On a one-intention frame the singleton is the full frame.
     masses[full] = masses.get(full, 0.0) + theta
     return MassFunction(frame=frame, masses=masses)

@@ -113,7 +113,12 @@ class Repository:
         """Handle on the repository at `root`, creating it if needed.
 
         Checks ``meta.json`` and reads no case: records are read when a
-        method needs them.
+        method needs them. Only the CLI's ``analyze`` writes the case
+        summary, so on a repository it has not summarized every top-k
+        :func:`~intent_cbr.cbr.retrieve` on this handle reads and validates
+        every case file (81-90 ms a query at 2 000 cases, against 1.1 ms on
+        :meth:`open`'s handle). Repeated library queries belong on
+        :meth:`open`.
         """
         root = Path(root)
         try:

@@ -13,7 +13,23 @@ import itertools
 import math
 from fractions import Fraction
 
-from intent_cbr.model import Case, Evidence, MassFunction
+from intent_cbr.errors import (
+    AllZeroPosteriors,
+    EmptyPosteriors,
+    NoHypothesis,
+    TotalConflict,
+    UnknownEvidence,
+    ValidationFailure,
+    ZeroMarginal,
+)
+from intent_cbr.model import (
+    SUM_TOLERANCE,
+    BeliefReport,
+    Case,
+    Evidence,
+    Hypothesis,
+    MassFunction,
+)
 
 
 def all_subsets(frame) -> list[frozenset[str]]:
@@ -202,3 +218,84 @@ def flat_visits(precedents, bound, refine, score, k: int) -> tuple[list[str], li
         scored.append(case_id)
         best.append((-score(precedent), case_id))
     return loaded, scored
+
+
+def reference_analyze(attack, network, hypotheses=None) -> BeliefReport:
+    """``inference.analyze_attack`` as it fused before its per-call tables:
+    per evidence item, Bayes' rule over the frame-order intention ids into a
+    dict, discounting into a dict, and Dempster's rule in closed form on
+    dicts; each step looks the evidence up in the network's tuple. Kept
+    verbatim, with its checks in their order and its messages, so the
+    estimator's reports and errors can be compared bit for bit."""
+    if not attack.evidence:
+        raise ValidationFailure(f"attack '{attack.id}' has no evidence")
+    if hypotheses is None:
+        hypotheses = [Hypothesis(id="detection-state", accuracy=attack.detection_state)]
+    if not hypotheses:
+        raise NoHypothesis("at least one hypothesis required")
+    wildcard = next((h for h in hypotheses if h.applies_to == "*"), None)
+    accuracies = {}
+    for iid in network.intention_ids():
+        match = next((h for h in hypotheses if h.applies_to == iid), wildcard)
+        if match is None:
+            raise NoHypothesis(f"no hypothesis applies to intention '{iid}'")
+        accuracies[iid] = match.accuracy
+    fused = dict.fromkeys(network.intention_ids(), 0.0)
+    fused_theta = 1.0
+    for ev in attack.evidence:
+        row = network.likelihoods.get(ev.id)
+        if row is None or ev.id not in network.evidence_ids:
+            raise UnknownEvidence(f"evidence '{ev.id}' not in network")
+        intention_ids = network.intention_ids()
+        joint = []
+        for iid in intention_ids:
+            p = row.get(iid)
+            if p is None:
+                raise ValidationFailure(
+                    f"likelihoods['{ev.id}'] has no entry for intention '{iid}'"
+                )
+            joint.append(p * network.priors[iid])
+        marginal = math.fsum(joint)
+        if marginal <= 0.0:
+            raise ZeroMarginal(f"evidence '{ev.id}' impossible under every intention")
+        posteriors = {iid: p / marginal for iid, p in zip(intention_ids, joint)}
+        if not posteriors:
+            raise EmptyPosteriors("posterior map is empty")
+        for iid, p in posteriors.items():
+            if not (0.0 <= p <= 1.0):
+                raise ValidationFailure(f"posterior for '{iid}' is {p!r}, outside [0,1]")
+        total = math.fsum(posteriors.values())
+        if total <= 0.0:
+            raise AllZeroPosteriors("every posterior is zero")
+        source = {iid: accuracies[iid] * (p / total) for iid, p in posteriors.items()}
+        for iid, m in source.items():
+            if m < 0:
+                raise ValidationFailure(f"negative mass {m!r} on {[iid]}")
+        committed = math.fsum(source.values())
+        if committed - 1.0 > SUM_TOLERANCE:
+            raise ValidationFailure(f"masses sum to {committed!r}, expected 1")
+        source_theta = max(1.0 - committed, 0.0)
+        fused = {
+            iid: m * (source[iid] + source_theta) + fused_theta * source[iid]
+            for iid, m in fused.items()
+        }
+        fused_theta *= source_theta
+        kept = math.fsum([*fused.values(), fused_theta])
+        if kept <= 1e-12:  # inference.CONFLICT_TOLERANCE
+            raise TotalConflict(1.0 - kept)
+        fused = {iid: m / kept for iid, m in fused.items()}
+        fused_theta /= kept
+    frame = tuple(sorted(fused))
+    full = frozenset(frame)
+    masses = {frozenset({iid}): m for iid, m in fused.items()}
+    masses[full] = masses.get(full, 0.0) + fused_theta
+    combined = MassFunction(frame=frame, masses=masses)
+    per_intention = {
+        iid: (
+            math.fsum(v for s, v in combined.masses.items() if s <= {iid}),
+            math.fsum(v for s, v in combined.masses.items() if iid in s),
+        )
+        for iid in network.intention_ids()
+    }
+    selected = min(per_intention, key=lambda iid: (-per_intention[iid][0], iid))
+    return BeliefReport(per_intention=per_intention, selected=selected, mass=combined)

@@ -39,8 +39,15 @@ from intent_cbr.model import (
     Intention,
     MassFunction,
     replace,
+    validate_network,
 )
-from oracles import dense_belief, dense_combine, dense_plausibility, exact_fusion
+from oracles import (
+    dense_belief,
+    dense_combine,
+    dense_plausibility,
+    exact_fusion,
+    reference_analyze,
+)
 
 
 def two_intention_network(lik_i1=0.8, lik_i2=0.4) -> CausalNetwork:
@@ -159,10 +166,12 @@ class TestBuildMassFunction:
         with pytest.raises(EmptyPosteriors):
             build_mass_function({}, Hypothesis("h1", accuracy=1.0))
 
-    @pytest.mark.parametrize("p", [1.5, -0.1])
-    def test_posterior_outside_the_unit_interval(self, p):
-        with pytest.raises(ValidationFailure, match=r"posterior for 'i1' is .*, outside \[0,1\]"):
-            build_mass_function({"i1": p, "i2": 0.5}, Hypothesis("h1", accuracy=1.0))
+    @pytest.mark.parametrize("p", [1.5, -0.1, math.nan])
+    @pytest.mark.parametrize("bad", ["i1", "i2"])
+    def test_posterior_outside_the_unit_interval(self, p, bad):
+        posteriors = {"i1": 0.5, "i2": 0.5, "i3": p, bad: p}
+        with pytest.raises(ValidationFailure, match=rf"posterior for '{bad}' is .*, outside \[0,1\]"):
+            build_mass_function(posteriors, Hypothesis("h1", accuracy=1.0))
 
     def test_all_zero_posteriors(self):
         with pytest.raises(AllZeroPosteriors):
@@ -497,3 +506,146 @@ def test_analyze_attack_refuses_an_attack_without_evidence():
     attack = Attack(id="a1", name="a1", detection_state=0.9, evidence=())
     with pytest.raises(ValidationFailure, match="attack 'a1' has no evidence"):
         analyze_attack(attack, two_intention_network())
+
+
+def outcome(call):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def estimator_input_st(draw):
+    """(attack, network, hypotheses) over a seeded network that passes
+    validate_network: 1-6 intentions, 1-60 evidence items, zero priors and
+    likelihoods, an attack over a shuffled subset of its evidence, and
+    wildcard, per-intention or no explicit hypotheses."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n_int, n_ev = draw(st.integers(1, 6)), draw(st.integers(1, 60))
+    zeros = draw(st.sampled_from([0.0, 0.2, 0.5]))
+    ids = [f"i{k}" for k in range(1, n_int + 1)]
+    evidence_ids = tuple(f"ev{k}" for k in range(1, n_ev + 1))
+
+    def draw_p(low):
+        r = rng.random()
+        return 0.0 if r < zeros else 1.0 if r < zeros + 0.1 else rng.uniform(low, 1.0)
+
+    raw_priors = [draw_p(0.05) for _ in ids]
+    if not any(raw_priors):
+        raw_priors[rng.randrange(n_int)] = 1.0
+    total = sum(raw_priors)
+    network = CausalNetwork(
+        attack_id="attack-x",
+        intentions=tuple(Intention(iid, f"goal {iid}") for iid in ids),
+        evidence_ids=evidence_ids,
+        priors={iid: p / total for iid, p in zip(ids, raw_priors)},
+        likelihoods={ev: {iid: draw_p(0.0) for iid in ids} for ev in evidence_ids},
+    )
+    assert validate_network(network) == []
+    detection_state = draw(st.sampled_from([0.0, 1.0, rng.random()]))
+    attack = make_attack(rng.sample(evidence_ids, rng.randint(1, n_ev)), detection_state)
+    accuracy = st.sampled_from([0.0, 1.0, rng.random(), rng.random(), 1.5, -0.5])
+    kind = draw(st.sampled_from(["none", "wildcard", "per-intention", "per-intention only"]))
+    if kind == "none":
+        return attack, network, None
+    hypotheses = [
+        Hypothesis(f"h{iid}", draw(accuracy), applies_to=iid)
+        for iid in rng.sample(ids, rng.randint(0, n_int))
+    ] if kind.startswith("per-intention") else []
+    if kind != "per-intention only":
+        hypotheses.insert(rng.randint(0, len(hypotheses)), Hypothesis("h", draw(accuracy)))
+    return attack, network, hypotheses
+
+
+class TestMatchesTheReferenceEstimator:
+    """analyze_attack returns a report == the frozen per-evidence dict
+    fusion's (tests/oracles.py::reference_analyze), or raises the same
+    exception type with the same message."""
+
+    @given(estimator_input_st())
+    @settings(max_examples=300, deadline=None)
+    def test_seeded_networks(self, drawn):
+        attack, network, hypotheses = drawn
+        got = outcome(lambda: analyze_attack(attack, network, hypotheses))
+        assert got == outcome(lambda: reference_analyze(attack, network, hypotheses))
+
+    @pytest.mark.parametrize(
+        "evidence, likelihoods, priors, hypotheses, error, message",
+        [
+            # ev2 has a likelihood row but is not one of the network's evidence ids.
+            (["ev1", "ev2"], {"ev2": {"i1": 0.5, "i2": 0.5}}, None, None,
+             UnknownEvidence, "evidence 'ev2' not in network"),
+            (["ev1", "ev3"], {"ev3": {"i1": 0.5}}, None, None,
+             ValidationFailure, "likelihoods['ev3'] has no entry for intention 'i2'"),
+            (["ev1", "ev3"], None, {"i1": 1.0}, None, KeyError, "'i2'"),
+            (["ev1", "ev3"], {"ev3": {"i1": 0.0, "i2": 0.0}}, None, None,
+             ZeroMarginal, "evidence 'ev3' impossible under every intention"),
+            (["ev1", "ev3"], {"ev1": {"i1": 1.0, "i2": 0.0}, "ev3": {"i1": 0.0, "i2": 1.0}},
+             None, None, TotalConflict, "total conflict between sources (K=1.0)"),
+            (["ev1"], None, None, [Hypothesis("h", 0.9, applies_to="i1")],
+             NoHypothesis, "no hypothesis applies to intention 'i2'"),
+            (["ev1"], None, None, [], NoHypothesis, "at least one hypothesis required"),
+            # The first failing item raises, whichever failure follows it.
+            (["ev1", "ghost", "ev3"], {"ev3": {"i1": 0.5}}, None, None,
+             UnknownEvidence, "evidence 'ghost' not in network"),
+            (["ev1", "ev3", "ghost"], {"ev3": {"i1": 0.5}}, None, None,
+             ValidationFailure, "likelihoods['ev3'] has no entry for intention 'i2'"),
+            (["ev1", "ev3"], {"ev3": {"i1": 0.0, "i2": 0.0}}, None, [Hypothesis("h", 1.5)],
+             ValidationFailure, "masses sum to 1.5, expected 1"),
+        ],
+    )
+    def test_errors(self, evidence, likelihoods, priors, hypotheses, error, message):
+        net = two_intention_network()
+        rows = {"ev3": {"i1": 0.3, "i2": 0.6}, **net.likelihoods, **(likelihoods or {})}
+        net = replace(
+            net,
+            evidence_ids=("ev1", "ev3"),
+            likelihoods=rows,
+            priors=net.priors if priors is None else priors,
+        )
+        attack = make_attack(evidence)
+        got = outcome(lambda: analyze_attack(attack, net, hypotheses))
+        assert got == (error, message)
+        assert got == outcome(lambda: reference_analyze(attack, net, hypotheses))
+
+
+def test_a_frame_with_a_repeated_intention_id_is_refused():
+    """validate_network refuses such a network; the estimator's mass
+    function refuses its frame rather than fuse over a collapsed one."""
+    net = replace(two_intention_network(), intentions=(
+        Intention("i1", "first goal"), Intention("i2", "second goal"), Intention("i1", "again")
+    ))
+    with pytest.raises(ValidationFailure, match="frame must be a non-empty set of unique ids"):
+        analyze_attack(make_attack(["ev1"]), net)
+
+
+class CountingIds(tuple):
+    """A tuple of evidence ids that counts membership tests and iterations."""
+
+    calls = 0
+
+    def __contains__(self, item):
+        self.calls += 1
+        return super().__contains__(item)
+
+    def __iter__(self):
+        self.calls += 1
+        return super().__iter__()
+
+
+def evidence_id_reads(n_evidence: int) -> int:
+    """Membership tests and iterations of the network's evidence ids that
+    one analyze_attack call over `n_evidence` items makes."""
+    net = random_network(random.Random(n_evidence), intentions=(4, 4), evidence=(n_evidence,) * 2)
+    attack = make_attack(net.evidence_ids)
+    ids = CountingIds(net.evidence_ids)
+    report = analyze_attack(attack, replace(net, evidence_ids=ids))
+    assert report == reference_analyze(attack, net)
+    return ids.calls
+
+
+def test_the_estimator_reads_the_evidence_ids_a_constant_number_of_times():
+    """The evidence ids are read once a call, not scanned once per item."""
+    assert evidence_id_reads(5) == evidence_id_reads(50)
