@@ -12,9 +12,10 @@ a shape Dempster's rule keeps, so :func:`analyze_attack` fuses them in
 closed form and renormalizes by the mass actually kept at every step
 (Barnett 1981); it agrees with exact rational fusion to rounding.
 :func:`combine` stays the general rule over any focal sets. A call reads
-the network's evidence ids into a set and the frame's priors and
-accuracies into lists once, then runs each of its n items in O(|Θ|).
-Bayes' rule and discounting each have one implementation, on those lists.
+the network's evidence ids into a set and resolves the frame's
+intention ids and accuracies once, then runs each of its n items in
+O(|Θ|). Bayes' rule and discounting each have one implementation, on
+lists in frame order.
 
 All sums use ``math.fsum`` so results are independent of iteration
 order; :func:`combine`, :func:`belief` and :func:`plausibility` agree
@@ -53,7 +54,8 @@ CONFLICT_TOLERANCE = 1e-12
 
 def evidence_marginal(network: CausalNetwork, evidence_id: str) -> float:
     """P(evidence) by total probability over the intention partition."""
-    return math.fsum(_joint(network, evidence_id, network.evidence_ids, *_frame(network)))
+    intention_ids = network.intention_ids()
+    return math.fsum(_joint(network, evidence_id, network.evidence_ids, intention_ids))
 
 
 def posterior(network: CausalNetwork, intention_id: str, evidence_id: str) -> float:
@@ -64,21 +66,26 @@ def posterior(network: CausalNetwork, intention_id: str, evidence_id: str) -> fl
     return posteriors[intention_id]
 
 
-def posteriors_for_evidence(network: CausalNetwork, evidence_id: str) -> dict[str, float]:
+def posteriors_for_evidence(
+    network: CausalNetwork, evidence_id: str
+) -> dict[str, float]:
     """Posterior for every intention given one evidence item."""
-    intention_ids, priors = _frame(network)
-    joint = _joint(network, evidence_id, network.evidence_ids, intention_ids, priors)
+    intention_ids = network.intention_ids()
+    joint = _joint(network, evidence_id, network.evidence_ids, intention_ids)
     return dict(zip(intention_ids, _posteriors(evidence_id, joint)))
 
 
-def build_mass_function(posteriors: dict[str, float], hypothesis: Hypothesis) -> MassFunction:
+def build_mass_function(
+    posteriors: dict[str, float], hypothesis: Hypothesis
+) -> MassFunction:
     """Normalized posteriors on singletons, discounted by one hypothesis.
 
     m({i}) = accuracy * posterior(i) / sum(posteriors); the residual
     1 - accuracy expresses ignorance and sits on the full frame.
     """
     ids, values = list(posteriors), list(posteriors.values())
-    return _mass_function(ids, *_discounted(ids, values, [hypothesis.accuracy] * len(ids)))
+    accuracies = [hypothesis.accuracy] * len(ids)
+    return _mass_function(ids, *_discounted(ids, values, accuracies))
 
 
 def vacuous(frame: Iterable[str]) -> MassFunction:
@@ -142,7 +149,7 @@ def analyze_attack(
         raise NoHypothesis("at least one hypothesis required")
     # What every step shares, looked up once.
     known = frozenset(network.evidence_ids)
-    intention_ids, priors = _frame(network)
+    intention_ids = network.intention_ids()
     accuracies = _resolve_accuracies(intention_ids, hypotheses)
 
     # Running fusion, starting from the vacuous mass function: m(i) for
@@ -152,11 +159,13 @@ def analyze_attack(
     fused = [0.0] * len(intention_ids)
     fused_theta = 1.0
     for ev in attack.evidence:
-        joint = _joint(network, ev.id, known, intention_ids, priors)
+        joint = _joint(network, ev.id, known, intention_ids)
         source, source_theta = _discounted(
             intention_ids, _posteriors(ev.id, joint), accuracies
         )
-        fused = [m * (s + source_theta) + fused_theta * s for m, s in zip(fused, source)]
+        fused = [
+            m * (s + source_theta) + fused_theta * s for m, s in zip(fused, source)
+        ]
         fused_theta *= source_theta
         # Divide by the mass kept, not by 1 - K: rounding then cannot compound.
         kept = math.fsum([*fused, fused_theta])
@@ -177,44 +186,41 @@ def analyze_attack(
 # --- internals --------------------------------------------------------------
 
 
-def _frame(network: CausalNetwork) -> tuple[list[str], list[float | None]]:
-    """The intention ids and their priors, in frame order; None: no prior."""
-    intention_ids = network.intention_ids()
-    return intention_ids, [network.priors.get(iid) for iid in intention_ids]
-
-
 def _joint(
-    network: CausalNetwork, evidence_id: str, evidence_ids: Iterable[str],
-    intention_ids: list[str], priors: list[float | None]
+    network: CausalNetwork,
+    evidence_id: str,
+    evidence_ids: Iterable[str],
+    intention_ids: list[str],
 ) -> list[float]:
-    """P(evidence | i) * P(i) for each intention, over :func:`_frame`'s ids and priors."""
+    """P(evidence | i) * P(i) for each of `intention_ids`, in their order."""
     row = network.likelihoods.get(evidence_id)
     if row is None or evidence_id not in evidence_ids:
         raise UnknownEvidence(f"evidence '{evidence_id}' not in network")
-    try:
-        return [row[iid] * prior for iid, prior in zip(intention_ids, priors)]
-    except (KeyError, TypeError):
-        # Name the first intention, in frame order, without a likelihood; a
-        # missing or bad prior before it raises as it does in the product.
-        for iid in intention_ids:
-            if row.get(iid) is None:
-                raise ValidationFailure(
-                    f"likelihoods['{evidence_id}'] has no entry for intention '{iid}'"
-                ) from None
-            row[iid] * network.priors[iid]
-        raise
+    joint = []
+    for iid in intention_ids:
+        p = row.get(iid)
+        if p is None:
+            raise ValidationFailure(
+                f"likelihoods['{evidence_id}'] has no entry for intention '{iid}'"
+            )
+        joint.append(p * network.priors[iid])
+    return joint
 
 
 def _posteriors(evidence_id: str, joint: list[float]) -> list[float]:
     """Bayes' rule: each joint probability over their sum, the marginal."""
     marginal = math.fsum(joint)
     if marginal <= 0.0:
-        raise ZeroMarginal(f"evidence '{evidence_id}' impossible under every intention")
+        raise ZeroMarginal(
+            f"evidence '{evidence_id}' impossible under every intention"
+        )
     return [p / marginal for p in joint]
 
 
-def _resolve_accuracies(intention_ids: list[str], hypotheses: Sequence[Hypothesis]) -> list[float]:
-    """Per-intention accuracy, in frame order: first exact match, else first wildcard."""
+def _resolve_accuracies(
+    intention_ids: list[str], hypotheses: Sequence[Hypothesis]
+) -> list[float]:
+    """Per-intention accuracy in frame order: first exact match, else wildcard."""
     wildcard = next((h for h in hypotheses if h.applies_to == "*"), None)
     accuracies = []
     for iid in intention_ids:
@@ -236,18 +242,15 @@ def _discounted(
     """
     if not posteriors:
         raise EmptyPosteriors("posterior map is empty")
-    # index() finds the first bad value: an equal one before it is bad too.
-    for p in posteriors:
+    for iid, p in zip(intention_ids, posteriors):
         if not (0.0 <= p <= 1.0):
-            iid = intention_ids[posteriors.index(p)]
             raise ValidationFailure(f"posterior for '{iid}' is {p!r}, outside [0,1]")
     total = math.fsum(posteriors)
     if total <= 0.0:
         raise AllZeroPosteriors("every posterior is zero")
     singletons = [a * (p / total) for a, p in zip(accuracies, posteriors)]
-    for m in singletons:
+    for iid, m in zip(intention_ids, singletons):
         if m < 0:
-            iid = intention_ids[singletons.index(m)]
             raise ValidationFailure(f"negative mass {m!r} on {[iid]}")
     committed = math.fsum(singletons)
     if committed - 1.0 > SUM_TOLERANCE:
@@ -256,8 +259,10 @@ def _discounted(
     return singletons, max(1.0 - committed, 0.0)
 
 
-def _mass_function(intention_ids: list[str], singletons: list[float], theta: float) -> MassFunction:
-    """Singleton masses, in frame order, plus mass on the full frame as a MassFunction."""
+def _mass_function(
+    intention_ids: list[str], singletons: list[float], theta: float
+) -> MassFunction:
+    """Singleton masses, in frame order, plus mass on the full frame."""
     frame = tuple(sorted(intention_ids))
     full = frozenset(frame)
     masses = {frozenset({iid}): m for iid, m in zip(intention_ids, singletons)}
