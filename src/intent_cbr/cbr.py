@@ -104,7 +104,7 @@ def align_evidence(
     positive similarity; ties break on ascending (new id, precedent id).
     Each evidence item is used at most once. May be empty. Only same-kind
     pairs have a positive :func:`local_similarity`, so only they are
-    compared, and fewer than two leave nothing to choose.
+    compared.
     """
     new_evidence = new_case.attack.evidence
     candidates = [  # (-sim, new id, precedent id)
@@ -113,8 +113,6 @@ def align_evidence(
         for n_ev in new_evidence
         if n_ev.kind == p_ev.kind
     ]
-    if len(candidates) < 2:
-        return tuple((n_id, p_id, -neg_sim) for neg_sim, n_id, p_id in candidates)
     candidates.sort()
     used_new: set[str] = set()
     used_precedent: set[str] = set()
@@ -136,11 +134,7 @@ def similarity(new_case: Case, precedent: Case) -> SimilarityResult:
     """
     weights = _checked_weights(precedent)
     alignment = align_evidence(new_case, precedent)
-    if len(alignment) == 1:  # as math.fsum of one term: the term, but 0.0 for -0.0
-        [(_, p_id, sim)] = alignment
-        score = sim * weights.get(p_id, 0.0) + 0.0
-    else:
-        score = math.fsum(sim * weights.get(p_id, 0.0) for _, p_id, sim in alignment)
+    score = math.fsum(sim * weights.get(p_id, 0.0) for _, p_id, sim in alignment)
     return SimilarityResult(new_case.case_id, precedent.case_id, alignment, score)
 
 

@@ -471,7 +471,10 @@ def validate_case(case: Case) -> list[str]:
 
 
 def validate_network(network: CausalNetwork) -> list[str]:
-    """Check CausalNetwork invariants (dense table, normalized priors)."""
+    """Check CausalNetwork invariants (dense table, normalized priors);
+    returns violation messages. Each field must already have its stored
+    type, as for :func:`validate_attack`; a prior that is None is listed
+    as missing, as is one whose key is absent."""
     violations: list[str] = []
     intention_ids = network.intention_ids()
     if len(set(intention_ids)) != len(intention_ids):
@@ -479,7 +482,7 @@ def validate_network(network: CausalNetwork) -> list[str]:
     for it in network.intentions:
         if not it.label:
             violations.append(f"intention '{it.id}': label must be non-empty")
-    priors = [network.priors.get(iid, 0.0) for iid in intention_ids]
+    priors = [0.0 if p is None else p for p in map(network.priors.get, intention_ids)]
     # A non-finite prior is reported below; a sum over it means nothing.
     if all(map(math.isfinite, priors)):
         prior_sum = fsum_or_nan(priors)

@@ -47,6 +47,7 @@ import fcntl
 import json
 import os
 from contextlib import contextmanager, suppress
+from itertools import pairwise
 from pathlib import Path
 
 from .errors import (
@@ -95,10 +96,9 @@ class Repository:
 
     def __init__(self, root: Path):
         self.root = Path(root)
-        # Every stored case by id, filled by the first full scan, and
-        # whether it is still in case-id order (list_cases restores it).
+        # Every stored case by id, filled by the first full scan; the
+        # handle's writes add new ids last, and list_cases restores the order.
         self._cases: dict[str, Case] | None = None
-        self._in_order = True
         # The scanned precedents' top-k index (see intent_cbr.summary), from
         # the first top-k retrieve on; the handle's writes keep it current.
         self._groups: dict[tuple, tuple] | None = None
@@ -216,13 +216,13 @@ class Repository:
 
         ``status`` may be a single status or an iterable of statuses,
         given as CaseStatus members or their string values. Runs the full
-        scan on first use.
+        scan on first use, and sorts it again only when a write through the
+        handle has added an id out of order.
         """
         wanted = _status_set(status)
         cases = self._all_cases()
-        if not self._in_order:
+        if any(a > b for a, b in pairwise(cases)):
             cases = self._cases = dict(sorted(cases.items()))
-            self._in_order = True
         return [case for case in cases.values() if wanted is None or case.status in wanted]
 
     def case_count(self) -> int:
@@ -288,9 +288,9 @@ class Repository:
 
     def _all_cases(self) -> dict[str, Case]:
         """Every stored case by id, from one scan of ``cases/`` per handle:
-        in case-id order until a write through the handle adds an id that
-        sorts before the last one. All corrupt records are reported
-        together via CorruptRecord.
+        in case-id order as scanned, with the ids that writes through the
+        handle add after them. All corrupt records are reported together
+        via CorruptRecord.
         """
         if self._cases is None:
             # Sort ids, not file names: "a-b.json" sorts before "a.json".
@@ -420,11 +420,7 @@ class Repository:
                 from . import summary
 
                 summary.join(self._groups, case)
-            # A new id that sorts before the last one breaks case-id order,
-            # which the next list_cases restores: a store never sorts.
-            if case.case_id not in cases and case.case_id < next(reversed(cases), ""):
-                self._in_order = False
-            cases[case.case_id] = case
+            cases[case.case_id] = case  # a new id goes last: a store never sorts
 
     @contextmanager
     def _writer_lock(self):

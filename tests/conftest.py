@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import itertools
 import random
 import time
@@ -212,3 +213,23 @@ def settle(root) -> None:
     newest = max(path.stat().st_ctime_ns for path in (Path(root) / "cases").iterdir())
     while summary._file_system_time(root) <= newest:
         time.sleep(0.001)
+
+
+def unstatable_case_file(monkeypatch, case_id: str) -> None:
+    """Make the stat of ``cases/<case_id>.json``, as the handle's
+    ``_case_files`` yields it, raise OSError; nothing on disk changes."""
+
+    class Unstatable:
+        def __init__(self, entry):
+            self.path = entry.path
+
+        def stat(self):
+            raise OSError(errno.EIO, "simulated stat failure")
+
+    case_files = Repository._case_files
+
+    def failing_case_files(self):
+        for found, entry in case_files(self):
+            yield found, Unstatable(entry) if found == case_id else entry
+
+    monkeypatch.setattr(Repository, "_case_files", failing_case_files)

@@ -212,11 +212,16 @@ class TestSimilarity:
 
     def test_a_lone_pair_of_weight_negative_zero_scores_positive_zero(self):
         # A -0.0 weight passes the weight check; fsum of one -0.0 term is 0.0.
-        new = case_of("new", [ev("n1", kind=OTHER)])
-        old = case_of("old", [ev("p1"), ev("p2", kind=OTHER)], weights={"p1": 1.0, "p2": -0.0})
-        result = similarity(new, old)
-        assert [p_id for _, p_id, _ in result.alignment] == ["p2"]
-        assert math.copysign(1.0, result.score) == 1.0
+        # Any other lone pair scores its one term, bit for bit.
+        n1, p2 = ev("n1", kind=OTHER, attrs={"a": "1", "b": "2"}), ev("p2", kind=OTHER, attrs={"a": "1"})
+        new = case_of("new", [n1])
+        for weight in (-0.0, 0.0, 5e-324, 0.25, 1.0):
+            old = case_of("old", [ev("p1"), p2], weights={"p1": 1.0 - weight, "p2": weight})
+            result = similarity(new, old)
+            assert [p_id for _, p_id, _ in result.alignment] == ["p2"]
+            term = local_similarity(n1, p2) * weight + 0.0
+            assert result.score == term
+            assert math.copysign(1.0, result.score) == math.copysign(1.0, term) == 1.0
 
     def test_unnormalized_weights_rejected(self):
         old = case_of("old", [ev("p1")], weights={"p1": 0.7})

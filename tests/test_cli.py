@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_network, settle
+from conftest import random_network, settle, unstatable_case_file
 from intent_cbr import cbr, cli
 from intent_cbr import repository as repository_module
 from intent_cbr import fixtures as demo
@@ -881,6 +881,19 @@ def test_unreadable_stored_attack_exit_1(workdir, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: cannot read ")
     assert "attacks/keylogging.json" in err
+
+
+def test_analyze_with_a_case_file_that_cannot_be_stated_exit_1(workdir, capsys, monkeypatch):
+    assert ingest_keylogging(workdir) == 0
+    cases = sorted(os.listdir(workdir / "repo" / "cases"))
+    unstatable_case_file(monkeypatch, "botnet-03")
+    capsys.readouterr()
+    rc = run(workdir, "analyze", "--repo", workdir / "repo", "--attack-id", "keylogging")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot stat ")
+    assert "cases/botnet-03.json" in err
+    assert sorted(os.listdir(workdir / "repo" / "cases")) == cases
 
 
 @pytest.mark.parametrize("flag", ["--network", "--attack"])

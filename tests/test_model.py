@@ -278,6 +278,15 @@ def test_validate_network_names_a_bad_prior(prior, message):
     assert message in validate_network(network)
 
 
+def test_validate_network_lists_a_none_prior_as_a_missing_one():
+    network = demo.demo_network()
+    missing = {iid: p for iid, p in network.priors.items() if iid != "int-recon"}
+    expected = validate_network(replace(network, priors=missing))
+    assert "priors: missing entry for intention 'int-recon'" in expected
+    none = replace(network, priors={**network.priors, "int-recon": None})
+    assert validate_network(none) == expected
+
+
 def test_validate_network_priors_whose_sum_leaves_float_range():
     network = demo.demo_network()
     network = replace(network, priors={iid: 1e308 for iid in network.priors})

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_case, settle
+from conftest import random_case, settle, unstatable_case_file
 from intent_cbr import cbr
 from intent_cbr import fixtures as demo
 from intent_cbr.errors import (
@@ -846,6 +846,13 @@ def test_a_cases_directory_that_cannot_be_listed_is_io_failure(tmp_path):
     (tmp_path / "repo" / "cases").rmdir()
     with pytest.raises(IoFailure, match="cannot list .*cases"):
         repo.list_cases()
+
+
+def test_a_case_file_that_cannot_be_stated_is_io_failure(demo_repo, monkeypatch):
+    unstatable_case_file(monkeypatch, "botnet-03")
+    query = replace(demo.precedent_cases()[0], case_id="query", status=CaseStatus.PROPOSED)
+    with pytest.raises(IoFailure, match=r"cannot stat .*cases/botnet-03\.json: .*simulated stat failure"):
+        cbr.retrieve(query, Repository.attach(demo_repo.root), k=3)
 
 
 def test_the_writer_lock_on_a_vanished_meta_json_is_io_failure(repo):
