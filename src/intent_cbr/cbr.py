@@ -13,6 +13,7 @@ contributes nothing, which penalizes missing evidence.
 from __future__ import annotations
 
 import math
+import operator
 
 from .errors import EmptyRanking, EmptyRepository, UnnormalizedWeights, ValidationFailure
 from .model import (
@@ -149,8 +150,8 @@ def retrieve(new_case: Case, repository, k: int | None) -> RetrievalRanking:
     bounded by each item's best :func:`local_similarity` and waits again
     when that bound is lower.
     """
-    if k is not None and k < 1:
-        raise ValidationFailure(f"k must be positive, got {k}")
+    if k is not None and not (hasattr(type(k), "__index__") and operator.index(k) >= 1):
+        raise ValidationFailure(f"k must be a positive integer, got {k!r}")
     if k is None:
         precedents = repository.list_cases(status=CONFIRMED_STATUSES)
         scored = [(similarity(new_case, p), p) for p in precedents]

@@ -223,15 +223,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_ingest(repo: Repository, args) -> int:
-    from .ingest import _parse_evidence
+    from .ingest import parse_evidence_file
 
-    attack = _parse_evidence(
+    attack = parse_evidence_file(
         args.input,
         args.format,
         args.attack_id,
         args.attack_name,
         args.detection_state,
-        _print_warning,
+        warn=_print_warning,
     )
     repo.save_attack(attack)
     print(f"{len(attack.evidence)} evidence items ingested")
@@ -294,10 +294,10 @@ def cmd_retain(repo: Repository, args) -> int:
 
 def cmd_seed_aia(repo: Repository, args) -> int:
     from .inference import analyze_attack
-    from .ingest import _parse_evidence, parse_network_file
+    from .ingest import parse_evidence_file, parse_network_file
 
     network = parse_network_file(args.network)
-    attack = _parse_evidence(args.attack, "json", None, None, None, _print_warning)
+    attack = parse_evidence_file(args.attack, "json", warn=_print_warning)
     if args.priors == "uniform":
         ids = network.intention_ids()
         network = replace(network, priors={iid: 1.0 / len(ids) for iid in ids})

@@ -14,10 +14,10 @@ A blank confidence cell defaults to 1.0 (the analyst asserted the
 evidence). Unknown kind strings map to ``other`` with a warning. Both
 formats trim each evidence id, description, attribute key and value.
 
-Warnings: `parse_evidence_file` logs each one at WARNING on the
-``intent_cbr.ingest`` logger as it is found, so also when a later record
-fails; ``logging`` is imported only then. The CLI parses through
-`_parse_evidence` and prints each one as ``WARNING: <message>`` on stderr.
+Warnings: `parse_evidence_file` passes each message to its `warn`
+callback as it is found, so also when a later record fails. Without one,
+it logs each at WARNING on the ``intent_cbr.ingest`` logger, importing
+``logging`` only then; the CLI prints each as ``WARNING: <message>``.
 
 JSON: either a full attack document (``id``, ``name``,
 ``detection_state``, ``evidence`` array) or a bare array of evidence
@@ -84,6 +84,7 @@ def parse_evidence_file(
     attack_id: str | None = None,
     attack_name: str | None = None,
     detection_state: float | None = None,
+    warn=None,
 ) -> Attack:
     """Parse a CSV or JSON evidence file into an Attack.
 
@@ -91,20 +92,11 @@ def parse_evidence_file(
     carries (they are the only source for CSV, which has no metadata).
     They are read by the rules of the document's own fields: the id and
     name as text, the detection state as a number. Each record of an
-    unknown kind is logged as a warning (see the module docstring).
+    unknown kind is a warning, whose message goes to `warn`, or to the
+    log when `warn` is None (see the module docstring).
     """
-    return _parse_evidence(path, format, attack_id, attack_name, detection_state, _log_warning)
-
-
-def _log_warning(message: str) -> None:
-    import logging
-
-    logging.getLogger(__name__).warning(message)
-
-
-def _parse_evidence(path, format: str, attack_id, attack_name, detection_state, warn) -> Attack:
-    """`parse_evidence_file`, calling `warn` with the message of each
-    warning as it is found."""
+    if warn is None:
+        warn = _log_warning
     path = Path(path)
     if format not in ("csv", "json"):
         raise ValueError(f"format must be csv or json, got {format!r}")
@@ -131,6 +123,12 @@ def _parse_evidence(path, format: str, attack_id, attack_name, detection_state, 
     if violations:
         raise MalformedRecord(0, "; ".join(violations))
     return attack
+
+
+def _log_warning(message: str) -> None:
+    import logging
+
+    logging.getLogger(__name__).warning(message)
 
 
 def parse_network_file(path) -> CausalNetwork:

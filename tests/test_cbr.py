@@ -310,9 +310,10 @@ class TestRetrieve:
         ranked = {e.precedent_case_id for e in retrieve(keylogging_case, demo_repo, k=None).entries}
         assert ("copy" in ranked) == (status in CONFIRMED_STATUSES)
 
-    def test_k_must_be_positive(self, demo_repo, keylogging_case):
+    @pytest.mark.parametrize("k", [0, -1, 2.5, math.inf, math.nan, "3"])
+    def test_k_must_be_positive(self, demo_repo, keylogging_case, k):
         with pytest.raises(ValidationFailure):
-            retrieve(keylogging_case, demo_repo, k=0)
+            retrieve(keylogging_case, demo_repo, k=k)
 
     @pytest.mark.parametrize("k", [3, None])
     def test_precedent_intentions_are_those_of_the_ranked_ids(

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_network, settle, unstatable_case_file
-from intent_cbr import cbr, cli
+from intent_cbr import cbr, cli, ingest
 from intent_cbr import repository as repository_module
 from intent_cbr import fixtures as demo
 from intent_cbr.cli import main
@@ -1583,6 +1583,22 @@ def test_seed_aia_warns_of_an_unknown_kind_on_stderr(workdir):
         0, "WARNING: line 1: unknown kind 'weird' mapped to 'other'\n"
     )
     assert "stored as precedent" in result.stdout
+
+
+@pytest.mark.parametrize("command", ["ingest", "ingest-json", "seed-aia"])
+def test_ingest_and_seed_aia_parse_once_through_parse_evidence_file(
+    workdir, monkeypatch, command
+):
+    demo.write_keylogging_json(workdir / "keylog.json")
+    parse, warns = ingest.parse_evidence_file, []
+
+    def recorded(*args, **kwargs):
+        warns.append(kwargs.get("warn"))
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(ingest, "parse_evidence_file", recorded)
+    assert run(workdir, *_argv(workdir, command)) == 0
+    assert warns == [cli._print_warning]
 
 
 # Prints, as its last line, what importing the CLI and running one command

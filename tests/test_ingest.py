@@ -178,21 +178,27 @@ class TestCsvParsing:
         assert attack.evidence[0].kind is EvidenceKind.OTHER
         assert any("weird" in record.message for record in caplog.records)
 
+    @pytest.mark.parametrize("to_warn", [False, True], ids=["logged", "warn"])
     @pytest.mark.parametrize("later", ["", "ev02,tool,y,high\n"], ids=["ok", "fails-later"])
-    def test_unknown_kind_is_logged_also_when_a_later_line_fails(self, tmp_path, caplog, later):
+    def test_unknown_kind_is_logged_also_when_a_later_line_fails(
+        self, tmp_path, caplog, later, to_warn
+    ):
         path = tmp_path / "kind.csv"
         path.write_text(
             "id,kind,description,confidence\nev01,weird,x,1\n" + later, encoding="utf-8"
         )
+        warned = []
+        warn = warned.append if to_warn else None
         with caplog.at_level(logging.WARNING):
             if later:
                 with pytest.raises(MalformedRecord):
-                    parse_evidence_file(path, "csv", attack_id="a1")
+                    parse_evidence_file(path, "csv", attack_id="a1", warn=warn)
             else:
-                parse_evidence_file(path, "csv", attack_id="a1")
-        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
-            ("intent_cbr.ingest", logging.WARNING, "line 2: unknown kind 'weird' mapped to 'other'")
-        ]
+                parse_evidence_file(path, "csv", attack_id="a1", warn=warn)
+        message = "line 2: unknown kind 'weird' mapped to 'other'"
+        logged = [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
+        record = ("intent_cbr.ingest", logging.WARNING, message)
+        assert (warned, logged) == (([message], []) if to_warn else ([], [record]))
 
     @pytest.mark.parametrize("kind, imported", [("tool", []), ("weird", ["logging"])])
     def test_logging_is_imported_only_to_log_a_warning(self, tmp_path, kind, imported):
