@@ -1586,7 +1586,7 @@ def test_seed_aia_warns_of_an_unknown_kind_on_stderr(workdir):
 
 
 @pytest.mark.parametrize("command", ["ingest", "ingest-json", "seed-aia"])
-def test_ingest_and_seed_aia_parse_once_through_parse_evidence_file(
+def test_ingest_and_seed_aia_parse_once_through_the_public_parser(
     workdir, monkeypatch, command
 ):
     demo.write_keylogging_json(workdir / "keylog.json")
