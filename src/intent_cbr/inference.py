@@ -11,11 +11,11 @@ The per-evidence masses sit on singletons and the full frame Θ only,
 a shape Dempster's rule keeps, so :func:`analyze_attack` fuses them in
 closed form and renormalizes by the mass actually kept at every step
 (Barnett 1981); it agrees with exact rational fusion to rounding.
-:func:`combine` stays the general rule over any focal sets. A call reads
-the network's evidence ids into a set and resolves the frame's
-intention ids and accuracies once, then runs each of its n items in
-O(|Θ|). Bayes' rule and discounting each have one implementation, on
-lists in frame order.
+:func:`combine` stays the general rule over any focal sets, and divides
+by the mass it keeps too. A call reads the network's evidence ids into
+a set and resolves the frame's intention ids and accuracies once, then
+runs each of its n items in O(|Θ|). Bayes' rule and discounting each
+have one implementation, on lists in frame order.
 
 All sums use ``math.fsum`` so results are independent of iteration
 order; :func:`combine`, :func:`belief` and :func:`plausibility` agree
@@ -110,10 +110,13 @@ def combine(m1: MassFunction, m2: MassFunction) -> MassFunction:
             else:
                 conflict_terms.append(product)
     conflict = math.fsum(conflict_terms)
-    denominator = 1.0 - conflict
-    if denominator <= CONFLICT_TOLERANCE:
+    # Divide by the mass kept, not by 1 - K: the two are equal only on
+    # inputs that sum to exactly 1, and 1 - K would carry an input's drift
+    # into the result, growing it along a chain of combinations.
+    kept = math.fsum(product for parts in terms.values() for product in parts)
+    if 1.0 - conflict <= CONFLICT_TOLERANCE or not kept:
         raise TotalConflict(conflict)
-    masses = {subset: math.fsum(parts) / denominator for subset, parts in terms.items()}
+    masses = {subset: math.fsum(parts) / kept for subset, parts in terms.items()}
     return MassFunction(frame=frame, masses=masses)
 
 

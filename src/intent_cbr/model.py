@@ -305,10 +305,13 @@ class Case(Record):
 class MassFunction(Record):
     """Basic probability assignment over subsets of an intention frame.
 
-    Construction normalizes and checks the invariants: masses are
-    non-negative, sum to 1 within tolerance, the empty set carries no
-    mass, and every focal subset lies inside the frame. Zero-mass
-    entries are dropped so equal assignments compare equal.
+    Construction merges the masses of equal subsets and checks the
+    invariants: masses are non-negative, sum to 1 within
+    ``SUM_TOLERANCE``, the empty set carries no mass, and every focal
+    subset lies inside the frame. It does not rescale: a sum within
+    ``SUM_TOLERANCE`` of 1 is kept as given, so ``inference.combine``
+    divides by the mass it keeps. Zero-mass entries are dropped so equal
+    assignments compare equal.
     """
 
     __slots__ = ("frame", "masses")

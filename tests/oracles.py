@@ -58,7 +58,7 @@ def dense_combine(m1: MassFunction, m2: MassFunction):
             else:
                 conflict_terms.append(term)
     conflict = math.fsum(conflict_terms)
-    denominator = 1.0 - conflict
+    denominator = math.fsum(term for terms in per_subset.values() for term in terms)
     masses = {}
     for subset, terms in per_subset.items():
         value = math.fsum(terms) / denominator

@@ -229,6 +229,34 @@ class TestCombine:
         with pytest.raises(TotalConflict):
             combine(m1, m2)
 
+    def test_an_input_that_sums_to_one_within_tolerance_combines(self):
+        # m1 sums to 1 + 1.74e-10, inside SUM_TOLERANCE, as a chain of
+        # earlier combinations left it. Dividing by 1 - K under this
+        # conflict gave masses summing to 1 + 3.5e-9, which MassFunction
+        # refused.
+        frame = ("i1", "i2", "i3", "i4", "i5", "i6")
+        m1 = singleton_mass(
+            frame,
+            i3=0.0476026113379168,
+            i2=0.00011307033571951755,
+            i4=0.9521652970940546,
+            i6=0.00011307033571951755,
+            theta=5.951070301027245e-06,
+        )
+        m2 = singleton_mass(frame, i6=0.95, theta=0.050000000000000044)
+        assert math.fsum(m1.masses.values()) != 1.0
+        out = combine(m1, m2)
+        assert math.fsum(out.masses.values()) == 1.0
+        assert out.masses == combine(m2, m1).masses
+
+    def test_conflict_that_keeps_no_mass_is_total(self):
+        # Both inputs sum to 1 - 5e-10, so 1 - K is 1e-9, above
+        # CONFLICT_TOLERANCE, yet no product is kept.
+        m1 = singleton_mass(("i1", "i2"), i1=1.0 - 5e-10)
+        m2 = singleton_mass(("i1", "i2"), i2=1.0 - 5e-10)
+        with pytest.raises(TotalConflict):
+            combine(m1, m2)
+
     @given(mass_function_st(theta_floor=0.05), mass_function_st(theta_floor=0.05))
     @settings(max_examples=150)
     def test_commutative_exactly(self, m1, m2):

@@ -3,7 +3,6 @@
 import copy
 import json
 import pickle
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -29,8 +28,6 @@ from intent_cbr.serialize import (
     network_from_dict,
     network_to_dict,
 )
-
-DATA = Path(__file__).parent / "data"
 
 
 def test_attack_round_trip():
@@ -259,17 +256,23 @@ def test_a_decoded_record_stays_a_frozen_value(encode, decode, record, others):
     assert copy.deepcopy(decoded) == decoded
 
 
+_CORPUS_DECODERS = {
+    "demo_attack.json": attack_from_dict,
+    "demo_network.json": network_from_dict,
+    "keylogging_attack.json": attack_from_dict,
+}
+
+
 @pytest.mark.parametrize(
-    "record, encode, name",
-    [
-        (demo.keylogging_attack(), attack_to_dict, "keylogging_attack.json"),
-        (demo.demo_network(), network_to_dict, "demo_network.json"),
-    ],
-    ids=["attack", "network"],
+    "path",
+    sorted(demo.PAPER.rglob("*.json")),
+    ids=lambda path: path.relative_to(demo.PAPER).as_posix(),
 )
-def test_fixture_documents_keep_their_bytes(record, encode, name):
-    expected = (DATA / name).read_text(encoding="utf-8")
-    assert canonical_dumps(encode(record)) == expected
+def test_fixture_documents_keep_their_bytes(path):
+    # Each corpus document decodes and re-encodes to exactly its own bytes.
+    decode = case_from_dict if path.parent.name == "cases" else _CORPUS_DECODERS[path.name]
+    expected = path.read_bytes()
+    assert canonical_dumps(decode(json.loads(expected))).encode("utf-8") == expected
 
 
 def test_canonical_dumps_refuses_an_unsupported_type():
